@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import __version__
 from .errors import SelfsimError
@@ -67,7 +66,11 @@ def _write(outdir: str, name: str, text: str) -> str:
     return name
 
 
-def _manifest(outdir: str, cfg: RunConfig, tolerances: dict, outputs: list[str]) -> None:
+def _write_json(outdir: str, name: str, data, indent: int | None = 2) -> str:
+    return _write(outdir, name, json.dumps(data, sort_keys=True, indent=indent, allow_nan=False) + "\n")
+
+
+def _manifest(outdir: str, cfg: RunConfig, tolerances: dict, outputs: list[str], **extra) -> None:
     data = {
         "command": cfg.command,
         "config": dict(cfg.options),
@@ -78,8 +81,9 @@ def _manifest(outdir: str, cfg: RunConfig, tolerances: dict, outputs: list[str])
             "scipy": __import__("scipy").__version__,
         },
         "outputs": sorted(outputs),
+        **extra,
     }
-    _write(outdir, "manifest.json", json.dumps(data, sort_keys=True, indent=2) + "\n")
+    _write_json(outdir, "manifest.json", data)
 
 
 def _parse_element(spec: str) -> tuple[str, AlgebraElement]:
@@ -108,6 +112,7 @@ def _relator_ok(word: str, n: int) -> bool:
 
 def _bcd_square_ok(n: int) -> bool:
     """(B + C + D - I)^2 == 4 I in exact integer arithmetic."""
+    import scipy.sparse as sparse
     dim = 1 << n
     cols = np.arange(dim)
     acc = sparse.csr_matrix((dim, dim), dtype=np.int64)
@@ -140,7 +145,7 @@ def cmd_verify(level: int, outdir: str) -> int:
     checks = [{"name": name, "ok": bool(ok)} for name, ok in _verify_checks(level)]
     failures = [c["name"] for c in checks if not c["ok"]]
     report = {"level": level, "checks": checks, "all_ok": not failures}
-    outputs = [_write(outdir, "verify.json", json.dumps(report, sort_keys=True, indent=2) + "\n")]
+    outputs = [_write_json(outdir, "verify.json", report)]
     _manifest(outdir, RunConfig.make("verify", level=level), {}, outputs)
     for name in failures:
         print(f"FAIL {name}", file=sys.stderr)
@@ -164,8 +169,9 @@ def cmd_spectrum(element_spec: str, level: int, tol: float, outdir: str) -> int:
             within_tol=bool(forward <= tol),
         )
         failed = forward > tol
-    outputs.append(_write(outdir, "report.json", json.dumps(report, sort_keys=True, indent=2) + "\n"))
-    _manifest(outdir, RunConfig.make("spectrum", element=element_spec, level=level, tol=tol), {"tol": tol}, outputs)
+    outputs.append(_write_json(outdir, "report.json", report))
+    cfg = RunConfig.make("spectrum", element=element_spec, level=level, tol=tol)
+    _manifest(outdir, cfg, {"tol": tol}, outputs, solver=rep.solver)
     if failed:
         print(f"FAIL eigenvalues stray {report['hausdorff_forward']:.3e} from the target", file=sys.stderr)
         return 1
@@ -174,9 +180,7 @@ def cmd_spectrum(element_spec: str, level: int, tol: float, outdir: str) -> int:
 
 def cmd_slice(t: float, n_max: int, outdir: str) -> int:
     union = lambda_slice(t)
-    outputs = [
-        _write(outdir, "lambda.json", json.dumps({"t": t, "intervals": union.to_pairs()}, sort_keys=True) + "\n")
-    ]
+    outputs = [_write_json(outdir, "lambda.json", {"t": t, "intervals": union.to_pairs()}, indent=None)]
     lines = ["n,value"]
     per_level = {}
     for n in range(n_max + 1):
@@ -185,9 +189,7 @@ def cmd_slice(t: float, n_max: int, outdir: str) -> int:
         forward, backward = hausdorff_to_set(values, union)
         per_level[str(n)] = {"forward": forward, "backward": backward}
     outputs.append(_write(outdir, "samples.csv", "\n".join(lines) + "\n"))
-    outputs.append(
-        _write(outdir, "report.json", json.dumps({"t": t, "hausdorff": per_level}, sort_keys=True, indent=2) + "\n")
-    )
+    outputs.append(_write_json(outdir, "report.json", {"t": t, "hausdorff": per_level}))
     outputs.append(_write(outdir, "omega-slice.svg", omega_svg(curve_levels=3, slice_alphas=(t,))))
     _manifest(outdir, RunConfig.make("slice", t=t, level=n_max), {}, outputs)
     return 0
@@ -203,7 +205,7 @@ def cmd_omega(level: int, slice_ts: tuple[float, ...], tol: float, outdir: str) 
             worst = max(worst, check.max_residual)
             rows.append({"n": n, "j": j, "max_residual": check.max_residual})
     report = {"curve_checks": rows, "worst_residual": worst, "tol": tol, "all_ok": worst <= tol}
-    outputs.append(_write(outdir, "curves.json", json.dumps(report, sort_keys=True, indent=2) + "\n"))
+    outputs.append(_write_json(outdir, "curves.json", report))
     _manifest(outdir, RunConfig.make("omega", level=level, t=list(slice_ts), tol=tol), {"tol": tol}, outputs)
     if worst > tol:
         print(f"FAIL curve residual {worst:.3e} exceeds {tol:.0e}", file=sys.stderr)
@@ -240,13 +242,9 @@ def cmd_orbital(point: str, gens: str, radius: int, element_spec: str, depth: in
         "histogram": {"lo": hist.lo, "hi": hist.hi, "counts": list(hist.counts),
                       "underflow": hist.underflow, "overflow": hist.overflow},
     }
-    outputs.append(_write(outdir, "report.json", json.dumps(report, sort_keys=True, indent=2) + "\n"))
-    _manifest(
-        outdir,
-        RunConfig.make("orbital", point=point, gens=gens, radius=radius, element=element_spec, depth=depth),
-        {},
-        outputs,
-    )
+    outputs.append(_write_json(outdir, "report.json", report))
+    cfg = RunConfig.make("orbital", point=point, gens=gens, radius=radius, element=element_spec, depth=depth)
+    _manifest(outdir, cfg, {}, outputs, solver=rep.solver)
     return 0
 
 
@@ -261,16 +259,24 @@ def cmd_rigidity(q: float, samples: int, depth: int, seed: int, outdir: str) -> 
             hits = sum(1 for x in points if rigidity_depth(x, g, depth) is not None)
             per_generator[g] = hits / samples
     report = {"q": q, "samples": samples, "depth": depth, "seed": seed, "per_generator": per_generator}
-    outputs = [_write(outdir, "rigidity.json", json.dumps(report, sort_keys=True, indent=2) + "\n")]
+    outputs = [_write_json(outdir, "rigidity.json", report)]
     _manifest(outdir, RunConfig.make("rigidity", q=q, samples=samples, depth=depth, seed=seed), {}, outputs)
     return 0
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Spectral computations for the self-similar action on the binary tree.",
-        epilog="Set SELFSIM_THREADS to cap solver parallelism for reproducible timings.",
+        epilog="Linear algebra runs in the BLAS/LAPACK of numpy and scipy, which read "
+        "OMP_NUM_THREADS and OPENBLAS_NUM_THREADS at start-up; set them to cap the thread count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -281,18 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="level spectrum of an element vs a named target set")
     p.add_argument("--element", default="delta", help="delta | sum | e | path to element JSON")
     p.add_argument("--level", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-9, help="membership tolerance for the target set")
+    p.add_argument("--tol", type=_finite, default=1e-9, help="membership tolerance for the target set")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("slice", help="slice spectrum endpoints and per-level samples")
-    p.add_argument("--t", type=float, default=-1.0)
+    p.add_argument("--t", type=_finite, default=-1.0)
     p.add_argument("--level", type=int, default=8, help="largest sample level")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("omega", help="parameter-region plot and curve invariance residuals")
     p.add_argument("--level", type=int, default=4, help="deepest curve family drawn and checked")
-    p.add_argument("--t", type=float, action="append", default=[], help="slice line(s) to draw")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--t", type=_finite, action="append", default=[], help="slice line(s) to draw")
+    p.add_argument("--tol", type=_finite, default=1e-9)
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("orbital", help="orbital-ball graph and truncated spectrum")

@@ -244,12 +244,13 @@ def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatr
     flags = np.zeros(dim, dtype=bool)
     for j, y in enumerate(points):
         for word, coef in m.terms:
-            image = boundary_image(word, y)
-            i = index.get(str(image))
+            image = str(boundary_image(word, y))
+            i = index.get(image)
             if i is not None:
                 mat[i, j] += coef
-            # inverse image outside the ball means row j is truncated
-            if str(boundary_image(word[::-1], y)) not in index:
+            # inverse image outside the ball truncates row j (palindromes are self-inverse)
+            inverse = image if word == word[::-1] else str(boundary_image(word[::-1], y))
+            if inverse not in index:
                 flags[j] = True
     return OperatorMatrix(mat), flags
 

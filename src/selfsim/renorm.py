@@ -33,9 +33,9 @@ _POLE_MARGIN = 0.4  # halfwidth of the excluded alpha zones when sampling curves
 
 
 def renorm_map(p: Param) -> Param:
-    """One renormalization step; undefined on the lines beta = +-2."""
+    """One renormalization step (scalars or arrays); undefined on the lines beta = +-2."""
     alpha, beta = p
-    if beta == 2.0 or beta == -2.0:
+    if np.any(np.abs(beta) == 2.0):
         raise PoleAtBeta(f"renormalization map undefined at beta = {beta}")
     denom = 4.0 - beta * beta
     return (2.0 * alpha * alpha / denom, beta + alpha * alpha * beta / denom)
@@ -98,10 +98,7 @@ def curve_invariance_check(n: int, j: int, samples: int, tol: float) -> CurveChe
     if n < 1:
         raise ValueError("need n >= 1 to step down one level")
     pts = curve_points(n, j, samples)
-    alpha, beta = pts[:, 0], pts[:, 1]
-    denom = 4.0 - beta * beta
-    a1 = 2.0 * alpha * alpha / denom
-    b1 = beta + alpha * alpha * beta / denom
+    a1, b1 = renorm_map((pts[:, 0], pts[:, 1]))
     cos_prev = math.cos(2.0 * math.pi * j / (1 << (n - 1)))
     residual = 4.0 - b1 * b1 + a1 * a1 - 4.0 * a1 * cos_prev
     return CurveCheck(float(np.abs(residual).max()), len(pts), tol)

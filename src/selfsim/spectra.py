@@ -1,23 +1,22 @@
 """Symmetric eigensolver plumbing and spectral set comparisons.
 
 All operators in scope are real symmetric, so spectra are eigenvalue
-multisets.  The solver contract adds two guarantees on top of LAPACK:
+multisets.  Every input (dense, OperatorMatrix or scipy sparse) is checked for
+symmetry in CSR form, reordered by reverse Cuthill-McKee and solved as a band
+matrix by LAPACK ?sbevd.  Level Schreier graphs and orbital balls are paths,
+so their operators come out tridiagonal.  The solver contract adds two
+guarantees on top of LAPACK:
 
 * determinism: identical input bytes give identical output bytes;
-* exact scale equivariance under powers of two: matrices are divided by a
-  power-of-two prescale factor before the backend call (an exact float
+* exact scale equivariance under powers of two: the band is divided by a
+  power-of-two prescale factor before the LAPACK call (an exact float
   operation), so eigvals(4 M) == 4 * eigvals(M) bitwise whenever the entries
   of 4 M are representable.
-
-A torch backend is used for large dense problems when available; the thread
-count is capped by the SELFSIM_THREADS environment variable for
-reproducibility across machines.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,29 +24,37 @@ import numpy as np
 from .errors import NotSymmetric, RadiusTooSmall
 from .renorm import IntervalUnion
 
-_TORCH_MIN_DIM = 1024   # below this LAPACK via numpy wins on latency
 _VECTOR_MAX_DIM = 2048  # above this residuals use the a priori backward bound
 
 _ASYM_REL_TOL = 1e-12
 
 
-def _entries(M) -> np.ndarray:
-    return np.asarray(getattr(M, "entries", M), dtype=float)
+def _band(M):
+    """Symmetry-checked CSR of M in reverse Cuthill-McKee order, and its lower band for eig_banded."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-
-def _check_symmetric(M: np.ndarray) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
-    scale = 1.0 + float(np.abs(M).max(initial=0.0))
-    asym = float(np.abs(M - M.T).max(initial=0.0))
+    S = sparse.csr_matrix(getattr(M, "entries", M), dtype=float)
+    if S.shape[0] != S.shape[1]:
+        raise NotSymmetric(f"expected a square matrix, got shape {S.shape}")
+    S.sum_duplicates()
+    scale = 1.0 + float(np.abs(S.data).max(initial=0.0))
+    asym = float(np.abs((S - S.T).data).max(initial=0.0))
     if asym > _ASYM_REL_TOL * scale:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {_ASYM_REL_TOL:.0e} * {scale:.3e}")
+    perm = reverse_cuthill_mckee(S, symmetric_mode=True)
+    P = S[perm][:, perm]
+    lower = sparse.tril(P, format="coo")
+    offset = lower.row - lower.col
+    band = np.zeros((int(offset.max(initial=0)) + 1, S.shape[0]))
+    band[offset, lower.col] = lower.data
+    return P, band
 
 
 def _prescale(M: np.ndarray) -> tuple[np.ndarray, float]:
     """Divide by the power of two bracketing the largest entry (exact).
 
-    The scaled matrix has max entry in [1/2, 1); matrices that differ by an
+    The scaled array has max entry in [1/2, 1); arrays that differ by an
     exact power-of-two factor scale to bit-identical arrays, which is what
     makes the solver exactly equivariant under such factors.
     """
@@ -59,36 +66,35 @@ def _prescale(M: np.ndarray) -> tuple[np.ndarray, float]:
     return M / p, p
 
 
-def _solve_values(scaled: np.ndarray) -> np.ndarray:
-    if scaled.shape[0] >= _TORCH_MIN_DIM:
-        try:
-            import torch
-        except ImportError:
-            torch = None
-        if torch is not None:
-            threads = os.environ.get("SELFSIM_THREADS")
-            if threads:
-                torch.set_num_threads(max(1, int(threads)))
-            return torch.linalg.eigvalsh(torch.from_numpy(scaled)).numpy()
-    return np.linalg.eigvalsh(scaled)
+def _solve_band(band: np.ndarray, vectors: bool):
+    """Eigenvalues (ascending) and, if asked, eigenvectors of a lower band."""
+    from scipy.linalg import eig_banded
+
+    scaled, p = _prescale(band)
+    if not vectors:
+        return p * eig_banded(scaled, lower=True, eigvals_only=True), None
+    w, V = eig_banded(scaled, lower=True)
+    return p * w, V
 
 
 def sym_eigvals(M) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, deterministic."""
-    A = _entries(M)
-    _check_symmetric(A)
-    scaled, p = _prescale(A)
-    return p * _solve_values(scaled)
+    return _solve_band(_band(M)[1], vectors=False)[0]
 
 
 @dataclass(frozen=True)
 class EigReport:
     eigenvalues: tuple[float, ...]
     residual_bound: float
+    bandwidth: int
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def solver(self) -> dict:
+        return {"ordering": "reverse_cuthill_mckee", "lapack_driver": "sbevd", "bandwidth": self.bandwidth}
 
     def to_csv(self) -> str:
         lines = [f"# dim={self.dim} residual_bound={self.residual_bound!r}", "value"]
@@ -99,28 +105,23 @@ class EigReport:
 def sym_eigs(M) -> EigReport:
     """Eigenvalue report with a residual bound on max ||Mv - lambda v|| / ||M||.
 
-    Up to the vector cutoff the bound is measured from computed eigenpairs;
-    beyond it, forming the full eigenvector matrix is not worth the memory
-    and time, and the report falls back on the backward-stability bound
-    dim * eps of the underlying solver.
+    Up to the vector cutoff the bound is measured from computed eigenpairs
+    against the reordered sparse matrix; beyond it, forming the full
+    eigenvector matrix is not worth the memory and time, and the report falls
+    back on the backward-stability bound dim * eps of the underlying solver.
     """
-    A = _entries(M)
-    _check_symmetric(A)
-    scaled, p = _prescale(A)
-    dim = A.shape[0]
-    if dim <= _VECTOR_MAX_DIM:
-        w, V = np.linalg.eigh(scaled)
-        values = p * w
-        norm = float(np.abs(values).max(initial=0.0))
-        if norm == 0.0:
-            residual = 0.0
-        else:
-            gap = A @ V - V * values
-            residual = float(np.sqrt((gap * gap).sum(axis=0)).max()) / norm
-    else:
-        values = p * _solve_values(scaled)
+    P, band = _band(M)
+    dim = band.shape[1]
+    values, V = _solve_band(band, vectors=dim <= _VECTOR_MAX_DIM)
+    norm = float(np.abs(values).max(initial=0.0))
+    if V is None:
         residual = dim * float(np.finfo(float).eps)
-    return EigReport(tuple(float(v) for v in values), residual)
+    elif norm == 0.0:
+        residual = 0.0
+    else:
+        gap = P @ V - V * values
+        residual = float(np.sqrt((gap * gap).sum(axis=0)).max()) / norm
+    return EigReport(tuple(float(v) for v in values), residual, band.shape[0] - 1)
 
 
 def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:
@@ -131,28 +132,22 @@ def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:
     because the distance-to-points function is piecewise linear with local
     maxima only at interval endpoints and midpoints of consecutive points.
     """
-    pts = sorted(float(p) for p in points)
-    if not pts:
+    pts = np.sort(np.asarray(points, dtype=float))
+    if not pts.size:
         raise ValueError("need at least one point")
     if target.is_empty():
         raise ValueError("target union is empty")
-    forward = max(target.distance(p) for p in pts)
-
-    def dist_to_points(x: float) -> float:
-        i = np.searchsorted(pts, x)
-        best = math.inf
-        if i < len(pts):
-            best = pts[i] - x
-        if i > 0:
-            best = min(best, x - pts[i - 1])
-        return best
+    gaps = [np.where((lo <= pts) & (pts <= hi), 0.0, np.minimum(abs(pts - lo), abs(pts - hi))) for lo, hi in target]
+    forward = float(np.min(gaps, axis=0).max())
 
     backward = 0.0
-    mids = [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+    mids = (pts[:-1] + pts[1:]) / 2.0
     for lo, hi in target:
-        candidates = [lo, hi]
-        candidates.extend(m for m in mids if lo < m < hi)
-        backward = max(backward, max(dist_to_points(c) for c in candidates))
+        candidates = np.concatenate([[lo, hi], mids[(lo < mids) & (mids < hi)]])
+        i = np.searchsorted(pts, candidates)
+        right = np.where(i < pts.size, pts[np.minimum(i, pts.size - 1)] - candidates, math.inf)
+        left = np.where(i > 0, candidates - pts[np.maximum(i - 1, 0)], math.inf)
+        backward = max(backward, float(np.minimum(left, right).max()))
     return forward, backward
 
 
@@ -190,7 +185,7 @@ class ShiftReport:
 
 def spectral_shift_check(M, alpha: float, R: float, tol: float) -> ShiftReport:
     """Test alpha in sigma(M) directly and through the shifted operator."""
-    A = _entries(M)
+    A = np.asarray(getattr(M, "entries", M), dtype=float)
     values = sym_eigvals(A)
     norm = float(np.abs(values).max(initial=0.0))
     if R < 2.0 * norm:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -180,9 +183,14 @@ def test_reruns_are_byte_identical(argv, tmp_path):
         ["spectrum", "--element", "no-such-file.json"],
         ["nonsense"],
         [],
+        ["spectrum", "--level", "3", "--tol", "nan"],
+        ["omega", "--level", "1", "--tol", "inf"],
+        ["slice", "--level", "1", "--t", "nan"],
+        ["omega", "--level", "1", "--t=-inf"],
     ],
     ids=["big-q", "zero-q", "neg-samples", "neg-level", "huge-level",
-         "bad-point", "bad-gens", "missing-file", "unknown-cmd", "no-cmd"],
+         "bad-point", "bad-gens", "missing-file", "unknown-cmd", "no-cmd",
+         "nan-tol", "inf-omega-tol", "nan-slice-t", "inf-omega-t"],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)] if argv else argv) == 2
@@ -192,6 +200,37 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
-    assert "SELFSIM_THREADS" in out
+    assert "OMP_NUM_THREADS" in out and "OPENBLAS_NUM_THREADS" in out
     for name in ("verify", "spectrum", "slice", "omega", "orbital", "rigidity"):
         assert name in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--element", "sum", "--level", "6"],
+        ["orbital", "--point", "(1)", "--gens", "abcd", "--radius", "16"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_manifest_records_solver(argv, tmp_path):
+    dirs = (tmp_path / "one", tmp_path / "two")
+    for d in dirs:
+        assert cli.main(argv + ["--out", str(d)]) == 0
+    manifest = _read_json(dirs[0] / "manifest.json")
+    # level graphs and orbital balls are paths: the operators are tridiagonal
+    assert manifest["solver"] == {"ordering": "reverse_cuthill_mckee", "lapack_driver": "sbevd", "bandwidth": 1}
+    assert (dirs[0] / "manifest.json").read_bytes() == (dirs[1] / "manifest.json").read_bytes()
+
+
+def test_json_artifacts_refuse_nan(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(str(tmp_path), "bad.json", {"t": float("nan")})
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, selfsim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

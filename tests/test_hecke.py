@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfsim.errors import LevelTooLarge, MissingLabel, PoleAtBeta
-from selfsim.group import BoundaryPoint, act_vertex
+from selfsim.group import BoundaryPoint, act_vertex, boundary_image
 from selfsim.hecke import (
     AlgebraElement,
     assemble_level,
@@ -178,6 +178,29 @@ def test_assemble_orbital_interior_rows_exact():
     for i, flagged in enumerate(flags):
         if not flagged:
             assert abs(row_sums[i] - 1.0) < 1e-15
+
+
+def test_assemble_orbital_non_palindromic_element():
+    # ab and ba are mutually inverse, distinct words: the inverse image of
+    # each term needs its own boundary_image call
+    element = AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0)])
+    assert [w for w, _ in element.terms] == ["ab", "ba"]
+    ball = orbital_ball(BoundaryPoint.parse("0(01)"), ABCD, 6, 80)
+    M, flags = assemble_orbital(element, ball)
+    index = {v: i for i, v in enumerate(ball.vertices)}
+    expected = np.zeros((len(index), len(index)))
+    expected_flags = np.zeros(len(index), dtype=bool)
+    for j, v in enumerate(ball.vertices):
+        y = BoundaryPoint.parse(v)
+        for word, coef in element.terms:
+            i = index.get(str(boundary_image(word, y)))
+            if i is not None:
+                expected[i, j] += coef
+            expected_flags[j] |= str(boundary_image(word[::-1], y)) not in index
+    assert np.array_equal(M.entries, expected)
+    assert np.array_equal(flags, expected_flags)
+    assert flags.any() and not flags.all()
+    assert M.is_symmetric()
 
 
 def test_assemble_orbital_soft_spectrum():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -154,3 +155,82 @@ def test_eigvals_match_trace_and_norm(dim, seed):
     assert abs(values.sum() - np.trace(A)) <= 1e-10 * (1.0 + abs(np.trace(A)))
     frob = float(np.sqrt((A * A).sum()))
     assert abs(np.sqrt((values * values).sum()) - frob) <= 1e-10 * (1.0 + frob)
+
+
+def _generator_sum_closed_form(level):
+    """{2, 4} and 1 +- sqrt(5 - 4 cos(2 pi j / 2^k)), 2 <= k <= level, odd j < 2^(k-1)."""
+    values = [2.0, 4.0]
+    for k in range(2, level + 1):
+        j = np.arange(1, 1 << (k - 1), 2)
+        root = np.sqrt(5.0 - 4.0 * np.cos(2.0 * np.pi * j / (1 << k)))
+        values.extend(1.0 - root)
+        values.extend(1.0 + root)
+    return np.sort(values)
+
+
+def test_generator_sum_matches_closed_form(delta_levels, sum13_eigs):
+    eigs, _ = delta_levels
+    # the sum is exactly four times delta, so the fixture covers both
+    for n in range(1, 13):
+        gap = np.abs(4.0 * eigs[n] - _generator_sum_closed_form(n)).max()
+        assert gap <= 1e-12, (n, gap)
+    assert np.abs(sum13_eigs - _generator_sum_closed_form(13)).max() <= 1e-12
+    direct = sym_eigvals(assemble_level(generator_sum_element(), 9))
+    assert np.abs(direct - _generator_sum_closed_form(9)).max() <= 1e-12
+
+
+def test_permuted_tridiagonal_matches_dense_solver():
+    rng = np.random.default_rng(11)
+    for dim in (2, 9, 200):
+        T = np.diag(rng.standard_normal(dim))
+        off = rng.standard_normal(dim - 1)
+        T += np.diag(off, 1) + np.diag(off, -1)
+        perm = rng.permutation(dim)
+        shuffled = T[perm][:, perm]
+        report = sym_eigs(shuffled)
+        assert report.bandwidth == 1
+        assert np.abs(np.array(report.eigenvalues) - np.linalg.eigvalsh(T)).max() <= 1e-12
+        assert np.abs(sym_eigvals(sparse.csr_matrix(shuffled)) - np.linalg.eigvalsh(T)).max() <= 1e-12
+
+
+def test_dense_symmetric_matches_dense_solver():
+    rng = np.random.default_rng(12)
+    for dim in (1, 6, 60):
+        A = rng.standard_normal((dim, dim))
+        A = (A + A.T) / 2.0
+        report = sym_eigs(A)
+        assert report.bandwidth == dim - 1
+        assert np.abs(np.array(report.eigenvalues) - np.linalg.eigvalsh(A)).max() <= 1e-12
+        assert np.abs(sym_eigvals(A) - np.linalg.eigvalsh(A)).max() <= 1e-12
+
+
+def test_sym_eigvals_sparse_input_rejects_asymmetric():
+    with pytest.raises(NotSymmetric):
+        sym_eigvals(sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    with pytest.raises(NotSymmetric):
+        sym_eigvals(np.ones((2, 3)))
+
+
+def _hausdorff_brute_force(points, pairs):
+    pts = sorted(points)
+    forward = max(min(0.0 if lo <= p <= hi else min(abs(p - lo), abs(p - hi)) for lo, hi in pairs) for p in pts)
+    backward = 0.0
+    mids = [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+    for lo, hi in pairs:
+        for c in [lo, hi] + [m for m in mids if lo < m < hi]:
+            backward = max(backward, min(abs(c - p) for p in pts))
+    return forward, backward
+
+
+_finite = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
+
+
+@given(
+    st.lists(_finite, min_size=1, max_size=12),
+    st.lists(st.tuples(_finite, _finite).map(sorted), min_size=1, max_size=3),
+)
+def test_hausdorff_matches_brute_force(points, pairs):
+    union = IntervalUnion(tuple(tuple(p) for p in pairs))
+    merged = [tuple(p) for p in union]
+    assert hausdorff_to_set(points, union) == _hausdorff_brute_force(points, merged)
+    assert hausdorff_to_set(np.array(points), union) == _hausdorff_brute_force(points, merged)
