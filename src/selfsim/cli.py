@@ -12,14 +12,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .errors import SelfsimError
+from .errors import LevelTooLarge, SelfsimError
 from .group import GENERATORS, BoundaryPoint, rigidity_depth
 from .hecke import (
+    LEVEL_GUARD,
     AlgebraElement,
     assemble_level,
     assemble_orbital,
@@ -37,25 +37,8 @@ _TARGETS = {
     "e": (((1.0, 1.0),)),
 }
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; round-trips through JSON losslessly."""
-
-    command: str
-    options: tuple[tuple[str, object], ...]
-
-    @staticmethod
-    def make(command: str, **options) -> "RunConfig":
-        return RunConfig(command, tuple(sorted(options.items())))
-
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, "options": dict(self.options)}, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "RunConfig":
-        data = json.loads(text)
-        return RunConfig(data["command"], tuple(sorted(data["options"].items())))
+OMEGA_LEVEL_GUARD = 12  # omega draws 2^(level+1) curves; the level-10 SVG is already 25 MB
+RIGIDITY_CELL_GUARD = 1 << 24  # samples x depth boundary coordinates drawn by rigidity
 
 
 def _write(outdir: str, name: str, text: str) -> str:
@@ -70,10 +53,10 @@ def _write_json(outdir: str, name: str, data, indent: int | None = 2) -> str:
     return _write(outdir, name, json.dumps(data, sort_keys=True, indent=indent, allow_nan=False) + "\n")
 
 
-def _manifest(outdir: str, cfg: RunConfig, tolerances: dict, outputs: list[str], **extra) -> None:
+def _manifest(outdir: str, command: str, config: dict, tolerances: dict, outputs: list[str], **extra) -> None:
     data = {
-        "command": cfg.command,
-        "config": dict(cfg.options),
+        "command": command,
+        "config": config,
         "tolerances": tolerances,
         "versions": {
             "selfsim": __version__,
@@ -146,7 +129,7 @@ def cmd_verify(level: int, outdir: str) -> int:
     failures = [c["name"] for c in checks if not c["ok"]]
     report = {"level": level, "checks": checks, "all_ok": not failures}
     outputs = [_write_json(outdir, "verify.json", report)]
-    _manifest(outdir, RunConfig.make("verify", level=level), {}, outputs)
+    _manifest(outdir, "verify", {"level": level}, {}, outputs)
     for name in failures:
         print(f"FAIL {name}", file=sys.stderr)
     return 1 if failures else 0
@@ -170,8 +153,8 @@ def cmd_spectrum(element_spec: str, level: int, tol: float, outdir: str) -> int:
         )
         failed = forward > tol
     outputs.append(_write_json(outdir, "report.json", report))
-    cfg = RunConfig.make("spectrum", element=element_spec, level=level, tol=tol)
-    _manifest(outdir, cfg, {"tol": tol}, outputs, solver=rep.solver)
+    config = {"element": element_spec, "level": level, "tol": tol}
+    _manifest(outdir, "spectrum", config, {"tol": tol}, outputs, solver=rep.solver)
     if failed:
         print(f"FAIL eigenvalues stray {report['hausdorff_forward']:.3e} from the target", file=sys.stderr)
         return 1
@@ -191,7 +174,7 @@ def cmd_slice(t: float, n_max: int, outdir: str) -> int:
     outputs.append(_write(outdir, "samples.csv", "\n".join(lines) + "\n"))
     outputs.append(_write_json(outdir, "report.json", {"t": t, "hausdorff": per_level}))
     outputs.append(_write(outdir, "omega-slice.svg", omega_svg(curve_levels=3, slice_alphas=(t,))))
-    _manifest(outdir, RunConfig.make("slice", t=t, level=n_max), {}, outputs)
+    _manifest(outdir, "slice", {"t": t, "level": n_max}, {}, outputs)
     return 0
 
 
@@ -206,7 +189,7 @@ def cmd_omega(level: int, slice_ts: tuple[float, ...], tol: float, outdir: str) 
             rows.append({"n": n, "j": j, "max_residual": check.max_residual})
     report = {"curve_checks": rows, "worst_residual": worst, "tol": tol, "all_ok": worst <= tol}
     outputs.append(_write_json(outdir, "curves.json", report))
-    _manifest(outdir, RunConfig.make("omega", level=level, t=list(slice_ts), tol=tol), {"tol": tol}, outputs)
+    _manifest(outdir, "omega", {"level": level, "t": list(slice_ts), "tol": tol}, {"tol": tol}, outputs)
     if worst > tol:
         print(f"FAIL curve residual {worst:.3e} exceeds {tol:.0e}", file=sys.stderr)
         return 1
@@ -243,8 +226,8 @@ def cmd_orbital(point: str, gens: str, radius: int, element_spec: str, depth: in
                       "underflow": hist.underflow, "overflow": hist.overflow},
     }
     outputs.append(_write_json(outdir, "report.json", report))
-    cfg = RunConfig.make("orbital", point=point, gens=gens, radius=radius, element=element_spec, depth=depth)
-    _manifest(outdir, cfg, {}, outputs, solver=rep.solver)
+    config = {"point": point, "gens": gens, "radius": radius, "element": element_spec, "depth": depth}
+    _manifest(outdir, "orbital", config, {}, outputs, solver=rep.solver)
     return 0
 
 
@@ -260,7 +243,7 @@ def cmd_rigidity(q: float, samples: int, depth: int, seed: int, outdir: str) -> 
             per_generator[g] = hits / samples
     report = {"q": q, "samples": samples, "depth": depth, "seed": seed, "per_generator": per_generator}
     outputs = [_write_json(outdir, "rigidity.json", report)]
-    _manifest(outdir, RunConfig.make("rigidity", q=q, samples=samples, depth=depth, seed=seed), {}, outputs)
+    _manifest(outdir, "rigidity", {"q": q, "samples": samples, "depth": depth, "seed": seed}, {}, outputs)
     return 0
 
 
@@ -332,8 +315,12 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(args.element, args.level, args.tol, args.out)
         if args.command == "slice":
+            if args.level > LEVEL_GUARD:
+                raise LevelTooLarge(f"slice level {args.level} exceeds the guard {LEVEL_GUARD}")
             return cmd_slice(args.t, args.level, args.out)
         if args.command == "omega":
+            if args.level > OMEGA_LEVEL_GUARD:
+                raise LevelTooLarge(f"omega level {args.level} exceeds the guard {OMEGA_LEVEL_GUARD}")
             return cmd_omega(args.level, tuple(args.t), args.tol, args.out)
         if args.command == "orbital":
             return cmd_orbital(args.point, args.gens, args.radius, args.element, args.depth, args.out)
@@ -342,6 +329,8 @@ def main(argv=None) -> int:
                 raise ValueError("q must be strictly between 0 and 1")
             if args.samples < 0:
                 raise ValueError("samples must be >= 0")
+            if args.samples * args.depth > RIGIDITY_CELL_GUARD:
+                raise ValueError(f"samples x depth exceeds the guard {RIGIDITY_CELL_GUARD}")
             return cmd_rigidity(args.q, args.samples, args.depth, args.seed, args.out)
         raise ValueError(f"unknown command {args.command}")
     except (SelfsimError, ValueError, OSError) as exc:

@@ -8,11 +8,13 @@ recursion
 down to a scalar base.  The recursion carries no measure parameter: the same
 matrices serve every Bernoulli weighting of the boundary at finite level.
 Internally each generator is held as a permutation index array (exact integer
-data); dense matrices are materialized only on demand and only below the
-dense guard.
+data).
 
 Operator assembly U(m) = sum of m(w) times the word permutation composes the
 permutations exactly and converts to floating point at the final accumulation.
+Every operator is an OperatorMatrix of coordinate triplets (about one nonzero
+per term and row, since the Schreier graphs are lines); no assembler forms a
+dense array.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .renorm import renorm_map
 from .schreier import MarkedGraph
 
 LEVEL_GUARD = 20
-DENSE_GUARD = 13
+ASSEMBLY_GUARD = 13  # level operators stay within seconds of solve time
 
 
 def _check_level(n: int, guard: int) -> None:
@@ -74,49 +76,6 @@ def word_perm(word: str, n: int) -> np.ndarray:
         except KeyError:
             raise ValueError(f"bad generator letter {ch!r} in word {word!r}") from None
     return acc
-
-
-def _perm_matrix(perm: np.ndarray) -> np.ndarray:
-    dim = perm.shape[0]
-    mat = np.zeros((dim, dim), dtype=np.int64)
-    mat[perm, np.arange(dim)] = 1
-    return mat
-
-
-@dataclass(frozen=True)
-class LevelMatrices:
-    """Exact level-n generator data; dense views guarded by memory size."""
-
-    n: int
-
-    def perm(self, letter: str) -> np.ndarray:
-        return _level_perms(self.n)[letter]
-
-    def matrix(self, letter: str) -> np.ndarray:
-        _check_level(self.n, DENSE_GUARD)
-        return _perm_matrix(self.perm(letter))
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.matrix("a")
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.matrix("b")
-
-    @property
-    def C(self) -> np.ndarray:
-        return self.matrix("c")
-
-    @property
-    def D(self) -> np.ndarray:
-        return self.matrix("d")
-
-
-def level_generator_matrices(n: int) -> LevelMatrices:
-    _check_level(n, LEVEL_GUARD)
-    _level_perms(n)
-    return LevelMatrices(n)
 
 
 @dataclass(frozen=True)
@@ -180,50 +139,51 @@ def generator_sum_element() -> AlgebraElement:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense real matrix with optional provenance level."""
+    """Real dim x dim operator as its nonzeros: entries[k] sits at (rows[k], cols[k]).
 
+    Build it with from_triplets, which puts the triplets in canonical form;
+    csr() is the only way to a matrix.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
     entries: np.ndarray
+    dim: int
     level: int | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    @staticmethod
+    def from_triplets(rows, cols, values, dim: int, level: int | None = None) -> "OperatorMatrix":
+        """Canonical form: sorted by (row, col), duplicates summed, zeros dropped.
 
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.entries, self.entries.T))
+        The sort is stable and duplicates are summed left to right from zero
+        (np.add.at, not the pairwise np.add.reduceat), so each entry is bit
+        for bit the dense array accumulated with += in input order.
+        """
+        order = np.lexsort((cols, rows))
+        rows = np.asarray(rows, dtype=np.int64)[order]
+        cols = np.asarray(cols, dtype=np.int64)[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        sums = np.zeros(np.count_nonzero(first))
+        np.add.at(sums, np.cumsum(first) - 1, np.asarray(values, dtype=float)[order])
+        keep = sums != 0.0
+        return OperatorMatrix(rows[first][keep], cols[first][keep], sums[keep], dim, level)
 
-    def to_csv(self) -> str:
-        rows = [",".join(repr(float(v)) for v in row) for row in self.entries]
-        return "\n".join(rows) + "\n"
+    def csr(self):
+        """The operator as a scipy CSR matrix."""
+        from scipy import sparse
 
-    def meta_json(self) -> str:
-        meta = {"dim": self.dim, "level": self.level, "symmetric": self.is_symmetric()}
-        return json.dumps(meta, sort_keys=True)
+        return sparse.csr_matrix((self.entries, (self.rows, self.cols)), shape=(self.dim, self.dim))
 
 
 def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Level-n matrix of U(m): coefficients against exact word permutations."""
-    _check_level(n, DENSE_GUARD)
+    _check_level(n, ASSEMBLY_GUARD)
     dim = 1 << n
-    cols = np.arange(dim)
-    mat = np.zeros((dim, dim))
-    for word, coef in m.terms:
-        mat[word_perm(word, n), cols] += coef
-    return OperatorMatrix(mat, level=n)
-
-
-def assemble_q_param(alpha: float, beta: float, n: int) -> OperatorMatrix:
-    """Level-n matrix of -alpha a + b + c + d - (beta+1) e."""
-    _check_level(n, DENSE_GUARD)
-    dim = 1 << n
-    cols = np.arange(dim)
-    perms = _level_perms(n)
-    mat = np.zeros((dim, dim))
-    mat[perms["a"], cols] -= alpha
-    for letter in ("b", "c", "d"):
-        mat[perms[letter], cols] += 1.0
-    mat[cols, cols] -= beta + 1.0
-    return OperatorMatrix(mat, level=n)
+    rows = np.array([word_perm(word, n) for word, _ in m.terms], dtype=np.int64).reshape(-1)
+    cols = np.tile(np.arange(dim), len(m.terms))
+    values = np.repeat([coef for _, coef in m.terms], dim)
+    return OperatorMatrix.from_triplets(rows, cols, values, dim, level=n)
 
 
 def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatrix, np.ndarray]:
@@ -240,29 +200,38 @@ def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatr
     points = [BoundaryPoint.parse(v) for v in ball.vertices]
     index = {v: i for i, v in enumerate(ball.vertices)}
     dim = len(points)
-    mat = np.zeros((dim, dim))
+    rows, cols, values = [], [], []
     flags = np.zeros(dim, dtype=bool)
     for j, y in enumerate(points):
         for word, coef in m.terms:
             image = str(boundary_image(word, y))
             i = index.get(image)
             if i is not None:
-                mat[i, j] += coef
+                rows.append(i)
+                cols.append(j)
+                values.append(coef)
             # inverse image outside the ball truncates row j (palindromes are self-inverse)
             inverse = image if word == word[::-1] else str(boundary_image(word[::-1], y))
             if inverse not in index:
                 flags[j] = True
-    return OperatorMatrix(mat), flags
+    return OperatorMatrix.from_triplets(rows, cols, values, dim), flags
 
 
 def groupoid_block(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Block-diagonal doubling of the level-n matrix, as the orbit-pair form."""
-    inner = assemble_level(m, n).entries
-    dim = inner.shape[0]
-    out = np.zeros((2 * dim, 2 * dim))
-    out[:dim, :dim] = inner
-    out[dim:, dim:] = inner
-    return OperatorMatrix(out)
+    inner = assemble_level(m, n)
+    dim = inner.dim
+    return OperatorMatrix.from_triplets(
+        np.concatenate([inner.rows, inner.rows + dim]),
+        np.concatenate([inner.cols, inner.cols + dim]),
+        np.concatenate([inner.entries, inner.entries]),
+        2 * dim,
+    )
+
+
+def _pencil(alpha: float, beta: float) -> AlgebraElement:
+    """The two-parameter element -alpha a + b + c + d - (beta+1) e."""
+    return AlgebraElement.from_terms([("a", -alpha), ("b", 1.0), ("c", 1.0), ("d", 1.0), ("", -(beta + 1.0))])
 
 
 @dataclass(frozen=True)
@@ -287,17 +256,16 @@ def schur_step_check(alpha: float, beta: float, n: int, tol: float) -> SchurRepo
         raise PoleAtBeta("corrector undefined at beta = +-2")
     if n < 1:
         raise ValueError("need n >= 1 to step down one level")
-    _check_level(n, DENSE_GUARD)
     half = 1 << (n - 1)
-    q_n = assemble_q_param(alpha, beta, n).entries
-    a_prev = _perm_matrix(_level_perms(n - 1)["a"]).astype(float)
+    q_n = assemble_level(_pencil(alpha, beta), n).csr().toarray()
+    a_prev = assemble_level(AlgebraElement.from_terms([("a", 1.0)]), n - 1).csr().toarray()
     eye = np.eye(half)
     corrector = np.block(
         [[eye, alpha * (2.0 * a_prev + beta * eye) / (4.0 - beta * beta)], [np.zeros((half, half)), eye]]
     )
     product = q_n @ corrector
     expected_tl = 2.0 * a_prev - beta * eye
-    expected_br = assemble_q_param(*renorm_map((alpha, beta)), n - 1).entries
+    expected_br = assemble_level(_pencil(*renorm_map((alpha, beta))), n - 1).csr().toarray()
     blocks = {
         "top_left": float(np.abs(product[:half, :half] - expected_tl).max()),
         "top_right": float(np.abs(product[:half, half:]).max()),

@@ -1,11 +1,11 @@
 """Symmetric eigensolver plumbing and spectral set comparisons.
 
 All operators in scope are real symmetric, so spectra are eigenvalue
-multisets.  Every input (dense, OperatorMatrix or scipy sparse) is checked for
-symmetry in CSR form, reordered by reverse Cuthill-McKee and solved as a band
-matrix by LAPACK ?sbevd.  Level Schreier graphs and orbital balls are paths,
-so their operators come out tridiagonal.  The solver contract adds two
-guarantees on top of LAPACK:
+multisets.  Every input (an OperatorMatrix through its csr(), a dense array or
+a scipy sparse matrix) is checked for symmetry in CSR form, reordered by
+reverse Cuthill-McKee and solved as a band matrix by LAPACK ?sbevd.  Level
+Schreier graphs and orbital balls are paths, so their operators come out
+tridiagonal.  The solver contract adds two guarantees on top of LAPACK:
 
 * determinism: identical input bytes give identical output bytes;
 * exact scale equivariance under powers of two: the band is divided by a
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSymmetric, RadiusTooSmall
+from .hecke import OperatorMatrix
 from .renorm import IntervalUnion
 
 _VECTOR_MAX_DIM = 2048  # above this residuals use the a priori backward bound
@@ -34,7 +35,7 @@ def _band(M):
     from scipy import sparse
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    S = sparse.csr_matrix(getattr(M, "entries", M), dtype=float)
+    S = M.csr() if isinstance(M, OperatorMatrix) else sparse.csr_matrix(M, dtype=float)
     if S.shape[0] != S.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {S.shape}")
     S.sum_duplicates()
@@ -185,7 +186,7 @@ class ShiftReport:
 
 def spectral_shift_check(M, alpha: float, R: float, tol: float) -> ShiftReport:
     """Test alpha in sigma(M) directly and through the shifted operator."""
-    A = np.asarray(getattr(M, "entries", M), dtype=float)
+    A = np.asarray(M, dtype=float)
     values = sym_eigvals(A)
     norm = float(np.abs(values).max(initial=0.0))
     if R < 2.0 * norm:

@@ -123,8 +123,8 @@ def test_c07_block_extension_doubles_spectrum():
     worst = 0.0
     for label, element in elements.items():
         for n in range(1, 9):
-            level = np.sort(sym_eigvals(assemble_level(element, n).entries))
-            block = np.sort(sym_eigvals(groupoid_block(element, n).entries))
+            level = np.sort(sym_eigvals(assemble_level(element, n)))
+            block = np.sort(sym_eigvals(groupoid_block(element, n)))
             gap = float(np.abs(block - np.sort(np.repeat(level, 2))).max())
             assert gap <= 1e-9, (label, n, gap)
             worst = max(worst, gap)
@@ -166,7 +166,7 @@ def test_c09_generic_boundary_points_are_rigid():
 def test_c10_large_ball_spectrum_concentrates():
     ball = orbital_ball(BoundaryPoint.parse("(1)"), GENERATORS, 256, 576)
     matrix, _ = assemble_orbital(delta_element(), ball)
-    values = sym_eigvals(matrix.entries)
+    values = sym_eigvals(matrix)
     assert values.min() >= -0.6 and values.max() <= 1.1
     near = sum(1 for v in values if DELTA_TARGET.distance(float(v)) <= 0.05)
     fraction = near / len(values)

@@ -14,15 +14,6 @@ def _read_json(path):
         return json.load(fh)
 
 
-def test_runconfig_roundtrip():
-    cfg = cli.RunConfig.make("spectrum", element="delta", level=8, tol=1e-9)
-    assert cli.RunConfig.from_json(cfg.to_json()) == cfg
-    # option order never matters
-    assert cfg == cli.RunConfig.make("spectrum", tol=1e-9, level=8, element="delta")
-    listy = cli.RunConfig.make("omega", t=[-1.0, 0.5], level=3)
-    assert cli.RunConfig.from_json(listy.to_json()) == listy
-
-
 def test_verify_level_zero(tmp_path):
     out = tmp_path / "v"
     assert cli.main(["verify", "--level", "0", "--out", str(out)]) == 0
@@ -187,10 +178,14 @@ def test_reruns_are_byte_identical(argv, tmp_path):
         ["omega", "--level", "1", "--tol", "inf"],
         ["slice", "--level", "1", "--t", "nan"],
         ["omega", "--level", "1", "--t=-inf"],
+        ["slice", "--level", "40"],
+        ["omega", "--level", "40"],
+        ["rigidity", "--samples", "1000000000"],
     ],
     ids=["big-q", "zero-q", "neg-samples", "neg-level", "huge-level",
          "bad-point", "bad-gens", "missing-file", "unknown-cmd", "no-cmd",
-         "nan-tol", "inf-omega-tol", "nan-slice-t", "inf-omega-t"],
+         "nan-tol", "inf-omega-tol", "nan-slice-t", "inf-omega-t",
+         "huge-slice-level", "huge-omega-level", "huge-rigidity-cells"],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)] if argv else argv) == 2

@@ -7,13 +7,12 @@ from selfsim.errors import LevelTooLarge, MissingLabel, PoleAtBeta
 from selfsim.group import BoundaryPoint, act_vertex, boundary_image
 from selfsim.hecke import (
     AlgebraElement,
+    _pencil,
     assemble_level,
     assemble_orbital,
-    assemble_q_param,
     delta_element,
     generator_sum_element,
     groupoid_block,
-    level_generator_matrices,
     schur_step_check,
     word_perm,
 )
@@ -21,26 +20,36 @@ from selfsim.schreier import orbital_ball
 from selfsim.spectra import sym_eigvals
 
 ABCD = ("a", "b", "c", "d")
+NON_DYADIC = AlgebraElement.from_terms(
+    [("", 0.37), ("a", 0.3), ("b", -0.7), ("c", 1.1), ("d", 0.2), ("aba", 0.45)]
+)
+B_MINUS_C = AlgebraElement.from_terms([("b", 1.0), ("c", -1.0)])
+
+
+def _dense(M):
+    return M.csr().toarray()
+
+
+def _generator(letter, n):
+    return _dense(assemble_level(AlgebraElement.from_terms([(letter, 1.0)]), n))
 
 
 def test_level_zero_and_one_matrices():
-    L0 = level_generator_matrices(0)
     for g in ABCD:
-        assert np.array_equal(L0.matrix(g), [[1]])
-    L1 = level_generator_matrices(1)
-    assert np.array_equal(L1.A, [[0, 1], [1, 0]])
+        assert np.array_equal(_generator(g, 0), [[1]])
+    assert np.array_equal(_generator("a", 1), [[0, 1], [1, 0]])
     for g in "bcd":
-        assert np.array_equal(L1.matrix(g), np.eye(2))
+        assert np.array_equal(_generator(g, 1), np.eye(2))
 
 
 def test_level_two_block_recursion():
-    L1 = level_generator_matrices(1)
-    L2 = level_generator_matrices(2)
+    A1, B1, C1, D1 = (_generator(g, 1) for g in ABCD)
+    A2, B2, C2, D2 = (_generator(g, 2) for g in ABCD)
     Z = np.zeros((2, 2))
-    assert np.array_equal(L2.A, np.block([[Z, np.eye(2)], [np.eye(2), Z]]))
-    assert np.array_equal(L2.B, np.block([[L1.A, Z], [Z, L1.matrix("c")]]))
-    assert np.array_equal(L2.C, np.block([[L1.A, Z], [Z, L1.matrix("d")]]))
-    assert np.array_equal(L2.D, np.block([[np.eye(2), Z], [Z, L1.B]]))
+    assert np.array_equal(A2, np.block([[Z, np.eye(2)], [np.eye(2), Z]]))
+    assert np.array_equal(B2, np.block([[A1, Z], [Z, C1]]))
+    assert np.array_equal(C2, np.block([[A1, Z], [Z, D1]]))
+    assert np.array_equal(D2, np.block([[np.eye(2), Z], [Z, B1]]))
 
 
 def test_perms_match_vertex_action():
@@ -91,40 +100,40 @@ def test_algebra_element_roundtrip(terms):
 
 
 def test_delta_spectra_small_levels():
-    ev1 = sym_eigvals(assemble_level(delta_element(), 1).entries)
+    ev1 = sym_eigvals(assemble_level(delta_element(), 1))
     assert np.allclose(sorted(ev1), [0.5, 1.0], atol=1e-14)
-    ev2 = sym_eigvals(assemble_level(delta_element(), 2).entries)
+    ev2 = sym_eigvals(assemble_level(delta_element(), 2))
     golden = sorted([(1 - 5**0.5) / 4, 0.5, (1 + 5**0.5) / 4, 1.0])
     assert np.allclose(sorted(ev2), golden, atol=1e-14)
 
 
 def test_sum_is_exactly_four_delta():
     for n in range(7):
-        four_delta = 4 * assemble_level(delta_element(), n).entries
-        total = assemble_level(generator_sum_element(), n).entries
+        four_delta = 4 * _dense(assemble_level(delta_element(), n))
+        total = _dense(assemble_level(generator_sum_element(), n))
         assert np.array_equal(four_delta, total)
 
 
 def test_q_param_examples():
-    q1 = assemble_q_param(-1.0, 0.0, 1)
-    assert np.allclose(sorted(sym_eigvals(q1.entries)), [1.0, 3.0], atol=1e-14)
-    q0 = assemble_q_param(0.0, -1.0, 0)
-    assert np.array_equal(q0.entries, [[3.0]])
-    q2 = assemble_q_param(-1.0, -1.0, 2)
-    assert np.array_equal(q2.entries, assemble_level(generator_sum_element(), 2).entries)
+    q1 = assemble_level(_pencil(-1.0, 0.0), 1)
+    assert np.allclose(sorted(sym_eigvals(q1)), [1.0, 3.0], atol=1e-14)
+    q0 = assemble_level(_pencil(0.0, -1.0), 0)
+    assert np.array_equal(_dense(q0), [[3.0]])
+    q2 = assemble_level(_pencil(-1.0, -1.0), 2)
+    assert np.array_equal(_dense(q2), _dense(assemble_level(generator_sum_element(), 2)))
 
 
 def test_identity_on_diagonal():
     ident = AlgebraElement.from_terms([("", 2.5)])
     M = assemble_level(ident, 3)
-    assert np.array_equal(M.entries, 2.5 * np.eye(8))
-    assert M.is_symmetric()
+    assert np.array_equal(_dense(M), 2.5 * np.eye(8))
+    assert np.array_equal(_dense(M), _dense(M).T)
 
 
 def test_operator_matrix_csv_and_meta():
     M = assemble_level(delta_element(), 1)
-    assert M.to_csv() == "0.75,0.25\n0.25,0.75\n"
-    assert '"dim": 2' in M.meta_json() and '"level": 1' in M.meta_json()
+    assert np.array_equal(_dense(M), [[0.75, 0.25], [0.25, 0.75]])
+    assert M.dim == 2 and M.level == 1
 
 
 def test_schur_step_identity():
@@ -148,8 +157,8 @@ def test_schur_step_pole():
 def test_groupoid_block_doubles_spectrum():
     for n in (1, 3):
         element = delta_element()
-        level_eigs = np.sort(sym_eigvals(assemble_level(element, n).entries))
-        block_eigs = np.sort(sym_eigvals(groupoid_block(element, n).entries))
+        level_eigs = np.sort(sym_eigvals(assemble_level(element, n)))
+        block_eigs = np.sort(sym_eigvals(groupoid_block(element, n)))
         assert np.allclose(block_eigs, np.sort(np.repeat(level_eigs, 2)), atol=1e-12)
 
 
@@ -157,12 +166,12 @@ def test_assemble_orbital_examples():
     ones = BoundaryPoint.parse("(1)")
     ball0 = orbital_ball(ones, ABCD, 0, 64)
     M, flags = assemble_orbital(delta_element(), ball0)
-    assert M.dim == 1 and M.entries[0, 0] == 0.75
+    assert M.dim == 1 and np.array_equal(_dense(M), [[0.75]])
     assert flags.any()
 
     ident = AlgebraElement.from_terms([("", 1.0)])
     Mi, fi = assemble_orbital(ident, ball0)
-    assert np.array_equal(Mi.entries, [[1.0]]) and not fi.any()
+    assert np.array_equal(_dense(Mi), [[1.0]]) and not fi.any()
 
     with pytest.raises(MissingLabel):
         assemble_orbital(delta_element(), orbital_ball(ones, ("b", "c", "d"), 0, 64))
@@ -172,9 +181,9 @@ def test_assemble_orbital_interior_rows_exact():
     ones = BoundaryPoint.parse("(1)")
     ball = orbital_ball(ones, ABCD, 8, 80)
     M, flags = assemble_orbital(delta_element(), ball)
-    assert M.is_symmetric()
+    assert np.array_equal(_dense(M), _dense(M).T)
     # interior rows sum to 1: the four quarter-weight images all stay inside
-    row_sums = M.entries.sum(axis=1)
+    row_sums = _dense(M).sum(axis=1)
     for i, flagged in enumerate(flags):
         if not flagged:
             assert abs(row_sums[i] - 1.0) < 1e-15
@@ -197,17 +206,17 @@ def test_assemble_orbital_non_palindromic_element():
             if i is not None:
                 expected[i, j] += coef
             expected_flags[j] |= str(boundary_image(word[::-1], y)) not in index
-    assert np.array_equal(M.entries, expected)
+    assert np.array_equal(_dense(M), expected)
     assert np.array_equal(flags, expected_flags)
     assert flags.any() and not flags.all()
-    assert M.is_symmetric()
+    assert np.array_equal(_dense(M), _dense(M).T)
 
 
 def test_assemble_orbital_soft_spectrum():
     ones = BoundaryPoint.parse("(1)")
     ball = orbital_ball(ones, ABCD, 64, 192)
     M, _ = assemble_orbital(delta_element(), ball)
-    ev = sym_eigvals(M.entries)
+    ev = sym_eigvals(M)
     assert ev.min() >= -0.6 and ev.max() <= 1.1
 
 
@@ -215,8 +224,43 @@ def test_nesting_other_element():
     element = AlgebraElement.from_terms([("a", 1.0), ("b", -1.0), ("c", 2.0)])
     prev = None
     for n in range(1, 7):
-        eigs = np.sort(sym_eigvals(assemble_level(element, n).entries))
+        eigs = np.sort(sym_eigvals(assemble_level(element, n)))
         if prev is not None:
             gaps = np.abs(prev[:, None] - eigs[None, :]).min(axis=1)
             assert gaps.max() <= 1e-9
         prev = eigs
+
+
+def _assert_canonical(M):
+    # strictly increasing (row, col): sorted, no duplicate positions
+    assert np.all(np.diff(M.rows * M.dim + M.cols) > 0)
+    assert np.all(M.entries != 0.0)
+    assert np.array_equal(sym_eigvals(M), sym_eigvals(_dense(M)))
+
+
+@pytest.mark.parametrize(
+    "element",
+    [delta_element(), generator_sum_element(), NON_DYADIC, B_MINUS_C],
+    ids=["delta", "sum", "non-dyadic", "b-minus-c"],
+)
+def test_level_triplets_are_canonical(element):
+    # b - c cancels to no triplets at all at level 1, where b and c fix both vertices
+    for n in range(1, 11):
+        M = assemble_level(element, n)
+        _assert_canonical(M)
+        # duplicates add up left to right in term order, as a dense += would
+        dim = 1 << n
+        expected = np.zeros((dim, dim))
+        for word, coef in element.terms:
+            expected[word_perm(word, n), np.arange(dim)] += coef
+        assert np.array_equal(_dense(M), expected)
+
+
+def test_orbital_and_block_triplets_are_canonical():
+    ball = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 64, 192)
+    for element in (delta_element(), NON_DYADIC):
+        M, _ = assemble_orbital(element, ball)
+        assert M.dim == len(ball.vertices)
+        _assert_canonical(M)
+    for element in (delta_element(), NON_DYADIC, B_MINUS_C):
+        _assert_canonical(groupoid_block(element, 6))

@@ -18,9 +18,9 @@ from selfsim.spectra import (
 
 def test_sym_eigvals_examples():
     assert np.array_equal(sym_eigvals(np.eye(3)), [1.0, 1.0, 1.0])
-    level1 = assemble_level(delta_element(), 1).entries
+    level1 = assemble_level(delta_element(), 1)
     assert np.allclose(np.sort(sym_eigvals(level1)), [0.5, 1.0], atol=1e-14)
-    sum2 = assemble_level(generator_sum_element(), 2).entries
+    sum2 = assemble_level(generator_sum_element(), 2)
     golden = sorted([1.0 - 5**0.5, 2.0, 1.0 + 5**0.5, 4.0])
     assert np.allclose(np.sort(sym_eigvals(sum2)), golden, atol=1e-13)
 
@@ -94,7 +94,7 @@ def test_hausdorff_degenerate_target():
 
 
 def test_hausdorff_slice_level_eight():
-    eigs = sym_eigvals(assemble_level(delta_element(), 8).entries)
+    eigs = sym_eigvals(assemble_level(delta_element(), 8))
     forward, backward = hausdorff_to_set(eigs, lambda_slice(-1.0).from_pairs([[-0.5, 0.0], [0.5, 1.0]]))
     assert forward <= 1e-9
     assert backward <= 0.02
@@ -103,7 +103,7 @@ def test_hausdorff_slice_level_eight():
 def test_shift_check_examples():
     report = spectral_shift_check(np.eye(2), 1.0, 2.0, 1e-8)
     assert report.direct_member and report.shifted_member and report.agree
-    level1 = assemble_level(delta_element(), 1).entries
+    level1 = assemble_level(delta_element(), 1).csr().toarray()
     in_spec = spectral_shift_check(level1, 0.5, 2.0, 1e-8)
     assert in_spec.direct_member and in_spec.shifted_member
     off_spec = spectral_shift_check(level1, 0.0, 2.0, 1e-8)
