@@ -9,6 +9,11 @@ exchanges them.  Group elements are plain words over "abcd"; the empty word is
 the identity and every generator is an involution, so no inverse letters are
 needed.  Words compose with the rightmost letter acting first.
 
+Every section of a generator is again a generator or the identity, so each
+generator is a bounded automaton: reading a ray, it changes at most the one
+coordinate after the first 0.  The tree action, on vertices and on boundary
+points alike, applies the letters of a word one at a time along this walk.
+
 Provides:
     - wreath_decompose / act_vertex: the level-1 decomposition and the vertex
       action of an arbitrary word,
@@ -118,15 +123,20 @@ def wreath_decompose(word: str) -> WreathDecomposition:
     return WreathDecomposition(*acc)
 
 
-def _act_letter(letter: str, v: str) -> str:
-    if not v:
-        return v
-    if letter == "a":
-        return _FLIP[v[0]] + v[1:]
-    swap, s0, s1 = _GEN_DECOMP[letter]
-    section = s0 if v[0] == "0" else s1
-    rest = _act_letter(section, v[1:]) if section else v[1:]
-    return v[0] + rest
+def _letter_flips(letter: str, bits: str) -> list[int]:
+    """Positions of bits that the generator flips, read along its sections.
+
+    A generator's section is again a generator or dies, so the walk is one
+    state per bit and stops at the first swap or dead section.
+    """
+    for i, bit in enumerate(bits):
+        swap, s0, s1 = _GEN_DECOMP[letter]
+        if swap:
+            return [i]
+        letter = s0 if bit == "0" else s1
+        if not letter:
+            break
+    return []
 
 
 def act_vertex(word: str, vertex: str) -> str:
@@ -134,7 +144,8 @@ def act_vertex(word: str, vertex: str) -> str:
     _check_word(word)
     _check_bits(vertex)
     for ch in reversed(word):
-        vertex = _act_letter(ch, vertex)
+        for i in _letter_flips(ch, vertex):
+            vertex = vertex[:i] + _FLIP[vertex[i]] + vertex[i + 1 :]
     return vertex
 
 
@@ -208,51 +219,26 @@ class BoundaryPoint:
         return BoundaryPoint("".join(bits), per)
 
 
-def _section_step(section: str, bit: str) -> tuple[str, str]:
-    # One level of unfolding: output bit and the reduced next section.
-    dec = wreath_decompose(section)
-    out = _FLIP[bit] if dec.swap else bit
-    nxt = reduce_word(dec.section0 if bit == "0" else dec.section1)
-    return out, nxt
-
-
 def boundary_image(word: str, x: BoundaryPoint, with_flips: bool = False):
     """Exact image of an eventually periodic point under a group word.
 
-    Follows the section of the word down the ray; on the periodic tail the
-    pair (section, period phase) eventually repeats because sections contract
-    to length <= 1, so the image is again eventually periodic.  With
-    ``with_flips`` also returns the (finite) list of coordinate positions
-    where the image differs from the input.
+    Applies the letters of the reduced word one at a time.  A generator
+    changes at most one coordinate: a the first one, and b, c or d at most the
+    one after the first 0, so nothing along an all-ones tail (b, c and d fix
+    1^inf).  So the prefix of length
+    len(preperiod) + len(period) + 1 of the current point decides each letter
+    and the image is again eventually periodic.  With ``with_flips`` also
+    returns the sorted list of coordinate positions where the image differs
+    from the input.
     """
-    section = reduce_word(word)
-    out_bits: list[str] = []
-    flips: list[int] = []
-    for i, bit in enumerate(x.preperiod):
-        ob, section = _section_step(section, bit)
-        if ob != bit:
-            flips.append(i)
-        out_bits.append(ob)
-    base = len(x.preperiod)
-    seen: dict[tuple[str, int], int] = {}
-    tail: list[str] = []
-    phase = 0
-    while (section, phase) not in seen:
-        seen[(section, phase)] = len(tail)
-        bit = x.period[phase]
-        ob, section = _section_step(section, bit)
-        if ob != bit:
-            flips.append(base + len(tail))
-        tail.append(ob)
-        phase = (phase + 1) % len(x.period)
-    start = seen[(section, phase)]
-    if any(p >= base + start for p in flips):
-        # would contradict cofinality of orbits; unreachable for this group
-        raise RuntimeError(f"image of {x} under {word!r} flips inside its cycle")
-    image = BoundaryPoint("".join(out_bits) + "".join(tail[:start]), "".join(tail[start:]))
+    flips: set[int] = set()
+    for ch in reversed(reduce_word(word)):
+        step = _letter_flips(ch, x.prefix(len(x.preperiod) + len(x.period) + 1))
+        x = x.with_flips(step)
+        flips.symmetric_difference_update(step)
     if with_flips:
-        return image, flips
-    return image
+        return x, sorted(flips)
+    return x
 
 
 def act_boundary_prefix(word: str, x: BoundaryPoint, n: int) -> str:

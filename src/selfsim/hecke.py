@@ -106,8 +106,15 @@ class AlgebraElement:
 
     @staticmethod
     def from_json(text: str) -> "AlgebraElement":
+        """Parse {"terms": [{"word": str, "coef": number}, ...]}; ValueError if malformed."""
         data = json.loads(text)
-        return AlgebraElement.from_terms((t["word"], t["coef"]) for t in data["terms"])
+        terms = data.get("terms") if isinstance(data, dict) else None
+        if not isinstance(terms, list):
+            raise ValueError('element JSON needs a "terms" list')
+        for t in terms:
+            if not (isinstance(t, dict) and isinstance(t.get("word"), str) and isinstance(t.get("coef"), (int, float))):
+                raise ValueError(f'element term {t!r} needs a string "word" and a number "coef"')
+        return AlgebraElement.from_terms((t["word"], t["coef"]) for t in terms)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -256,20 +263,23 @@ def schur_step_check(alpha: float, beta: float, n: int, tol: float) -> SchurRepo
         raise PoleAtBeta("corrector undefined at beta = +-2")
     if n < 1:
         raise ValueError("need n >= 1 to step down one level")
+    from scipy import sparse
+
     half = 1 << (n - 1)
-    q_n = assemble_level(_pencil(alpha, beta), n).csr().toarray()
-    a_prev = assemble_level(AlgebraElement.from_terms([("a", 1.0)]), n - 1).csr().toarray()
-    eye = np.eye(half)
-    corrector = np.block(
-        [[eye, alpha * (2.0 * a_prev + beta * eye) / (4.0 - beta * beta)], [np.zeros((half, half)), eye]]
+    q_n = assemble_level(_pencil(alpha, beta), n).csr()
+    a_prev = assemble_level(AlgebraElement.from_terms([("a", 1.0)]), n - 1).csr()
+    eye = sparse.identity(half, format="csr")
+    corrector = sparse.bmat(
+        [[eye, alpha * (2.0 * a_prev + beta * eye) / (4.0 - beta * beta)], [None, eye]], format="csr"
     )
     product = q_n @ corrector
     expected_tl = 2.0 * a_prev - beta * eye
-    expected_br = assemble_level(_pencil(*renorm_map((alpha, beta))), n - 1).csr().toarray()
+    expected_br = assemble_level(_pencil(*renorm_map((alpha, beta))), n - 1).csr()
     blocks = {
-        "top_left": float(np.abs(product[:half, :half] - expected_tl).max()),
-        "top_right": float(np.abs(product[:half, half:]).max()),
-        "bottom_left": float(np.abs(product[half:, :half] + alpha * eye).max()),
-        "bottom_right": float(np.abs(product[half:, half:] - expected_br).max()),
+        "top_left": product[:half, :half] - expected_tl,
+        "top_right": product[:half, half:],
+        "bottom_left": product[half:, :half] + alpha * eye,
+        "bottom_right": product[half:, half:] - expected_br,
     }
-    return SchurReport(max(blocks.values()), blocks, tol)
+    residuals = {name: float(abs(block).max()) for name, block in blocks.items()}
+    return SchurReport(max(residuals.values()), residuals, tol)

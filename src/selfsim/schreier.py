@@ -120,69 +120,50 @@ def level_graph(n: int, gens) -> MarkedGraph:
     return MarkedGraph("0" * n, vertices, edges, gens)
 
 
-def _ball_keys(x: BoundaryPoint, gens, radius: int, depth: int):
-    """BFS over orbit points within word-metric radius; keys are flip sets."""
-    gens = tuple(gens)
-    root = frozenset()
-    dist: dict[frozenset, int] = {root: 0}
-    order: list[frozenset] = [root]
-    points: dict[frozenset, BoundaryPoint] = {root: x}
-    prefix_of: dict[frozenset, frozenset] = {}
-
-    def register(key: frozenset) -> None:
-        sig = frozenset(p for p in key if p < depth)
-        other = prefix_of.setdefault(sig, key)
-        if other != key:
-            raise DepthTooSmall(
-                f"orbit points {sorted(other)} and {sorted(key)} agree on the first {depth} coordinates"
-            )
-
-    register(root)
-    queue = deque([root])
-    while queue:
-        key = queue.popleft()
-        if dist[key] >= radius:
-            continue
-        y = points[key]
-        for g in gens:
-            words = (g,) if g == g[::-1] else (g, g[::-1])
-            for word in words:  # generator and its inverse (letters are involutions)
-                image, flips = boundary_image(word, y, with_flips=True)
-                nkey = key.symmetric_difference(flips)
-                if nkey not in dist:
-                    register(nkey)
-                    dist[nkey] = dist[key] + 1
-                    order.append(nkey)
-                    points[nkey] = image
-                    queue.append(nkey)
-    return order, points, dist
-
-
 def orbital_ball(x: BoundaryPoint, gens, radius: int, depth: int) -> MarkedGraph:
     """Word-metric ball of the orbital graph around x, with internal edges.
 
     ``depth`` guards point identity: if two distinct visited orbit points agree
     on their first ``depth`` coordinates the construction refuses with
     DepthTooSmall instead of aliasing them.
+
+    One breadth-first pass; orbit points are keyed by their flip sets.  Each
+    edge is recorded when its image is computed: by the time the first point
+    at distance ``radius`` is expanded, every point of the ball is known.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     gens = tuple(gens)
-    order, points, _ = _ball_keys(x, gens, radius, depth)
-    ids = {key: str(points[key]) for key in order}
-    vertices = [ids[key] for key in order]
-    inside = set(order)
+    root = frozenset()
+    found: dict[frozenset, tuple[BoundaryPoint, str, int]] = {root: (x, str(x), 0)}
+    prefix_of: dict[frozenset, frozenset] = {root: root}
+    vertices = [str(x)]
     edges = []
-    for key in order:
-        y = points[key]
+    queue = deque([root])
+    while queue:
+        key = queue.popleft()
+        y, name, dist = found[key]
         for g in gens:
-            image, flips = boundary_image(g, y, with_flips=True)
-            nkey = key.symmetric_difference(flips)
-            if nkey in inside:
-                edges.append((ids[key], ids[nkey], g))
-    return MarkedGraph(ids[frozenset()], vertices, edges, gens)
+            # the inverse (the reversal, letters being involutions) only finds points
+            words = (g,) if dist == radius or g == g[::-1] else (g, g[::-1])
+            for word in words:
+                image, flips = boundary_image(word, y, with_flips=True)
+                nkey = key.symmetric_difference(flips)
+                if nkey not in found and dist < radius:
+                    sig = frozenset(p for p in nkey if p < depth)
+                    other = prefix_of.setdefault(sig, nkey)
+                    if other != nkey:
+                        raise DepthTooSmall(
+                            f"orbit points {sorted(other)} and {sorted(nkey)} agree on the first {depth} coordinates"
+                        )
+                    found[nkey] = (image, str(image), dist + 1)
+                    vertices.append(found[nkey][1])
+                    queue.append(nkey)
+                if word == g and nkey in found:
+                    edges.append((name, found[nkey][1], g))
+    return MarkedGraph(vertices[0], vertices, edges, gens)
 
 
 def induced_ball(graph: MarkedGraph, center: str, radius: int) -> MarkedGraph:
@@ -235,29 +216,12 @@ def _forced_map(g1: MarkedGraph, g2: MarkedGraph):
     return mapping
 
 
-def _component_code(graph: MarkedGraph, start: str) -> tuple:
-    """Deterministic BFS certificate of the component of start, rooted there."""
-    index = {start: 0}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in graph.neighbors(v):
-            if w not in index:
-                index[w] = len(order)
-                order.append(w)
-                queue.append(w)
-    code = []
-    for v in order:
-        for lab in graph.labels:
-            w = graph.out_neighbor(v, lab)
-            if w is not None and w in index:
-                code.append((index[v], index[w], lab))
-    return (len(order), tuple(sorted(code)))
-
-
 def balls_isomorphic(g1: MarkedGraph, g2: MarkedGraph) -> bool:
-    """Root-, direction- and label-preserving isomorphism of marked graphs."""
+    """Root-, direction- and label-preserving isomorphism of marked graphs.
+
+    Both graphs must be connected, as every ball is; a vertex that the forced
+    map from the roots leaves unreached raises ValueError.
+    """
     if set(g1.labels) != set(g2.labels):
         raise ValueError("graphs carry different label sets")
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
@@ -265,31 +229,9 @@ def balls_isomorphic(g1: MarkedGraph, g2: MarkedGraph) -> bool:
     mapping = _forced_map(g1, g2)
     if mapping is None:
         return False
-    rest1 = [v for v in g1.vertices if v not in mapping]
-    if not rest1:
-        return True
-    # disconnected remainder: compare canonical per-component certificates
-    mapped2 = set(mapping.values())
-    rest2 = [v for v in g2.vertices if v not in mapped2]
-
-    def component_codes(graph: MarkedGraph, rest: list[str]) -> list[tuple]:
-        left = set(rest)
-        codes = []
-        while left:
-            seed = next(v for v in graph.vertices if v in left)
-            members = {seed}
-            queue = deque([seed])
-            while queue:
-                v = queue.popleft()
-                for w in graph.neighbors(v):
-                    if w in left and w not in members:
-                        members.add(w)
-                        queue.append(w)
-            left -= members
-            codes.append(min(_component_code(graph, v) for v in members))
-        return sorted(codes)
-
-    return component_codes(g1, rest1) == component_codes(g2, rest2)
+    if len(mapping) < len(g1.vertices):
+        raise ValueError("graphs are disconnected: only the component of the root is compared")
+    return True
 
 
 def local_iso_probe(
@@ -312,19 +254,7 @@ def local_iso_probe(
     gens = tuple(gens)
     target = orbital_ball(x, gens, k, depth)
     big = orbital_ball(y, gens, search_radius + k, depth)
-    dist = {big.root: 0}
-    queue = deque([big.root])
-    candidates = [big.root]
-    while queue:
-        v = queue.popleft()
-        if dist[v] >= search_radius:
-            continue
-        for w in big.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                candidates.append(w)
-                queue.append(w)
-    for v in candidates:
+    for v in induced_ball(big, big.root, search_radius).vertices:
         if balls_isomorphic(target, induced_ball(big, v, k)):
             return v
     return None

@@ -192,6 +192,27 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{}", '{"terms": [{"word": "a"}]}', '{"terms": 3}', '[1]', '{"terms": [{"word": 1, "coef": 1.0}]}'],
+    ids=["no-terms", "no-coef", "terms-not-list", "not-object", "word-not-string"],
+)
+def test_malformed_element_exits_two(text, tmp_path, capsys):
+    path = tmp_path / "elem.json"
+    path.write_text(text)
+    assert cli.main(["spectrum", "--element", str(path), "--level", "2", "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_module_runs_as_script(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = tmp_path / "v"
+    argv = [sys.executable, "-m", "selfsim.cli", "verify", "--level", "1", "--out", str(out)]
+    subprocess.run(argv, env=env, capture_output=True, check=True)
+    assert _read_json(out / "verify.json")["all_ok"] is True
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from selfsim.group import (
@@ -17,6 +17,38 @@ from selfsim.group import (
 )
 
 words = st.text(alphabet="abcd", max_size=12)
+bits = st.text(alphabet="01", max_size=10)
+
+
+def _reference_boundary_image(word, x):
+    """Section walk down the ray with cycle detection on the periodic tail."""
+
+    def step(section, bit):
+        dec = wreath_decompose(section)
+        out = ("1" if bit == "0" else "0") if dec.swap else bit
+        return out, reduce_word(dec.section0 if bit == "0" else dec.section1)
+
+    section = reduce_word(word)
+    out_bits, flips = [], []
+    for i, bit in enumerate(x.preperiod):
+        ob, section = step(section, bit)
+        if ob != bit:
+            flips.append(i)
+        out_bits.append(ob)
+    base = len(x.preperiod)
+    seen, tail, phase = {}, [], 0
+    while (section, phase) not in seen:
+        seen[(section, phase)] = len(tail)
+        bit = x.period[phase]
+        ob, section = step(section, bit)
+        if ob != bit:
+            flips.append(base + len(tail))
+        tail.append(ob)
+        phase = (phase + 1) % len(x.period)
+    start = seen[(section, phase)]
+    assert all(p < base + start for p in flips)
+    image = BoundaryPoint("".join(out_bits) + "".join(tail[:start]), "".join(tail[start:]))
+    return image, flips
 
 
 def test_wreath_decompose_generators():
@@ -172,3 +204,29 @@ def test_boundary_image_matches_prefix_action():
         image = boundary_image(word, x)
         for n in range(12):
             assert image.prefix(n) == act_boundary_prefix(word, x, n)
+
+
+@given(
+    st.text(alphabet="abcd", max_size=8),
+    bits,
+    st.one_of(st.sampled_from(["0", "1"]), st.text(alphabet="01", min_size=1, max_size=6)),
+)
+@example("bcbd", "", "1")
+@example("dbab", "0110", "0")
+@example("ab", "", "0")
+def test_boundary_image_matches_section_walk(word, preperiod, period):
+    x = BoundaryPoint(preperiod, period)
+    assert boundary_image(word, x, with_flips=True) == _reference_boundary_image(word, x)
+    assert boundary_image(word, x) == _reference_boundary_image(word, x)[0]
+
+
+def test_action_deep_in_the_tree():
+    # the walk is iterative: one letter reads thousands of bits without recursion
+    assert act_vertex("b", "1" * 5000) == "1" * 5000
+    assert act_vertex("c", "1" * 4999 + "0") == "1" * 4999 + "0"
+    assert act_vertex("b", "1" * 4998 + "00") == "1" * 4998 + "01"
+    x = BoundaryPoint.parse("(1)")
+    assert act_boundary_prefix("b", x, 5000) == "1" * 5000
+    y = BoundaryPoint("1" * 4000, "0")
+    image = boundary_image("dcb", y)
+    assert act_boundary_prefix("dcb", y, 5000) == image.prefix(5000)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -147,6 +149,19 @@ def test_schur_step_identity():
             report = schur_step_check(alpha, beta, n, 1e-12)
             assert report.ok, (alpha, beta, n, report.max_residual)
         count += 1
+
+
+def test_schur_step_is_sparse_at_the_assembly_guard():
+    schur_step_check(0.3, 0.7, 2, 1e-12)  # imports scipy outside the measurement
+    tracemalloc.start()
+    try:
+        report = schur_step_check(0.3, 0.7, 13, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.max_residual
+    # a dense 8192 x 8192 float array alone is 512 MB
+    assert peak < 64 * 2**20, peak
 
 
 def test_schur_step_pole():

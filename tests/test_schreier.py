@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfsim.errors import DepthTooSmall
-from selfsim.group import BoundaryPoint, act_vertex
+from selfsim.group import BoundaryPoint, act_vertex, boundary_image
 from selfsim.schreier import (
     MarkedGraph,
     balls_isomorphic,
@@ -122,6 +122,29 @@ def test_balls_isomorphic_is_equivalence():
             for g3 in samples:
                 if balls_isomorphic(g1, g2) and balls_isomorphic(g2, g3):
                     assert balls_isomorphic(g1, g3)
+
+
+def test_balls_isomorphic_rejects_disconnected():
+    # d fixes every level-2 vertex: four isolated loops, unreachable from the root
+    g = level_graph(2, ("d",))
+    with pytest.raises(ValueError):
+        balls_isomorphic(g, g)
+
+
+@pytest.mark.parametrize(
+    "point,gens,radius",
+    [("(1)", ABCD, 9), ("01(10)", ABCD, 6), ("(0)", ("ab", "c"), 7), ("1(011)", ("ab", "c"), 5), ("(1)", ("dab", "ca"), 4)],
+)
+def test_orbital_ball_edges_are_images(point, gens, radius):
+    ball = orbital_ball(BoundaryPoint.parse(point), gens, radius, 2 * radius + 64)
+    inside = set(ball.vertices)
+    expected = []
+    for v in ball.vertices:
+        for g in gens:
+            image = str(boundary_image(g, BoundaryPoint.parse(v)))
+            if image in inside:
+                expected.append((v, image, g))
+    assert ball.edges == expected
 
 
 def test_balls_isomorphic_label_mismatch():
