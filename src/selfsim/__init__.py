@@ -9,7 +9,6 @@ command line drives batch reproductions.
 """
 
 from .errors import (
-    DepthTooSmall,
     LevelTooLarge,
     MissingLabel,
     NotSymmetric,
@@ -83,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SelfsimError",
     "LevelTooLarge",
-    "DepthTooSmall",
     "MissingLabel",
     "NotSymmetric",
     "RadiusTooSmall",

@@ -16,9 +16,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import LevelTooLarge, SelfsimError
+from .errors import SelfsimError
 from .group import GENERATORS, BoundaryPoint, rigidity_depth
 from .hecke import (
+    ASSEMBLY_GUARD,
     LEVEL_GUARD,
     AlgebraElement,
     assemble_level,
@@ -37,7 +38,8 @@ _TARGETS = {
     "e": (((1.0, 1.0),)),
 }
 
-OMEGA_LEVEL_GUARD = 12  # omega draws 2^(level+1) curves; the level-10 SVG is already 25 MB
+# omega checks 2^(level+1) - 2 curves and draws 2^(level-1) + 1 distinct ones; the level-12 SVG is 24 MB
+OMEGA_LEVEL_GUARD = 12
 RIGIDITY_CELL_GUARD = 1 << 24  # samples x depth boundary coordinates drawn by rigidity
 
 
@@ -196,16 +198,14 @@ def cmd_omega(level: int, slice_ts: tuple[float, ...], tol: float, outdir: str) 
     return 0
 
 
-def cmd_orbital(point: str, gens: str, radius: int, element_spec: str, depth: int | None, outdir: str) -> int:
+def cmd_orbital(point: str, gens: str, radius: int, element_spec: str, outdir: str) -> int:
     x = BoundaryPoint.parse(point)
     letters = tuple(dict.fromkeys(gens))
     unknown = set(letters) - set(GENERATORS)
     if unknown:
         raise ValueError(f"unknown generators {sorted(unknown)}")
-    if depth is None:
-        depth = 2 * radius + 64
     name, element = _parse_element(element_spec)
-    ball = orbital_ball(x, letters, radius, depth)
+    ball = orbital_ball(x, letters, radius)
     outputs = [_write(outdir, "graph.csv", ball.to_csv())]
     matrix, flags = assemble_orbital(element, ball)
     rep = sym_eigs(matrix)
@@ -218,7 +218,6 @@ def cmd_orbital(point: str, gens: str, radius: int, element_spec: str, depth: in
         "point": str(x),
         "gens": "".join(letters),
         "radius": radius,
-        "depth": depth,
         "element": name,
         "dim": rep.dim,
         "flagged_rows": int(np.count_nonzero(flags)),
@@ -226,7 +225,7 @@ def cmd_orbital(point: str, gens: str, radius: int, element_spec: str, depth: in
                       "underflow": hist.underflow, "overflow": hist.overflow},
     }
     outputs.append(_write_json(outdir, "report.json", report))
-    config = {"point": point, "gens": gens, "radius": radius, "element": element_spec, "depth": depth}
+    config = {"point": point, "gens": gens, "radius": radius, "element": element_spec}
     _manifest(outdir, "orbital", config, {}, outputs, solver=rep.solver)
     return 0
 
@@ -254,6 +253,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _level(lo: int, hi: int):
+    """Argument type: an integer tree level in [lo, hi]."""
+
+    def level(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"level must be in [{lo}, {hi}], got {value}")
+        return value
+
+    return level
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfsim",
@@ -264,22 +275,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="exact relation suite over a level range")
-    p.add_argument("--level", type=int, default=13, help="largest level checked (default 13)")
+    p.add_argument("--level", type=_level(0, LEVEL_GUARD), default=13, help="largest level checked (default 13)")
     p.add_argument("--out", default="selfsim-out", help="output directory")
 
     p = sub.add_parser("spectrum", help="level spectrum of an element vs a named target set")
     p.add_argument("--element", default="delta", help="delta | sum | e | path to element JSON")
-    p.add_argument("--level", type=int, default=8)
+    p.add_argument("--level", type=_level(0, ASSEMBLY_GUARD), default=8)
     p.add_argument("--tol", type=_finite, default=1e-9, help="membership tolerance for the target set")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("slice", help="slice spectrum endpoints and per-level samples")
     p.add_argument("--t", type=_finite, default=-1.0)
-    p.add_argument("--level", type=int, default=8, help="largest sample level")
+    p.add_argument("--level", type=_level(0, LEVEL_GUARD), default=8, help="largest sample level")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("omega", help="parameter-region plot and curve invariance residuals")
-    p.add_argument("--level", type=int, default=4, help="deepest curve family drawn and checked")
+    p.add_argument("--level", type=_level(1, OMEGA_LEVEL_GUARD), default=4, help="deepest curve family drawn and checked")
     p.add_argument("--t", type=_finite, action="append", default=[], help="slice line(s) to draw")
     p.add_argument("--tol", type=_finite, default=1e-9)
     p.add_argument("--out", default="selfsim-out")
@@ -289,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", default="abcd")
     p.add_argument("--radius", type=int, default=64)
     p.add_argument("--element", default="delta")
-    p.add_argument("--depth", type=int, default=None, help="coordinates kept per point (default 2r+64)")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("rigidity", help="sampled rigidity fractions per generator")
@@ -309,21 +319,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "verify":
-            if args.level < 0:
-                raise ValueError("level must be >= 0")
             return cmd_verify(args.level, args.out)
         if args.command == "spectrum":
             return cmd_spectrum(args.element, args.level, args.tol, args.out)
         if args.command == "slice":
-            if args.level > LEVEL_GUARD:
-                raise LevelTooLarge(f"slice level {args.level} exceeds the guard {LEVEL_GUARD}")
             return cmd_slice(args.t, args.level, args.out)
         if args.command == "omega":
-            if args.level > OMEGA_LEVEL_GUARD:
-                raise LevelTooLarge(f"omega level {args.level} exceeds the guard {OMEGA_LEVEL_GUARD}")
             return cmd_omega(args.level, tuple(args.t), args.tol, args.out)
         if args.command == "orbital":
-            return cmd_orbital(args.point, args.gens, args.radius, args.element, args.depth, args.out)
+            return cmd_orbital(args.point, args.gens, args.radius, args.element, args.out)
         if args.command == "rigidity":
             if not 0.0 < args.q < 1.0:
                 raise ValueError("q must be strictly between 0 and 1")

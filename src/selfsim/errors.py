@@ -11,10 +11,6 @@ class LevelTooLarge(SelfsimError):
     """Requested tree level exceeds the configured memory guard."""
 
 
-class DepthTooSmall(SelfsimError):
-    """Two distinct orbit points collide on the inspected coordinate prefix."""
-
-
 class MissingLabel(SelfsimError):
     """An operator term uses a generator letter the graph carries no label for."""
 

@@ -219,7 +219,7 @@ class BoundaryPoint:
         return BoundaryPoint("".join(bits), per)
 
 
-def boundary_image(word: str, x: BoundaryPoint, with_flips: bool = False):
+def boundary_image(word: str, x: BoundaryPoint) -> BoundaryPoint:
     """Exact image of an eventually periodic point under a group word.
 
     Applies the letters of the reduced word one at a time.  A generator
@@ -227,17 +227,10 @@ def boundary_image(word: str, x: BoundaryPoint, with_flips: bool = False):
     one after the first 0, so nothing along an all-ones tail (b, c and d fix
     1^inf).  So the prefix of length
     len(preperiod) + len(period) + 1 of the current point decides each letter
-    and the image is again eventually periodic.  With ``with_flips`` also
-    returns the sorted list of coordinate positions where the image differs
-    from the input.
+    and the image is again eventually periodic.
     """
-    flips: set[int] = set()
     for ch in reversed(reduce_word(word)):
-        step = _letter_flips(ch, x.prefix(len(x.preperiod) + len(x.period) + 1))
-        x = x.with_flips(step)
-        flips.symmetric_difference_update(step)
-    if with_flips:
-        return x, sorted(flips)
+        x = x.with_flips(_letter_flips(ch, x.prefix(len(x.preperiod) + len(x.period) + 1)))
     return x
 
 

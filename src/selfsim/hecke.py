@@ -5,8 +5,9 @@ recursion
 
     A = [[0, I], [I, 0]],  B = diag(A, C),  C = diag(A, D),  D = diag(I, B)
 
-down to a scalar base.  The recursion carries no measure parameter: the same
-matrices serve every Bernoulli weighting of the boundary at finite level.
+down to a scalar base, read off the generators' wreath recursions.  The
+recursion carries no measure parameter: the same matrices serve every
+Bernoulli weighting of the boundary at finite level.
 Internally each generator is held as a permutation index array (exact integer
 data).
 
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import LevelTooLarge, MissingLabel, PoleAtBeta
-from .group import BoundaryPoint, boundary_image, is_identity, reduce_word
+from .group import _GEN_DECOMP, BoundaryPoint, boundary_image, is_identity, reduce_word
 from .renorm import renorm_map
 from .schreier import MarkedGraph
 
@@ -50,17 +51,15 @@ def _level_perms(n: int) -> dict[str, np.ndarray]:
     the operator recursion.  perm[j] is the image index.
     """
     _check_level(n, LEVEL_GUARD)
-    a = b = c = d = np.zeros(1, dtype=np.int64)
+    out = {g: np.zeros(1, dtype=np.int64) for g in _GEN_DECOMP}
     for k in range(1, n + 1):
         half = 1 << (k - 1)
-        idx = np.arange(half, dtype=np.int64)
-        a, b, c, d = (
-            np.concatenate([idx + half, idx]),
-            np.concatenate([a, c + half]),
-            np.concatenate([a, d + half]),
-            np.concatenate([idx, b + half]),
-        )
-    out = {"a": a, "b": b, "c": c, "d": d}
+        p = {"": np.arange(half, dtype=np.int64), **out}
+        # the swapping generator exchanges the halves; the others act on each half by a section
+        out = {
+            g: np.concatenate([p[s0] + half, p[s1]] if swap else [p[s0], p[s1] + half])
+            for g, (swap, s0, s1) in _GEN_DECOMP.items()
+        }
     for arr in out.values():
         arr.setflags(write=False)
     return out
@@ -205,20 +204,20 @@ def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatr
     if missing:
         raise MissingLabel(f"letters {sorted(missing)} not covered by the ball labels")
     points = [BoundaryPoint.parse(v) for v in ball.vertices]
-    index = {v: i for i, v in enumerate(ball.vertices)}
+    index = {y: i for i, y in enumerate(points)}
     dim = len(points)
     rows, cols, values = [], [], []
     flags = np.zeros(dim, dtype=bool)
     for j, y in enumerate(points):
         for word, coef in m.terms:
-            image = str(boundary_image(word, y))
+            image = boundary_image(word, y)
             i = index.get(image)
             if i is not None:
                 rows.append(i)
                 cols.append(j)
                 values.append(coef)
             # inverse image outside the ball truncates row j (palindromes are self-inverse)
-            inverse = image if word == word[::-1] else str(boundary_image(word[::-1], y))
+            inverse = image if word == word[::-1] else boundary_image(word[::-1], y)
             if inverse not in index:
                 flags[j] = True
     return OperatorMatrix.from_triplets(rows, cols, values, dim), flags

@@ -213,6 +213,10 @@ def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
 
     Fixed viewport, axis-aligned, deterministic output; curve overlays show
     gamma_{n,j} for n <= curve_levels and slice lines are vertical alpha = t.
+    Each distinct curve is drawn once: gamma_{n,j} is gamma_{L,j 2^(L-n)} for
+    L = curve_levels, and gamma_{L,j} is gamma_{L,2^L-j} (same cosine), so
+    level L at j = 0 and j = 2^(L-1) .. 2^L-1 covers every curve, each in the
+    colour and stacking order of its last copy in the all-(n, j) drawing.
     """
     span = 12.0
 
@@ -244,18 +248,18 @@ def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
         f'<line x1="{sx(0):.2f}" y1="0" x2="{sx(0):.2f}" y2="{size}" stroke="#888" stroke-width="1"/>'
     )
     palette = ("#b03030", "#3060b0", "#308050", "#a07020", "#703090", "#207878")
-    for n in range(curve_levels + 1):
-        for j in range(1 << n):
-            cos = math.cos(2.0 * math.pi * j / (1 << n))
-            alphas = np.linspace(-6.0, 6.0, 481)
-            betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
-            color = palette[(n + j) % len(palette)]
-            for sign in (1.0, -1.0):
-                coords = " ".join(pt(a, sign * b) for a, b in zip(alphas, betas) if abs(sign * b) <= 6.0)
-                if coords:
-                    parts.append(
-                        f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1"/>'
-                    )
+    top = 1 << curve_levels
+    for j in sorted({0, *range(top // 2, top)}):
+        cos = math.cos(2.0 * math.pi * j / top)
+        alphas = np.linspace(-6.0, 6.0, 481)
+        betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
+        color = palette[(curve_levels + j) % len(palette)]
+        for sign in (1.0, -1.0):
+            coords = " ".join(pt(a, sign * b) for a, b in zip(alphas, betas) if abs(sign * b) <= 6.0)
+            if coords:
+                parts.append(
+                    f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1"/>'
+                )
     for t in slice_alphas:
         parts.append(
             f'<line x1="{sx(t):.2f}" y1="0" x2="{sx(t):.2f}" y2="{size}" '

@@ -1,10 +1,10 @@
 """Schreier level graphs, orbital-graph balls, and marked-graph comparison.
 
 Graphs are rooted and carry generator-labeled directed edges (y, g(y), g).
-Orbit points of a boundary base point are tracked as finite sets of flipped
-coordinates relative to the base, which makes point equality exact: two
-boundary points lie in the same orbit exactly when they agree in all but
-finitely many coordinates.
+Orbit points are BoundaryPoints, which are canonical (minimal period, then
+shortest preperiod), so two points are equal exactly when they are the same
+boundary sequence.  Points of one orbit differ in finitely many coordinates,
+so the exact boundary action never leaves this eventually periodic form.
 
 Balls use the word metric of the supplied generating set, not an enumeration
 of the whole group; edges between two included vertices are always included.
@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import DepthTooSmall
 from .group import BoundaryPoint, act_vertex, boundary_image
 from . import group
 
@@ -120,49 +119,34 @@ def level_graph(n: int, gens) -> MarkedGraph:
     return MarkedGraph("0" * n, vertices, edges, gens)
 
 
-def orbital_ball(x: BoundaryPoint, gens, radius: int, depth: int) -> MarkedGraph:
+def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
     """Word-metric ball of the orbital graph around x, with internal edges.
 
-    ``depth`` guards point identity: if two distinct visited orbit points agree
-    on their first ``depth`` coordinates the construction refuses with
-    DepthTooSmall instead of aliasing them.
-
-    One breadth-first pass; orbit points are keyed by their flip sets.  Each
-    edge is recorded when its image is computed: by the time the first point
-    at distance ``radius`` is expanded, every point of the ball is known.
+    One breadth-first pass keyed by the orbit points themselves.  Each edge is
+    recorded when its image is computed: by the time the first point at
+    distance ``radius`` is expanded, every point of the ball is known.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     gens = tuple(gens)
-    root = frozenset()
-    found: dict[frozenset, tuple[BoundaryPoint, str, int]] = {root: (x, str(x), 0)}
-    prefix_of: dict[frozenset, frozenset] = {root: root}
+    found: dict[BoundaryPoint, tuple[str, int]] = {x: (str(x), 0)}
     vertices = [str(x)]
     edges = []
-    queue = deque([root])
+    queue = deque([x])
     while queue:
-        key = queue.popleft()
-        y, name, dist = found[key]
+        y = queue.popleft()
+        name, dist = found[y]
         for g in gens:
             # the inverse (the reversal, letters being involutions) only finds points
             words = (g,) if dist == radius or g == g[::-1] else (g, g[::-1])
             for word in words:
-                image, flips = boundary_image(word, y, with_flips=True)
-                nkey = key.symmetric_difference(flips)
-                if nkey not in found and dist < radius:
-                    sig = frozenset(p for p in nkey if p < depth)
-                    other = prefix_of.setdefault(sig, nkey)
-                    if other != nkey:
-                        raise DepthTooSmall(
-                            f"orbit points {sorted(other)} and {sorted(nkey)} agree on the first {depth} coordinates"
-                        )
-                    found[nkey] = (image, str(image), dist + 1)
-                    vertices.append(found[nkey][1])
-                    queue.append(nkey)
-                if word == g and nkey in found:
-                    edges.append((name, found[nkey][1], g))
+                image = boundary_image(word, y)
+                if image not in found and dist < radius:
+                    found[image] = (str(image), dist + 1)
+                    vertices.append(found[image][0])
+                    queue.append(image)
+                if word == g and image in found:
+                    edges.append((name, found[image][0], g))
     return MarkedGraph(vertices[0], vertices, edges, gens)
 
 
@@ -239,7 +223,6 @@ def local_iso_probe(
     y: BoundaryPoint,
     k: int,
     search_radius: int,
-    depth: int,
     gens=DEFAULT_GENS,
 ) -> str | None:
     """Search the orbital graph of y for a vertex whose k-ball matches x's.
@@ -252,8 +235,8 @@ def local_iso_probe(
     if k > search_radius:
         raise ValueError("search_radius must be >= k")
     gens = tuple(gens)
-    target = orbital_ball(x, gens, k, depth)
-    big = orbital_ball(y, gens, search_radius + k, depth)
+    target = orbital_ball(x, gens, k)
+    big = orbital_ball(y, gens, search_radius + k)
     for v in induced_ball(big, big.root, search_radius).vertices:
         if balls_isomorphic(target, induced_ball(big, v, k)):
             return v

@@ -164,7 +164,7 @@ def test_c09_generic_boundary_points_are_rigid():
 
 
 def test_c10_large_ball_spectrum_concentrates():
-    ball = orbital_ball(BoundaryPoint.parse("(1)"), GENERATORS, 256, 576)
+    ball = orbital_ball(BoundaryPoint.parse("(1)"), GENERATORS, 256)
     matrix, _ = assemble_orbital(delta_element(), ball)
     values = sym_eigvals(matrix)
     assert values.min() >= -0.6 and values.max() <= 1.1

@@ -87,7 +87,7 @@ def test_omega_outputs(tmp_path):
     out = tmp_path / "om"
     assert cli.main(["omega", "--level", "2", "--t", "-1.0", "--out", str(out)]) == 0
     svg = (out / "omega.svg").read_text()
-    assert svg.count("<polyline") == 14
+    assert svg.count("<polyline") == 6
     assert svg.count("stroke-dasharray") == 1
     report = _read_json(out / "curves.json")
     assert report["all_ok"] is True
@@ -119,6 +119,17 @@ def test_orbital_radius_zero_flagged(tmp_path):
     assert report["flagged_rows"] == 1
     values = [float(v) for v in (out / "spectrum.csv").read_text().splitlines()[2:]]
     assert values == [0.75]
+
+
+def test_orbital_long_preperiod(tmp_path):
+    # the points of this ball share their first 100 coordinates; they are
+    # told apart by their whole eventually periodic form, not by a prefix
+    out = tmp_path / "long"
+    argv = ["orbital", "--point", "1" * 100 + "(0)", "--radius", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    report = _read_json(out / "report.json")
+    assert report["dim"] == 9
+    assert len((out / "flags.csv").read_text().splitlines()) == 1 + 9
 
 
 def test_rigidity_no_samples(tmp_path):
@@ -181,11 +192,16 @@ def test_reruns_are_byte_identical(argv, tmp_path):
         ["slice", "--level", "40"],
         ["omega", "--level", "40"],
         ["rigidity", "--samples", "1000000000"],
+        ["omega", "--level", "0"],
+        ["omega", "--level", "-3"],
+        ["slice", "--level", "-1"],
+        ["verify", "--level", "21"],
     ],
     ids=["big-q", "zero-q", "neg-samples", "neg-level", "huge-level",
          "bad-point", "bad-gens", "missing-file", "unknown-cmd", "no-cmd",
          "nan-tol", "inf-omega-tol", "nan-slice-t", "inf-omega-t",
-         "huge-slice-level", "huge-omega-level", "huge-rigidity-cells"],
+         "huge-slice-level", "huge-omega-level", "huge-rigidity-cells",
+         "zero-omega-level", "neg-omega-level", "neg-slice-level", "huge-verify-level"],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)] if argv else argv) == 2

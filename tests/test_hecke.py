@@ -179,7 +179,7 @@ def test_groupoid_block_doubles_spectrum():
 
 def test_assemble_orbital_examples():
     ones = BoundaryPoint.parse("(1)")
-    ball0 = orbital_ball(ones, ABCD, 0, 64)
+    ball0 = orbital_ball(ones, ABCD, 0)
     M, flags = assemble_orbital(delta_element(), ball0)
     assert M.dim == 1 and np.array_equal(_dense(M), [[0.75]])
     assert flags.any()
@@ -189,12 +189,12 @@ def test_assemble_orbital_examples():
     assert np.array_equal(_dense(Mi), [[1.0]]) and not fi.any()
 
     with pytest.raises(MissingLabel):
-        assemble_orbital(delta_element(), orbital_ball(ones, ("b", "c", "d"), 0, 64))
+        assemble_orbital(delta_element(), orbital_ball(ones, ("b", "c", "d"), 0))
 
 
 def test_assemble_orbital_interior_rows_exact():
     ones = BoundaryPoint.parse("(1)")
-    ball = orbital_ball(ones, ABCD, 8, 80)
+    ball = orbital_ball(ones, ABCD, 8)
     M, flags = assemble_orbital(delta_element(), ball)
     assert np.array_equal(_dense(M), _dense(M).T)
     # interior rows sum to 1: the four quarter-weight images all stay inside
@@ -209,7 +209,7 @@ def test_assemble_orbital_non_palindromic_element():
     # each term needs its own boundary_image call
     element = AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0)])
     assert [w for w, _ in element.terms] == ["ab", "ba"]
-    ball = orbital_ball(BoundaryPoint.parse("0(01)"), ABCD, 6, 80)
+    ball = orbital_ball(BoundaryPoint.parse("0(01)"), ABCD, 6)
     M, flags = assemble_orbital(element, ball)
     index = {v: i for i, v in enumerate(ball.vertices)}
     expected = np.zeros((len(index), len(index)))
@@ -229,7 +229,7 @@ def test_assemble_orbital_non_palindromic_element():
 
 def test_assemble_orbital_soft_spectrum():
     ones = BoundaryPoint.parse("(1)")
-    ball = orbital_ball(ones, ABCD, 64, 192)
+    ball = orbital_ball(ones, ABCD, 64)
     M, _ = assemble_orbital(delta_element(), ball)
     ev = sym_eigvals(M)
     assert ev.min() >= -0.6 and ev.max() <= 1.1
@@ -272,7 +272,7 @@ def test_level_triplets_are_canonical(element):
 
 
 def test_orbital_and_block_triplets_are_canonical():
-    ball = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 64, 192)
+    ball = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 64)
     for element in (delta_element(), NON_DYADIC):
         M, _ = assemble_orbital(element, ball)
         assert M.dim == len(ball.vertices)

@@ -29,6 +29,8 @@ def test_layer_tracer_counts_assembly(tmp_path):
     try:
         assert cli.main(["spectrum", "--level", "3", "--out", str(tmp_path / "s")]) == 0
         assert cli.main(["orbital", "--radius", "4", "--out", str(tmp_path / "o")]) == 0
+        written = tracer.work["cli.write.bytes"]
+        assert cli.main(["omega", "--level", "2", "--out", str(tmp_path / "w")]) == 0
     finally:
         tracer.uninstall()
     assert cli.assemble_level is original
@@ -37,5 +39,6 @@ def test_layer_tracer_counts_assembly(tmp_path):
     assert 0.0 < tracer.work["hecke.assemble_level.mb"] <= 24 * 8 / float(1 << 20)
     assert 0.0 < tracer.work["hecke.assemble_orbital.mb"] <= 15 * 8 / float(1 << 20)
     assert tracer.work["spectra.sym_eigs.dim"] == 8 + 5
-    for span in ("hecke.assemble_level", "hecke.assemble_orbital", "spectra.sym_eigs", "cli.write"):
+    assert tracer.work["cli.write.bytes"] - written >= (tmp_path / "w" / "omega.svg").stat().st_size
+    for span in ("hecke.assemble_level", "hecke.assemble_orbital", "spectra.sym_eigs", "renorm.omega_svg", "cli.write"):
         assert tracer.seconds[span] > 0.0, span

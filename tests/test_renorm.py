@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,11 +228,45 @@ def test_omega_svg_deterministic():
 def test_omega_svg_contents():
     plain = omega_svg()
     assert plain.count("<polygon") == 4
-    # curve overlays: two signed branches per gamma_{n,j}, n <= levels
+    # curve overlays: two signed branches per distinct gamma_{n,j}, n <= levels
     assert plain.count("<polyline") == 2
-    assert omega_svg(curve_levels=2).count("<polyline") == 14
+    assert omega_svg(curve_levels=2).count("<polyline") == 6
     assert omega_svg(slice_alphas=(-1.0,)).count("stroke-dasharray") == 1
     assert "stroke-dasharray" not in plain
+
+
+_POLYLINE = re.compile(r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"')
+
+
+def _all_curve_polylines(levels, size=800):
+    """(points, stroke) of every gamma_{n,j}, n <= levels, in drawing order, copies included."""
+    palette = ("#b03030", "#3060b0", "#308050", "#a07020", "#703090", "#207878")
+    lines = []
+    for n in range(levels + 1):
+        for j in range(1 << n):
+            cos = math.cos(2.0 * math.pi * j / (1 << n))
+            alphas = np.linspace(-6.0, 6.0, 481)
+            betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
+            for sign in (1.0, -1.0):
+                coords = " ".join(
+                    f"{(a + 6.0) / 12.0 * size:.2f},{(6.0 - sign * b) / 12.0 * size:.2f}"
+                    for a, b in zip(alphas, betas)
+                    if abs(sign * b) <= 6.0
+                )
+                if coords:
+                    lines.append((coords, palette[(n + j) % len(palette)]))
+    return lines
+
+
+@pytest.mark.parametrize("levels", range(7))
+def test_omega_svg_draws_the_top_layer_once(levels):
+    # what stays visible of the all-(n, j) drawing: the last copy of each
+    # distinct polyline, in the order those last copies were painted
+    last = {}
+    for k, (coords, stroke) in enumerate(_all_curve_polylines(levels)):
+        last[coords] = (k, stroke)
+    top = [(coords, stroke) for coords, (k, stroke) in sorted(last.items(), key=lambda item: item[1][0])]
+    assert _POLYLINE.findall(omega_svg(curve_levels=levels)) == top
 
 
 def test_omega_svg_slice_line_position():

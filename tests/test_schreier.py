@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selfsim.errors import DepthTooSmall
 from selfsim.group import BoundaryPoint, act_vertex, boundary_image
 from selfsim.schreier import (
     MarkedGraph,
@@ -65,29 +64,24 @@ def test_duplicate_label_edges_rejected():
 
 
 def test_orbital_ball_radius_zero():
-    ball = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 0, 8)
+    ball = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 0)
     assert list(ball.vertices) == ["(1)"]
     assert sorted(ball.edges) == [("(1)", "(1)", "b"), ("(1)", "(1)", "c"), ("(1)", "(1)", "d")]
 
 
 def test_orbital_ball_radius_one():
-    ball = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 1, 16)
+    ball = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 1)
     assert "0(1)" in ball.vertices
     assert ("(1)", "(1)", "d") in ball.edges
     assert ("(1)", "0(1)", "a") in ball.edges
 
 
 def test_orbital_ball_stabilizes():
-    two = orbital_ball(BoundaryPoint.parse("(0)"), ("a",), 2, 8)
+    two = orbital_ball(BoundaryPoint.parse("(0)"), ("a",), 2)
     assert sorted(two.vertices) == ["(0)", "1(0)"]
     assert ("(0)", "1(0)", "a") in two.edges and ("1(0)", "(0)", "a") in two.edges
-    bigger = orbital_ball(BoundaryPoint.parse("(0)"), ("a",), 7, 8)
+    bigger = orbital_ball(BoundaryPoint.parse("(0)"), ("a",), 7)
     assert sorted(bigger.vertices) == sorted(two.vertices)
-
-
-def test_orbital_ball_depth_guard():
-    with pytest.raises(DepthTooSmall):
-        orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 6, 2)
 
 
 def test_induced_ball_radius_zero_is_root_loops():
@@ -100,17 +94,17 @@ def test_induced_ball_radius_zero_is_root_loops():
 def test_balls_isomorphic_examples():
     g = level_graph(2, ABCD)
     assert balls_isomorphic(g, g)
-    one = orbital_ball(BoundaryPoint.parse("(1)"), ("a",), 1, 8)
-    zero = orbital_ball(BoundaryPoint.parse("(0)"), ("a",), 1, 8)
+    one = orbital_ball(BoundaryPoint.parse("(1)"), ("a",), 1)
+    zero = orbital_ball(BoundaryPoint.parse("(0)"), ("a",), 1)
     assert balls_isomorphic(one, zero)
     assert not balls_isomorphic(level_graph(2, ("d",)), level_graph(1, ("d",)))
 
 
 def test_balls_isomorphic_is_equivalence():
     samples = [
-        orbital_ball(BoundaryPoint.parse("(1)"), ABCD, r, 64) for r in (2, 3, 4)
+        orbital_ball(BoundaryPoint.parse("(1)"), ABCD, r) for r in (2, 3, 4)
     ] + [
-        orbital_ball(BoundaryPoint.parse("0(1)"), ABCD, r, 64) for r in (2, 3)
+        orbital_ball(BoundaryPoint.parse("0(1)"), ABCD, r) for r in (2, 3)
     ] + [level_graph(2, ABCD), level_graph(3, ABCD)]
     for g in samples:
         assert balls_isomorphic(g, g)
@@ -136,7 +130,7 @@ def test_balls_isomorphic_rejects_disconnected():
     [("(1)", ABCD, 9), ("01(10)", ABCD, 6), ("(0)", ("ab", "c"), 7), ("1(011)", ("ab", "c"), 5), ("(1)", ("dab", "ca"), 4)],
 )
 def test_orbital_ball_edges_are_images(point, gens, radius):
-    ball = orbital_ball(BoundaryPoint.parse(point), gens, radius, 2 * radius + 64)
+    ball = orbital_ball(BoundaryPoint.parse(point), gens, radius)
     inside = set(ball.vertices)
     expected = []
     for v in ball.vertices:
@@ -154,13 +148,13 @@ def test_balls_isomorphic_label_mismatch():
 
 def test_local_iso_probe_self():
     x = BoundaryPoint.parse("(1)")
-    assert local_iso_probe(x, x, 2, 2, 32) == "(1)"
+    assert local_iso_probe(x, x, 2, 2) == "(1)"
 
 
 def test_local_iso_probe_same_orbit():
     x = BoundaryPoint.parse("(1)")
     y = BoundaryPoint.parse("0(1)")
-    found = local_iso_probe(x, y, 2, 8, 32)
+    found = local_iso_probe(x, y, 2, 8)
     assert found is not None
 
 
@@ -169,14 +163,14 @@ def test_local_iso_probe_across_orbits():
     # elsewhere would need a vertex carrying all three self-loops, and on the
     # 0^inf orbit the three loops never meet at one vertex.  The probe rightly
     # comes back empty at any radius; this freezes the honest outcome.
-    found = local_iso_probe(BoundaryPoint.parse("(1)"), BoundaryPoint.parse("(0)"), 3, 64, 160)
+    found = local_iso_probe(BoundaryPoint.parse("(1)"), BoundaryPoint.parse("(0)"), 3, 64)
     assert found is None
 
 
 def test_local_iso_probe_across_orbits_positive():
     # a center three steps away from the all-ones point has a radius-2 ball
     # free of the unique triple-loop vertex, so it recurs in the other orbit
-    found = local_iso_probe(BoundaryPoint.parse("000(1)"), BoundaryPoint.parse("(0)"), 2, 32, 160)
+    found = local_iso_probe(BoundaryPoint.parse("000(1)"), BoundaryPoint.parse("(0)"), 2, 32)
     assert found is not None
 
 
