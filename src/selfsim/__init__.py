@@ -2,7 +2,7 @@
 
 The package computes, at finite truncation, the spectral theory of the
 four-generator self-similar action: word problem and boundary dynamics
-(group), Schreier and orbital graphs (schreier), operator assembly and the
+(group), orbital-graph balls (schreier), operator assembly and the
 Schur renormalization step (hecke), the parameter-plane dynamics and slice
 spectra (renorm), and numerical spectral utilities (spectra).  The `selfsim`
 command line drives batch reproductions.
@@ -13,7 +13,6 @@ from .errors import (
     MissingLabel,
     NotSymmetric,
     PoleAtBeta,
-    PoleHit,
     RadiusTooSmall,
     SelfsimError,
 )
@@ -21,22 +20,16 @@ from .group import (
     GENERATORS,
     BoundaryPoint,
     WreathDecomposition,
-    act_boundary_prefix,
     act_vertex,
-    activity_count,
     boundary_image,
     is_identity,
-    is_subexp_bounded_sample,
     reduce_word,
     rigidity_depth,
     wreath_decompose,
 )
 from .schreier import (
     MarkedGraph,
-    balls_isomorphic,
     induced_ball,
-    level_graph,
-    local_iso_probe,
     orbital_ball,
 )
 from .hecke import (
@@ -54,12 +47,9 @@ from .hecke import (
 from .renorm import (
     CurveCheck,
     IntervalUnion,
-    MapOrbit,
     Param,
     curve_invariance_check,
     curve_points,
-    gamma_residual,
-    h_orbit,
     in_omega,
     lambda_slice,
     omega_svg,
@@ -86,25 +76,18 @@ __all__ = [
     "NotSymmetric",
     "RadiusTooSmall",
     "PoleAtBeta",
-    "PoleHit",
     "GENERATORS",
     "BoundaryPoint",
     "WreathDecomposition",
     "reduce_word",
     "wreath_decompose",
     "act_vertex",
-    "act_boundary_prefix",
     "boundary_image",
     "is_identity",
-    "activity_count",
-    "is_subexp_bounded_sample",
     "rigidity_depth",
     "MarkedGraph",
-    "level_graph",
     "orbital_ball",
     "induced_ball",
-    "balls_isomorphic",
-    "local_iso_probe",
     "AlgebraElement",
     "OperatorMatrix",
     "SchurReport",
@@ -118,15 +101,12 @@ __all__ = [
     "Param",
     "renorm_map",
     "in_omega",
-    "gamma_residual",
     "curve_points",
     "curve_invariance_check",
     "CurveCheck",
     "IntervalUnion",
     "lambda_slice",
     "slice_spectrum_samples",
-    "MapOrbit",
-    "h_orbit",
     "omega_svg",
     "EigReport",
     "sym_eigvals",

@@ -41,6 +41,8 @@ _TARGETS = {
 # omega checks 2^(level+1) - 2 curves and draws 2^(level-1) + 1 distinct ones; the level-12 SVG is 24 MB
 OMEGA_LEVEL_GUARD = 12
 RIGIDITY_CELL_GUARD = 1 << 24  # samples x depth boundary coordinates drawn by rigidity
+# a two-ended radius-4096 ball has dimension 8193, the size of the level-13 spectrum
+RADIUS_GUARD = 4096
 
 
 def _write(outdir: str, name: str, text: str) -> str:
@@ -253,16 +255,23 @@ def _finite(text: str) -> float:
     return value
 
 
-def _level(lo: int, hi: int):
-    """Argument type: an integer tree level in [lo, hi]."""
+def _int_in(lo: int, hi: int):
+    """Argument type: an integer in [lo, hi]."""
 
-    def level(text: str) -> int:
+    def integer(text: str) -> int:
         value = int(text)
         if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"level must be in [{lo}, {hi}], got {value}")
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
         return value
 
-    return level
+    return integer
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,22 +284,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="exact relation suite over a level range")
-    p.add_argument("--level", type=_level(0, LEVEL_GUARD), default=13, help="largest level checked (default 13)")
+    p.add_argument("--level", type=_int_in(0, LEVEL_GUARD), default=13, help="largest level checked (default 13)")
     p.add_argument("--out", default="selfsim-out", help="output directory")
 
     p = sub.add_parser("spectrum", help="level spectrum of an element vs a named target set")
     p.add_argument("--element", default="delta", help="delta | sum | e | path to element JSON")
-    p.add_argument("--level", type=_level(0, ASSEMBLY_GUARD), default=8)
+    p.add_argument("--level", type=_int_in(0, ASSEMBLY_GUARD), default=8)
     p.add_argument("--tol", type=_finite, default=1e-9, help="membership tolerance for the target set")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("slice", help="slice spectrum endpoints and per-level samples")
     p.add_argument("--t", type=_finite, default=-1.0)
-    p.add_argument("--level", type=_level(0, LEVEL_GUARD), default=8, help="largest sample level")
+    p.add_argument("--level", type=_int_in(0, LEVEL_GUARD), default=8, help="largest sample level")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("omega", help="parameter-region plot and curve invariance residuals")
-    p.add_argument("--level", type=_level(1, OMEGA_LEVEL_GUARD), default=4, help="deepest curve family drawn and checked")
+    p.add_argument("--level", type=_int_in(1, OMEGA_LEVEL_GUARD), default=4, help="deepest curve family drawn and checked")
     p.add_argument("--t", type=_finite, action="append", default=[], help="slice line(s) to draw")
     p.add_argument("--tol", type=_finite, default=1e-9)
     p.add_argument("--out", default="selfsim-out")
@@ -298,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbital", help="orbital-ball graph and truncated spectrum")
     p.add_argument("--point", default="(1)", help="boundary point, e.g. '01(10)'")
     p.add_argument("--gens", default="abcd")
-    p.add_argument("--radius", type=int, default=64)
+    p.add_argument("--radius", type=_int_in(0, RADIUS_GUARD), default=64)
     p.add_argument("--element", default="delta")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("rigidity", help="sampled rigidity fractions per generator")
-    p.add_argument("--q", type=float, default=0.5, help="coordinatewise probability of 0")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--depth", type=int, default=64)
+    p.add_argument("--q", type=_probability, default=0.5, help="coordinatewise probability of 0")
+    p.add_argument("--samples", type=_int_in(0, RIGIDITY_CELL_GUARD), default=10000)
+    p.add_argument("--depth", type=_int_in(1, RIGIDITY_CELL_GUARD), default=64)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default="selfsim-out")
     return parser
@@ -315,6 +324,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "rigidity" and args.samples * args.depth > RIGIDITY_CELL_GUARD:
+            parser.error(f"--samples x --depth exceeds the guard {RIGIDITY_CELL_GUARD}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -329,12 +340,6 @@ def main(argv=None) -> int:
         if args.command == "orbital":
             return cmd_orbital(args.point, args.gens, args.radius, args.element, args.out)
         if args.command == "rigidity":
-            if not 0.0 < args.q < 1.0:
-                raise ValueError("q must be strictly between 0 and 1")
-            if args.samples < 0:
-                raise ValueError("samples must be >= 0")
-            if args.samples * args.depth > RIGIDITY_CELL_GUARD:
-                raise ValueError(f"samples x depth exceeds the guard {RIGIDITY_CELL_GUARD}")
             return cmd_rigidity(args.q, args.samples, args.depth, args.seed, args.out)
         raise ValueError(f"unknown command {args.command}")
     except (SelfsimError, ValueError, OSError) as exc:

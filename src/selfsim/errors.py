@@ -25,7 +25,3 @@ class RadiusTooSmall(SelfsimError):
 
 class PoleAtBeta(SelfsimError):
     """The renormalization map is undefined on the lines beta = +-2."""
-
-
-class PoleHit(SelfsimError):
-    """An orbit of the auxiliary Moebius map reached the pole z = 2."""

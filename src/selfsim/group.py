@@ -20,8 +20,8 @@ Provides:
     - BoundaryPoint: eventually periodic boundary sequences with an exact
       group action (boundary_image),
     - is_identity: the contracting word-problem decision procedure,
-    - activity_count / is_subexp_bounded_sample: section-activity statistics,
-    - rigidity_depth: first level at which a section along a ray dies.
+    - rigidity_depth: first level at which a generator's section along a ray
+      dies.
 
 All functions are pure; values are immutable after construction.
 """
@@ -234,13 +234,6 @@ def boundary_image(word: str, x: BoundaryPoint) -> BoundaryPoint:
     return x
 
 
-def act_boundary_prefix(word: str, x: BoundaryPoint, n: int) -> str:
-    """First n coordinates of the image of x; equals act_vertex on prefix(x, n)."""
-    if n < 0:
-        raise ValueError("depth must be >= 0")
-    return act_vertex(word, x.prefix(n))
-
-
 @lru_cache(maxsize=None)
 def _is_identity_reduced(word: str) -> bool:
     if len(word) <= 1:
@@ -260,55 +253,22 @@ def is_identity(word: str) -> bool:
     return _is_identity_reduced(reduce_word(word))
 
 
-@lru_cache(maxsize=None)
-def _activity_reduced(word: str, n: int) -> int:
-    if n == 0:
-        return 0 if _is_identity_reduced(word) else 1
-    dec = wreath_decompose(word)
-    return _activity_reduced(reduce_word(dec.section0), n - 1) + _activity_reduced(
-        reduce_word(dec.section1), n - 1
-    )
+def rigidity_depth(x: BoundaryPoint, letter: str, max_depth: int) -> int | None:
+    """Least level n <= max_depth at which the section of a generator along x dies.
 
-
-def activity_count(word: str, n: int) -> int:
-    """Number of nontrivial sections of the word at tree level n."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return _activity_reduced(reduce_word(word), n)
-
-
-def is_subexp_bounded_sample(word: str, gamma: float, max_level: int) -> tuple[bool, list[float]]:
-    """Finite-sample evidence that activity decays against gamma^n.
-
-    Returns the verdict together with the trace k_n(word) * gamma^n for
-    n = 0..max_level.  The verdict compares the late half of the trace with
-    the early half; it is evidence, not a proof, and is documented as such.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
-    trace = [activity_count(word, n) * gamma**n for n in range(max_level + 1)]
-    half = max_level // 2
-    early = max(trace[: half + 1])
-    late = max(trace[half + 1 :])
-    ok = late == 0.0 or late < early
-    return ok, trace
-
-
-def rigidity_depth(x: BoundaryPoint, word: str, max_depth: int) -> int | None:
-    """Least level n <= max_depth at which the section along x dies.
-
-    Returns the depth where the section of the word at the vertex
-    prefix(x, n) is the identity, or None if that does not happen within
-    max_depth levels.
+    ``letter`` is one generator or the empty word.  Its section at the vertex
+    prefix(x, n) is read off the wreath recursion one level at a time, as in
+    the tree walk; returns the first n at which that section is the identity,
+    or None if that does not happen within max_depth levels.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    section = reduce_word(word)
+    if letter and letter not in _GEN_DECOMP:
+        raise ValueError(f"rigidity_depth takes one generator letter or the empty word, got {letter!r}")
     for n in range(1, max_depth + 1):
-        dec = wreath_decompose(section)
-        section = reduce_word(dec.section0 if x.bit_at(n - 1) == "0" else dec.section1)
-        if _is_identity_reduced(section):
+        if letter:
+            _, s0, s1 = _GEN_DECOMP[letter]
+            letter = s0 if x.bit_at(n - 1) == "0" else s1
+        if not letter:
             return n
     return None

@@ -120,18 +120,8 @@ class AlgebraElement:
             {"terms": [{"word": w, "coef": c} for w, c in self.terms]}, sort_keys=True
         )
 
-    def coefficient(self, word: str) -> float:
-        word = reduce_word(word)
-        for w, c in self.terms:
-            if is_identity(word + w[::-1]):
-                return c
-        return 0.0
-
     def support_letters(self) -> set[str]:
         return {ch for w, _ in self.terms for ch in w}
-
-    def is_self_adjoint(self) -> bool:
-        return all(self.coefficient(w[::-1]) == c for w, c in self.terms)
 
 
 def delta_element() -> AlgebraElement:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleAtBeta, PoleHit
+from .errors import PoleAtBeta
 
 Param = tuple[float, float]
 
@@ -44,20 +44,6 @@ def renorm_map(p: Param) -> Param:
 def in_omega(p: Param) -> bool:
     alpha, beta = p
     return abs(abs(alpha) - abs(beta)) <= 2.0 and abs(alpha) + abs(beta) >= 2.0
-
-
-def gamma_residual(n: int, j: int, p: Param) -> float:
-    """Defect of p against the level-(n, j) curve; zero exactly on the curve.
-
-    j is only used through cos(2 pi j / 2^n), so values outside [0, 2^n) are
-    accepted and wrap around.
-    """
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    if j < 0:
-        raise ValueError("curve index must be >= 0")
-    alpha, beta = p
-    return 4.0 - beta * beta + alpha * alpha - 4.0 * alpha * math.cos(2.0 * math.pi * j / (1 << n))
 
 
 def curve_points(n: int, j: int, count: int) -> np.ndarray:
@@ -182,30 +168,6 @@ def slice_spectrum_samples(t: float, n: int, dedup_tol: float = 1e-12) -> list[f
         if not kept or v - kept[-1] > dedup_tol:
             kept.append(float(v))
     return kept
-
-
-@dataclass(frozen=True)
-class MapOrbit:
-    values: list[float]
-    distances: list[float]  # gap to the attracting fixed point -2, per step
-
-
-def h_orbit(z0: float, steps: int) -> MapOrbit:
-    """Iterate h(z) = 4z / (2 - z), reporting distance to the sink -2.
-
-    The fixed point 0 is repelling and -2 attracts with multiplier 1/2; any
-    orbit passing within 1e-12 of the pole z = 2 raises instead of overflowing.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    z = float(z0)
-    values = [z]
-    for _ in range(steps):
-        if abs(2.0 - z) <= 1e-12:
-            raise PoleHit(f"orbit reached the pole near z = {z}")
-        z = 4.0 * z / (2.0 - z)
-        values.append(z)
-    return MapOrbit(values, [abs(v + 2.0) for v in values])
 
 
 def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:

@@ -1,4 +1,4 @@
-"""Schreier level graphs, orbital-graph balls, and marked-graph comparison.
+"""Orbital-graph balls of the boundary action, as rooted marked graphs.
 
 Graphs are rooted and carry generator-labeled directed edges (y, g(y), g).
 Orbit points are BoundaryPoints, which are canonical (minimal period, then
@@ -15,10 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .group import BoundaryPoint, act_vertex, boundary_image
-from . import group
-
-DEFAULT_GENS = group.GENERATORS
+from .group import BoundaryPoint, boundary_image
 
 
 @dataclass
@@ -55,12 +52,6 @@ class MarkedGraph:
             self._out[(src, lab)] = tgt
             self._in[(tgt, lab)] = src
 
-    def out_neighbor(self, v: str, label: str) -> str | None:
-        return self._out.get((v, label))
-
-    def in_neighbor(self, v: str, label: str) -> str | None:
-        return self._in.get((v, label))
-
     def neighbors(self, v: str) -> list[str]:
         """Undirected neighborhood, deterministic order: labels, out then in."""
         seen: list[str] = []
@@ -75,48 +66,6 @@ class MarkedGraph:
         for src, tgt, lab in sorted(self.edges):
             lines.append(f"{src},{tgt},{lab}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text: str, labels: tuple[str, ...] | None = None) -> "MarkedGraph":
-        root = None
-        edges: list[tuple[str, str, str]] = []
-        vertices: list[str] = []
-        seen: set[str] = set()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line[1:].strip().startswith("root="):
-                    root = line.split("root=", 1)[1].strip()
-                continue
-            if line == "source,target,label":
-                continue
-            src, tgt, lab = line.split(",")
-            edges.append((src, tgt, lab))
-            for v in (src, tgt):
-                if v not in seen:
-                    seen.add(v)
-                    vertices.append(v)
-        if root is None:
-            raise ValueError("missing '# root=' header")
-        if root not in seen:
-            vertices.insert(0, root)
-        if labels is None:
-            labels = tuple(sorted({lab for _, _, lab in edges}))
-        return MarkedGraph(root, vertices, edges, labels)
-
-
-def level_graph(n: int, gens) -> MarkedGraph:
-    """Schreier graph of the level-n vertex action for the given words."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    vertices = [""] if n == 0 else [format(i, f"0{n}b") for i in range(2**n)]
-    edges = [(v, act_vertex(g, v), g) for v in vertices for g in gens]
-    return MarkedGraph("0" * n, vertices, edges, gens)
 
 
 def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
@@ -167,77 +116,3 @@ def induced_ball(graph: MarkedGraph, center: str, radius: int) -> MarkedGraph:
     inside = set(order)
     edges = [e for e in graph.edges if e[0] in inside and e[1] in inside]
     return MarkedGraph(center, order, edges, graph.labels)
-
-
-def _forced_map(g1: MarkedGraph, g2: MarkedGraph):
-    """Unique root- and label-preserving correspondence on the reachable part.
-
-    Labeled out- and in-edges are unique per vertex, so any isomorphism is
-    forced along a BFS from the roots; returns None on a structural clash.
-    """
-    mapping = {g1.root: g2.root}
-    reverse = {g2.root: g1.root}
-    queue = deque([g1.root])
-    while queue:
-        u = queue.popleft()
-        v = mapping[u]
-        for lab in g1.labels:
-            for pick1, pick2 in ((g1.out_neighbor, g2.out_neighbor), (g1.in_neighbor, g2.in_neighbor)):
-                nu, nv = pick1(u, lab), pick2(v, lab)
-                if (nu is None) != (nv is None):
-                    return None
-                if nu is None:
-                    continue
-                if nu in mapping:
-                    if mapping[nu] != nv:
-                        return None
-                    continue
-                if nv in reverse:
-                    return None
-                mapping[nu] = nv
-                reverse[nv] = nu
-                queue.append(nu)
-    return mapping
-
-
-def balls_isomorphic(g1: MarkedGraph, g2: MarkedGraph) -> bool:
-    """Root-, direction- and label-preserving isomorphism of marked graphs.
-
-    Both graphs must be connected, as every ball is; a vertex that the forced
-    map from the roots leaves unreached raises ValueError.
-    """
-    if set(g1.labels) != set(g2.labels):
-        raise ValueError("graphs carry different label sets")
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    mapping = _forced_map(g1, g2)
-    if mapping is None:
-        return False
-    if len(mapping) < len(g1.vertices):
-        raise ValueError("graphs are disconnected: only the component of the root is compared")
-    return True
-
-
-def local_iso_probe(
-    x: BoundaryPoint,
-    y: BoundaryPoint,
-    k: int,
-    search_radius: int,
-    gens=DEFAULT_GENS,
-) -> str | None:
-    """Search the orbital graph of y for a vertex whose k-ball matches x's.
-
-    Scans candidates in breadth-first order out to search_radius and returns
-    the serialized first match, or None.  A None is inconclusive evidence:
-    local isomorphism is an almost-everywhere phenomenon with no effective
-    search bound.
-    """
-    if k > search_radius:
-        raise ValueError("search_radius must be >= k")
-    gens = tuple(gens)
-    target = orbital_ball(x, gens, k)
-    big = orbital_ball(y, gens, search_radius + k)
-    for v in induced_ball(big, big.root, search_radius).vertices:
-        if balls_isomorphic(target, induced_ball(big, v, k)):
-            return v
-    return None

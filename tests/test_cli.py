@@ -196,12 +196,16 @@ def test_reruns_are_byte_identical(argv, tmp_path):
         ["omega", "--level", "-3"],
         ["slice", "--level", "-1"],
         ["verify", "--level", "21"],
+        ["orbital", "--radius", "100000000"],
+        ["rigidity", "--samples", "0", "--depth", "-5"],
+        ["rigidity", "--depth", "0"],
     ],
     ids=["big-q", "zero-q", "neg-samples", "neg-level", "huge-level",
          "bad-point", "bad-gens", "missing-file", "unknown-cmd", "no-cmd",
          "nan-tol", "inf-omega-tol", "nan-slice-t", "inf-omega-t",
          "huge-slice-level", "huge-omega-level", "huge-rigidity-cells",
-         "zero-omega-level", "neg-omega-level", "neg-slice-level", "huge-verify-level"],
+         "zero-omega-level", "neg-omega-level", "neg-slice-level", "huge-verify-level",
+         "huge-orbital-radius", "neg-rigidity-depth", "zero-rigidity-depth"],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)] if argv else argv) == 2
@@ -258,6 +262,15 @@ def test_manifest_records_solver(argv, tmp_path):
 def test_json_artifacts_refuse_nan(tmp_path):
     with pytest.raises(ValueError):
         cli._write_json(str(tmp_path), "bad.json", {"t": float("nan")})
+
+
+def test_readme_library_block_runs():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library entry points", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_import_loads_no_scipy():

@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 from selfsim.group import (
     GENERATORS,
     BoundaryPoint,
-    act_boundary_prefix,
     act_vertex,
-    activity_count,
     boundary_image,
     is_identity,
-    is_subexp_bounded_sample,
     reduce_word,
     rigidity_depth,
     wreath_decompose,
@@ -43,6 +40,17 @@ def _reference_boundary_image(word, x):
     return BoundaryPoint("".join(out_bits) + "".join(tail[:start]), "".join(tail[start:]))
 
 
+def _reference_rigidity_depth(x, word, max_depth):
+    """Decompose and reduce the whole section word at every level."""
+    section = reduce_word(word)
+    for n in range(1, max_depth + 1):
+        dec = wreath_decompose(section)
+        section = reduce_word(dec.section0 if x.bit_at(n - 1) == "0" else dec.section1)
+        if is_identity(section):
+            return n
+    return None
+
+
 def test_wreath_decompose_generators():
     expected = {"a": (True, "", ""), "b": (False, "a", "c"), "c": (False, "a", "d"), "d": (False, "", "b")}
     for letter, (swap, s0, s1) in expected.items():
@@ -73,17 +81,17 @@ def test_act_vertex_level_preserved_and_bijective():
 def test_act_boundary_prefix_examples():
     zeros = BoundaryPoint.parse("(0)")
     ones = BoundaryPoint.parse("(1)")
-    assert act_boundary_prefix("a", zeros, 3) == "100"
-    assert act_boundary_prefix("", ones, 5) == "11111"
+    assert act_vertex("a", zeros.prefix(3)) == "100"
+    assert act_vertex("", ones.prefix(5)) == "11111"
     # b fixes 1^inf: its sections along 1s cycle through c and d without a swap
-    assert act_boundary_prefix("b", ones, 3) == "111"
+    assert act_vertex("b", ones.prefix(3)) == "111"
 
 
 def test_act_boundary_prefix_truncation_consistent():
     x = BoundaryPoint.parse("01(10)")
     for word in ("a", "db", "cad"):
         for n in range(6):
-            assert act_boundary_prefix(word, x, n + 1)[:n] == act_boundary_prefix(word, x, n)
+            assert act_vertex(word, x.prefix(n + 1))[:n] == act_vertex(word, x.prefix(n))
 
 
 def test_boundary_image_examples():
@@ -124,30 +132,6 @@ def test_klein_table():
         assert is_identity(right + left + product)
 
 
-def test_activity_count_examples():
-    assert activity_count("a", 1) == 0
-    assert activity_count("", 4) == 0
-    assert activity_count("b", 2) == 2
-    assert [activity_count("b", n) for n in range(9)] == [1, 2, 2, 1, 2, 2, 1, 2, 2]
-
-
-@given(words, st.integers(min_value=0, max_value=5))
-def test_activity_subadditive(word, n):
-    total = sum(activity_count(ch, n) for ch in word)
-    assert activity_count(word, n) <= total
-    assert activity_count("", n) == 0
-
-
-def test_subexp_bounded_examples():
-    ok, trace = is_subexp_bounded_sample("b", 0.5, 20)
-    assert ok
-    assert all(t <= 2 * 0.5**n for n, t in enumerate(trace))
-    ok, trace = is_subexp_bounded_sample("", 0.7, 10)
-    assert ok and all(t == 0.0 for t in trace)
-    ok, _ = is_subexp_bounded_sample("a", 0.9, 20)
-    assert ok
-
-
 def test_rigidity_depth_examples():
     zeros = BoundaryPoint.parse("(0)")
     ones = BoundaryPoint.parse("(1)")
@@ -157,6 +141,23 @@ def test_rigidity_depth_examples():
     # a has trivial sections immediately
     for x in (zeros, ones):
         assert rigidity_depth(x, "a", 4) == 1
+    for word in ("ab", "aa", "x"):
+        with pytest.raises(ValueError):
+            rigidity_depth(zeros, word, 4)
+
+
+@given(
+    st.sampled_from(["", "a", "b", "c", "d"]),
+    bits,
+    st.text(alphabet="01", min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=70),
+)
+@example("b", "1" * 9, "0", 70)
+@example("c", "", "1", 70)
+@example("d", "11", "10", 3)
+def test_rigidity_depth_matches_section_walk(letter, preperiod, period, max_depth):
+    x = BoundaryPoint(preperiod, period)
+    assert rigidity_depth(x, letter, max_depth) == _reference_rigidity_depth(x, letter, max_depth)
 
 
 def test_boundary_point_canonical():
@@ -195,7 +196,7 @@ def test_boundary_image_matches_prefix_action():
     for word in ("a", "b", "cd", "abab", "dcba"):
         image = boundary_image(word, x)
         for n in range(12):
-            assert image.prefix(n) == act_boundary_prefix(word, x, n)
+            assert image.prefix(n) == act_vertex(word, x.prefix(n))
 
 
 @given(
@@ -217,7 +218,7 @@ def test_action_deep_in_the_tree():
     assert act_vertex("c", "1" * 4999 + "0") == "1" * 4999 + "0"
     assert act_vertex("b", "1" * 4998 + "00") == "1" * 4998 + "01"
     x = BoundaryPoint.parse("(1)")
-    assert act_boundary_prefix("b", x, 5000) == "1" * 5000
+    assert act_vertex("b", x.prefix(5000)) == "1" * 5000
     y = BoundaryPoint("1" * 4000, "0")
     image = boundary_image("dcb", y)
-    assert act_boundary_prefix("dcb", y, 5000) == image.prefix(5000)
+    assert act_vertex("dcb", y.prefix(5000)) == image.prefix(5000)

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selfsim.errors import PoleAtBeta, PoleHit
+from selfsim.errors import PoleAtBeta
 from selfsim.renorm import (
     IntervalUnion,
     curve_invariance_check,
     curve_points,
-    gamma_residual,
-    h_orbit,
     in_omega,
     lambda_slice,
     omega_svg,
@@ -63,26 +61,12 @@ def test_in_omega_boundary_lines_exact():
         assert not in_omega((beta + 2.0 + eps, beta))
 
 
-def test_gamma_residual_examples():
-    assert gamma_residual(0, 0, (2.0, 0.0)) == 0.0
-    assert gamma_residual(1, 1, (-2.0, 0.0)) == 0.0
-    for n, j in ((0, 0), (3, 5), (6, 17)):
-        assert gamma_residual(n, j, (0.0, 2.0)) == 0.0
-    # j wraps modulo 2^n
-    p = (1.25, -0.5)
-    assert gamma_residual(3, 8, p) == gamma_residual(3, 0, p)
-    assert abs(gamma_residual(2, 5, p) - gamma_residual(2, 1, p)) < 1e-12
-    with pytest.raises(ValueError):
-        gamma_residual(-1, 0, p)
-    with pytest.raises(ValueError):
-        gamma_residual(2, -1, p)
-
-
 def test_curve_points_lie_on_curve():
     for n, j in ((0, 0), (1, 1), (2, 1), (4, 7)):
         pts = curve_points(n, j, 64)
         assert pts.shape == (64, 2)
-        worst = max(abs(gamma_residual(n, j, (a, b))) for a, b in pts)
+        cos = math.cos(2.0 * math.pi * j / (1 << n))
+        worst = max(abs(4.0 - b * b + a * a - 4.0 * a * cos) for a, b in pts)
         assert worst <= 1e-12
     assert curve_points(1, 0, 1).shape == (1, 2)
     with pytest.raises(ValueError):
@@ -137,35 +121,6 @@ def test_slice_samples_fill_slice():
     forward, backward = hausdorff_to_set(points, union)
     assert forward <= 1e-9
     assert backward <= 0.01
-
-
-def test_h_orbit_fixed_points_exact():
-    sink = h_orbit(-2.0, 6)
-    assert sink.values == [-2.0] * 7
-    assert sink.distances == [0.0] * 7
-    assert h_orbit(0.0, 6).values == [0.0] * 7
-
-
-def test_h_orbit_attracts_at_rate_half():
-    orbit = h_orbit(-1.5, 40)
-    assert len(orbit.values) == 41
-    assert orbit.distances[-1] <= 1e-9
-    assert all(b < a for a, b in zip(orbit.distances[:6], orbit.distances[1:7]))
-    ratio = orbit.distances[30] / orbit.distances[29]
-    assert 0.45 < ratio < 0.55
-
-
-def test_h_orbit_repels_from_zero():
-    orbit = h_orbit(1e-8, 20)
-    assert abs(orbit.values[20]) >= 1e-3
-
-
-def test_h_orbit_pole():
-    assert h_orbit(2.0, 0).values == [2.0]
-    with pytest.raises(PoleHit):
-        h_orbit(2.0, 1)
-    with pytest.raises(ValueError):
-        h_orbit(1.0, -1)
 
 
 def test_interval_union_merging():
