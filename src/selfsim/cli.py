@@ -236,12 +236,9 @@ def cmd_rigidity(q: float, samples: int, depth: int, seed: int, outdir: str) -> 
     rng = np.random.default_rng(seed)
     per_generator: dict[str, float] = {}
     if samples > 0:
-        bits = (rng.random((samples, depth)) >= q).astype(np.uint8)
-        prefixes = ["".join("01"[b] for b in row) for row in bits]
-        points = [BoundaryPoint(prefix, "0") for prefix in prefixes]
+        bits = rng.random((samples, depth)) >= q
         for g in GENERATORS:
-            hits = sum(1 for x in points if rigidity_depth(x, g, depth) is not None)
-            per_generator[g] = hits / samples
+            per_generator[g] = np.count_nonzero(rigidity_depth(bits, g)) / samples
     report = {"q": q, "samples": samples, "depth": depth, "seed": seed, "per_generator": per_generator}
     outputs = [_write_json(outdir, "rigidity.json", report)]
     _manifest(outdir, "rigidity", {"q": q, "samples": samples, "depth": depth, "seed": seed}, {}, outputs)
@@ -256,7 +253,7 @@ def _finite(text: str) -> float:
 
 
 def _int_in(lo: int, hi: int):
-    """Argument type: an integer in [lo, hi]."""
+    """Argument type: an integer in [lo, hi]; hi may be np.inf."""
 
     def integer(text: str) -> int:
         value = int(text)
@@ -315,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_probability, default=0.5, help="coordinatewise probability of 0")
     p.add_argument("--samples", type=_int_in(0, RIGIDITY_CELL_GUARD), default=10000)
     p.add_argument("--depth", type=_int_in(1, RIGIDITY_CELL_GUARD), default=64)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_int_in(0, np.inf), default=1)
     p.add_argument("--out", default="selfsim-out")
     return parser
 

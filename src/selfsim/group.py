@@ -20,8 +20,8 @@ Provides:
     - BoundaryPoint: eventually periodic boundary sequences with an exact
       group action (boundary_image),
     - is_identity: the contracting word-problem decision procedure,
-    - rigidity_depth: first level at which a generator's section along a ray
-      dies.
+    - rigidity_depth: first level at which a generator's section dies, along
+      every ray of a 0/1 array at once.
 
 All functions are pure; values are immutable after construction.
 """
@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 GENERATORS = ("a", "b", "c", "d")
 
@@ -40,6 +42,11 @@ _GEN_DECOMP = {
     "c": (False, "a", "d"),
     "d": (False, "", "b"),
 }
+
+# The sections of _GEN_DECOMP as indices into _STATES: row = state, column =
+# bit.  State 0 is the identity, whose sections are the identity.
+_STATES = ("",) + GENERATORS
+_SECTION_TABLE = np.array([[0, 0]] + [[_STATES.index(s) for s in _GEN_DECOMP[g][1:]] for g in GENERATORS])
 
 # Klein four-group table for the {b, c, d} letters: any two distinct ones
 # multiply to the third, in either order.
@@ -98,10 +105,6 @@ class WreathDecomposition:
     swap: bool
     section0: str
     section1: str
-
-    @property
-    def sections(self) -> tuple[str, str]:
-        return (self.section0, self.section1)
 
 
 def _compose(left: tuple[bool, str, str], right: tuple[bool, str, str]) -> tuple[bool, str, str]:
@@ -191,11 +194,6 @@ class BoundaryPoint:
     def __str__(self) -> str:
         return f"{self.preperiod}({self.period})"
 
-    def bit_at(self, i: int) -> str:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
     def prefix(self, n: int) -> str:
         if n < 0:
             raise ValueError("prefix length must be >= 0")
@@ -253,22 +251,29 @@ def is_identity(word: str) -> bool:
     return _is_identity_reduced(reduce_word(word))
 
 
-def rigidity_depth(x: BoundaryPoint, letter: str, max_depth: int) -> int | None:
-    """Least level n <= max_depth at which the section of a generator along x dies.
+def rigidity_depth(rays, letter: str) -> np.ndarray:
+    """Level at which a generator's section along each ray dies, 0 if it survives.
 
-    ``letter`` is one generator or the empty word.  Its section at the vertex
-    prefix(x, n) is read off the wreath recursion one level at a time, as in
-    the tree walk; returns the first n at which that section is the identity,
-    or None if that does not happen within max_depth levels.
+    ``rays`` is a 2-D 0/1 array (bool or integer) holding one ray prefix per
+    row; its width is the deepest level read.  ``letter`` is one generator or
+    the empty word.  All rows walk the wreath recursion together, one
+    _SECTION_TABLE lookup per level as in the tree walk; entry i is the first
+    level n at which the section at the first n coordinates of row i is the
+    identity, or 0 if that does not happen within the row.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if letter and letter not in _GEN_DECOMP:
+    if letter not in _STATES:
         raise ValueError(f"rigidity_depth takes one generator letter or the empty word, got {letter!r}")
-    for n in range(1, max_depth + 1):
-        if letter:
-            _, s0, s1 = _GEN_DECOMP[letter]
-            letter = s0 if x.bit_at(n - 1) == "0" else s1
-        if not letter:
-            return n
-    return None
+    rays = np.asarray(rays)
+    if rays.ndim != 2 or rays.shape[1] == 0:
+        raise ValueError(f"rays must be a 2-D array with at least one level, got shape {rays.shape}")
+    if np.any((rays != 0) & (rays != 1)):
+        raise ValueError("rays must hold only 0 and 1")
+    index = rays.astype(np.uint8)  # bits as table indices, one byte each: the sample may hold 2^24
+    state = np.full(index.shape[0], _STATES.index(letter), dtype=np.intp)
+    depth = np.zeros(index.shape[0], dtype=np.intp)
+    for n, column in enumerate(index.T, start=1):
+        state = _SECTION_TABLE[state, column]
+        depth[(state == 0) & (depth == 0)] = n
+        if not state.any():
+            break
+    return depth

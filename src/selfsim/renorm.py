@@ -124,12 +124,6 @@ class IntervalUnion:
             best = min(best, abs(x - lo), abs(x - hi))
         return best
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.distance(x) <= tol
-
-    def endpoints(self) -> list[float]:
-        return [v for pair in self.intervals for v in pair]
-
     def to_pairs(self) -> list[list[float]]:
         return [[lo, hi] for lo, hi in self.intervals]
 

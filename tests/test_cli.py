@@ -149,6 +149,15 @@ def test_rigidity_seeded(tmp_path):
     assert all(v >= 0.99 for v in report["per_generator"].values())
 
 
+def test_rigidity_shallow_fractions(tmp_path):
+    # at depth 3 the section of b survives along 111 only (7/8 of rays die),
+    # that of c or d along 11* (3/4 die); a dies at level 1 everywhere
+    out = tmp_path / "r"
+    argv = ["rigidity", "--q", "0.5", "--samples", "1000", "--depth", "3", "--seed", "3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert _read_json(out / "rigidity.json")["per_generator"] == {"a": 1.0, "b": 0.87, "c": 0.764, "d": 0.764}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -199,17 +208,20 @@ def test_reruns_are_byte_identical(argv, tmp_path):
         ["orbital", "--radius", "100000000"],
         ["rigidity", "--samples", "0", "--depth", "-5"],
         ["rigidity", "--depth", "0"],
+        ["rigidity", "--samples", "10", "--seed", "-1"],
     ],
     ids=["big-q", "zero-q", "neg-samples", "neg-level", "huge-level",
          "bad-point", "bad-gens", "missing-file", "unknown-cmd", "no-cmd",
          "nan-tol", "inf-omega-tol", "nan-slice-t", "inf-omega-t",
          "huge-slice-level", "huge-omega-level", "huge-rigidity-cells",
          "zero-omega-level", "neg-omega-level", "neg-slice-level", "huge-verify-level",
-         "huge-orbital-radius", "neg-rigidity-depth", "zero-rigidity-depth"],
+         "huge-orbital-radius", "neg-rigidity-depth", "zero-rigidity-depth", "neg-rigidity-seed"],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)] if argv else argv) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if "--seed" in argv:
+        assert "--seed" in err
 
 
 @pytest.mark.parametrize(

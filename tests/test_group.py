@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -43,12 +44,18 @@ def _reference_boundary_image(word, x):
 def _reference_rigidity_depth(x, word, max_depth):
     """Decompose and reduce the whole section word at every level."""
     section = reduce_word(word)
+    prefix = x.prefix(max_depth)
     for n in range(1, max_depth + 1):
         dec = wreath_decompose(section)
-        section = reduce_word(dec.section0 if x.bit_at(n - 1) == "0" else dec.section1)
+        section = reduce_word(dec.section0 if prefix[n - 1] == "0" else dec.section1)
         if is_identity(section):
             return n
     return None
+
+
+def _ray(x, max_depth):
+    """The prefix of x of length max_depth as a one-row 0/1 array."""
+    return np.array([[int(bit) for bit in x.prefix(max_depth)]])
 
 
 def test_wreath_decompose_generators():
@@ -135,15 +142,18 @@ def test_klein_table():
 def test_rigidity_depth_examples():
     zeros = BoundaryPoint.parse("(0)")
     ones = BoundaryPoint.parse("(1)")
-    assert rigidity_depth(zeros, "d", 8) == 1
-    assert rigidity_depth(ones, "d", 64) is None
-    assert rigidity_depth(BoundaryPoint.parse("01(10)"), "", 1) == 1
+    assert rigidity_depth(_ray(zeros, 8), "d") == [1]
+    assert rigidity_depth(_ray(ones, 64), "d") == [0]
+    assert rigidity_depth(_ray(BoundaryPoint.parse("01(10)"), 1), "") == [1]
     # a has trivial sections immediately
     for x in (zeros, ones):
-        assert rigidity_depth(x, "a", 4) == 1
+        assert rigidity_depth(_ray(x, 4), "a") == [1]
     for word in ("ab", "aa", "x"):
         with pytest.raises(ValueError):
-            rigidity_depth(zeros, word, 4)
+            rigidity_depth(_ray(zeros, 4), word)
+    for rays in (np.zeros((3, 0)), np.zeros(4), [[0, 2]], [[0, -1]]):
+        with pytest.raises(ValueError):
+            rigidity_depth(rays, "b")
 
 
 @given(
@@ -157,7 +167,18 @@ def test_rigidity_depth_examples():
 @example("d", "11", "10", 3)
 def test_rigidity_depth_matches_section_walk(letter, preperiod, period, max_depth):
     x = BoundaryPoint(preperiod, period)
-    assert rigidity_depth(x, letter, max_depth) == _reference_rigidity_depth(x, letter, max_depth)
+    assert rigidity_depth(_ray(x, max_depth), letter) == [_reference_rigidity_depth(x, letter, max_depth) or 0]
+
+
+@pytest.mark.parametrize("letter", ["", "a", "b", "c", "d"])
+def test_rigidity_depth_batch_matches_reference(letter):
+    # every ray prefix of each width 1..8 in one array, as 0/1 integers and as booleans
+    for width in range(1, 9):
+        rays = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+        expected = [_reference_rigidity_depth(BoundaryPoint("".join(map(str, row)), "0"), letter, width) or 0
+                    for row in rays]
+        assert rigidity_depth(rays, letter).tolist() == expected
+        assert rigidity_depth(rays.astype(bool), letter).tolist() == expected
 
 
 def test_boundary_point_canonical():
@@ -165,7 +186,7 @@ def test_boundary_point_canonical():
     assert str(BoundaryPoint.parse("(1010)")) == "(10)"
     assert str(BoundaryPoint.parse("1(01)")) == "(10)"
     assert BoundaryPoint.parse("0(1)") == BoundaryPoint("01", "11")
-    assert BoundaryPoint.parse("(0)").bit_at(17) == "0"
+    assert BoundaryPoint.parse("(0)").prefix(18) == "0" * 18
     assert BoundaryPoint.parse("01(10)").prefix(6) == "011010"
 
 

@@ -31,6 +31,7 @@ def test_layer_tracer_counts_assembly(tmp_path):
         assert cli.main(["orbital", "--radius", "4", "--out", str(tmp_path / "o")]) == 0
         written = tracer.work["cli.write.bytes"]
         assert cli.main(["omega", "--level", "2", "--out", str(tmp_path / "w")]) == 0
+        assert cli.main(["rigidity", "--samples", "10", "--depth", "4", "--out", str(tmp_path / "r")]) == 0
     finally:
         tracer.uninstall()
     assert cli.assemble_level is original
@@ -40,5 +41,8 @@ def test_layer_tracer_counts_assembly(tmp_path):
     assert 0.0 < tracer.work["hecke.assemble_orbital.mb"] <= 15 * 8 / float(1 << 20)
     assert tracer.work["spectra.sym_eigs.dim"] == 8 + 5
     assert tracer.work["cli.write.bytes"] - written >= (tmp_path / "w" / "omega.svg").stat().st_size
-    for span in ("hecke.assemble_level", "hecke.assemble_orbital", "spectra.sym_eigs", "renorm.omega_svg", "cli.write"):
+    # rigidity walks the whole sample once per generator
+    assert tracer.work["group.rigidity_depth.calls"] == 4
+    for span in ("hecke.assemble_level", "hecke.assemble_orbital", "spectra.sym_eigs", "renorm.omega_svg", "cli.write",
+                 "group.rigidity_depth"):
         assert tracer.seconds[span] > 0.0, span
