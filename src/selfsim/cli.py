@@ -3,7 +3,8 @@
 Every command writes its artifacts plus a manifest.json into --out; outputs
 are deterministic given an identical configuration (including seeds), so
 reruns are byte-identical.  Exit codes: 0 success, 1 invariant failure,
-2 usage error.
+2 usage error (every argument is checked before a command starts) or an
+unwritable --out, 3 internal fault.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from . import __version__
-from .errors import SelfsimError
-from .group import GENERATORS, BoundaryPoint, rigidity_depth
+from .group import GENERATORS, BoundaryPoint, is_identity, rigidity_depth
 from .hecke import (
     ASSEMBLY_GUARD,
     LEVEL_GUARD,
@@ -41,6 +42,7 @@ _TARGETS = {
 # omega checks 2^(level+1) - 2 curves and draws 2^(level-1) + 1 distinct ones; the level-12 SVG is 24 MB
 OMEGA_LEVEL_GUARD = 12
 RIGIDITY_CELL_GUARD = 1 << 24  # samples x depth boundary coordinates drawn by rigidity
+_DRAW_BLOCK = 1 << 16  # uniform draws rigidity holds as float64 at once (512 KB)
 # a two-ended radius-4096 ball has dimension 8193, the size of the level-13 spectrum
 RADIUS_GUARD = 4096
 
@@ -73,15 +75,23 @@ def _manifest(outdir: str, command: str, config: dict, tolerances: dict, outputs
     _write_json(outdir, "manifest.json", data)
 
 
-def _parse_element(spec: str) -> tuple[str, AlgebraElement]:
+def _element(spec: str) -> tuple[str, str, AlgebraElement]:
+    """Argument type: (spec, name, element) for delta, sum, e or a self-adjoint element JSON file."""
     if spec == "delta":
-        return spec, delta_element()
+        return spec, spec, delta_element()
     if spec == "sum":
-        return spec, generator_sum_element()
+        return spec, spec, generator_sum_element()
     if spec == "e":
-        return spec, AlgebraElement.from_terms([("", 1.0)])
-    with open(spec, encoding="utf-8") as fh:
-        return os.path.basename(spec), AlgebraElement.from_json(fh.read())
+        return spec, spec, AlgebraElement.from_terms([("", 1.0)])
+    try:
+        with open(spec, encoding="utf-8") as fh:
+            element = AlgebraElement.from_json(fh.read())
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {spec!r}: {exc}") from None
+    # terms are distinct group elements, and w2 is the inverse of w exactly when w w2 is the identity
+    if not all(any(c2 == c and is_identity(w + w2) for w2, c2 in element.terms) for w, c in element.terms):
+        raise argparse.ArgumentTypeError(f"{spec!r} is not self-adjoint")
+    return spec, os.path.basename(spec), element
 
 
 _TAU = {"a": "aca", "b": "d", "c": "b", "d": "c"}
@@ -139,8 +149,8 @@ def cmd_verify(level: int, outdir: str) -> int:
     return 1 if failures else 0
 
 
-def cmd_spectrum(element_spec: str, level: int, tol: float, outdir: str) -> int:
-    name, element = _parse_element(element_spec)
+def cmd_spectrum(element_arg: tuple[str, str, AlgebraElement], level: int, tol: float, outdir: str) -> int:
+    element_spec, name, element = element_arg
     rep = sym_eigs(assemble_level(element, level))
     outputs = [_write(outdir, "eigenvalues.csv", rep.to_csv())]
     target_pairs = _TARGETS.get(name)
@@ -200,13 +210,10 @@ def cmd_omega(level: int, slice_ts: tuple[float, ...], tol: float, outdir: str) 
     return 0
 
 
-def cmd_orbital(point: str, gens: str, radius: int, element_spec: str, outdir: str) -> int:
+def cmd_orbital(point: str, gens: str, radius: int, element_arg: tuple[str, str, AlgebraElement], outdir: str) -> int:
     x = BoundaryPoint.parse(point)
     letters = tuple(dict.fromkeys(gens))
-    unknown = set(letters) - set(GENERATORS)
-    if unknown:
-        raise ValueError(f"unknown generators {sorted(unknown)}")
-    name, element = _parse_element(element_spec)
+    element_spec, name, element = element_arg
     ball = orbital_ball(x, letters, radius)
     outputs = [_write(outdir, "graph.csv", ball.to_csv())]
     matrix, flags = assemble_orbital(element, ball)
@@ -232,11 +239,26 @@ def cmd_orbital(point: str, gens: str, radius: int, element_spec: str, outdir: s
     return 0
 
 
+def _draw_rays(rng: np.random.Generator, q: float, samples: int, depth: int) -> np.ndarray:
+    """rng.random((samples, depth)) >= q, drawn _DRAW_BLOCK numbers at a time.
+
+    Generator.random fills its output in C order from one stream, so the
+    blocks of the flattened sample get the numbers of one whole draw, and the
+    float64 draws never take 8 bytes per boolean cell kept.
+    """
+    bits = np.empty((samples, depth), dtype=bool)
+    flat = bits.reshape(-1)
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, flat.size)
+        flat[start:stop] = rng.random(stop - start) >= q
+    return bits
+
+
 def cmd_rigidity(q: float, samples: int, depth: int, seed: int, outdir: str) -> int:
     rng = np.random.default_rng(seed)
     per_generator: dict[str, float] = {}
     if samples > 0:
-        bits = rng.random((samples, depth)) >= q
+        bits = _draw_rays(rng, q, samples, depth)
         for g in GENERATORS:
             per_generator[g] = np.count_nonzero(rigidity_depth(bits, g)) / samples
     report = {"q": q, "samples": samples, "depth": depth, "seed": seed, "per_generator": per_generator}
@@ -264,6 +286,21 @@ def _int_in(lo: int, hi: int):
     return integer
 
 
+def _point(text: str) -> str:
+    try:
+        BoundaryPoint.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _gens(text: str) -> str:
+    unknown = set(text) - set(GENERATORS)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown generators {sorted(unknown)}")
+    return text
+
+
 def _probability(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -285,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="selfsim-out", help="output directory")
 
     p = sub.add_parser("spectrum", help="level spectrum of an element vs a named target set")
-    p.add_argument("--element", default="delta", help="delta | sum | e | path to element JSON")
+    p.add_argument("--element", type=_element, default="delta", help="delta | sum | e | path to element JSON")
     p.add_argument("--level", type=_int_in(0, ASSEMBLY_GUARD), default=8)
     p.add_argument("--tol", type=_finite, default=1e-9, help="membership tolerance for the target set")
     p.add_argument("--out", default="selfsim-out")
@@ -302,10 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("orbital", help="orbital-ball graph and truncated spectrum")
-    p.add_argument("--point", default="(1)", help="boundary point, e.g. '01(10)'")
-    p.add_argument("--gens", default="abcd")
+    p.add_argument("--point", type=_point, default="(1)", help="boundary point, e.g. '01(10)'")
+    p.add_argument("--gens", type=_gens, default="abcd")
     p.add_argument("--radius", type=_int_in(0, RADIUS_GUARD), default=64)
-    p.add_argument("--element", default="delta")
+    p.add_argument("--element", type=_element, default="delta")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("rigidity", help="sampled rigidity fractions per generator")
@@ -323,6 +360,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "rigidity" and args.samples * args.depth > RIGIDITY_CELL_GUARD:
             parser.error(f"--samples x --depth exceeds the guard {RIGIDITY_CELL_GUARD}")
+        if args.command == "orbital":
+            missing = args.element[2].support_letters() - set(args.gens)
+            if missing:
+                parser.error(f"--element uses letters {sorted(missing)} that --gens {args.gens!r} leaves out")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -339,9 +380,13 @@ def main(argv=None) -> int:
         if args.command == "rigidity":
             return cmd_rigidity(args.q, args.samples, args.depth, args.seed, args.out)
         raise ValueError(f"unknown command {args.command}")
-    except (SelfsimError, ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -21,6 +21,7 @@ dense array.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,8 +112,10 @@ class AlgebraElement:
         if not isinstance(terms, list):
             raise ValueError('element JSON needs a "terms" list')
         for t in terms:
-            if not (isinstance(t, dict) and isinstance(t.get("word"), str) and isinstance(t.get("coef"), (int, float))):
-                raise ValueError(f'element term {t!r} needs a string "word" and a number "coef"')
+            # NaN fails the comparison, and an int compares exactly, so no float overflow is possible
+            if not (isinstance(t, dict) and isinstance(t.get("word"), str) and isinstance(t.get("coef"), (int, float))
+                    and abs(t["coef"]) <= sys.float_info.max):
+                raise ValueError(f'element term {t!r} needs a string "word" and a finite number "coef"')
         return AlgebraElement.from_terms((t["word"], t["coef"]) for t in terms)
 
     def to_json(self) -> str:

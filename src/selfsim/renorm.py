@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -173,6 +174,11 @@ def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
     L = curve_levels, and gamma_{L,j} is gamma_{L,2^L-j} (same cosine), so
     level L at j = 0 and j = 2^(L-1) .. 2^L-1 covers every curve, each in the
     colour and stacking order of its last copy in the all-(n, j) drawing.
+
+    Every coordinate is written with two decimals, and the text is byte for
+    byte what formatting each point on its own gives: a curve's coordinates
+    are computed as whole arrays by the same floating-point operations, in
+    the same order, as the scalar mapping of one point.
     """
     span = 12.0
 
@@ -205,13 +211,17 @@ def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
     )
     palette = ("#b03030", "#3060b0", "#308050", "#a07020", "#703090", "#207878")
     top = 1 << curve_levels
+    alphas = np.linspace(-6.0, 6.0, 481)
+    xs = [f"{v:.2f}," for v in sx(alphas).tolist()]
     for j in sorted({0, *range(top // 2, top)}):
         cos = math.cos(2.0 * math.pi * j / top)
-        alphas = np.linspace(-6.0, 6.0, 481)
         betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
         color = palette[(curve_levels + j) % len(palette)]
         for sign in (1.0, -1.0):
-            coords = " ".join(pt(a, sign * b) for a, b in zip(alphas, betas) if abs(sign * b) <= 6.0)
+            b = sign * betas
+            keep = (np.abs(b) <= 6.0).tolist()
+            ys = compress(sy(b).tolist(), keep)
+            coords = " ".join([x + f"{y:.2f}" for x, y in zip(compress(xs, keep), ys)])
             if coords:
                 parts.append(
                     f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1"/>'

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import selfsim.cli as cli
@@ -234,6 +235,60 @@ def test_malformed_element_exits_two(text, tmp_path, capsys):
     path.write_text(text)
     assert cli.main(["spectrum", "--element", str(path), "--level", "2", "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, terms, message",
+    [
+        (["spectrum", "--level", "0"], [{"word": "ab", "coef": 1.0}], "not self-adjoint"),
+        (["spectrum", "--level", "2"], [{"word": "a", "coef": float("nan")}], "finite"),
+        (["spectrum", "--level", "2"], [{"word": "a", "coef": 10**400}], "finite"),
+        (["orbital", "--gens", "ab", "--radius", "2"], [{"word": "d", "coef": 1.0}], "['d']"),
+    ],
+    ids=["not-self-adjoint", "nan-coef", "huge-int-coef", "letter-not-in-gens"],
+)
+def test_element_usage_errors_exit_two(argv, terms, message, tmp_path, capsys):
+    # rejected while the arguments are parsed: the command never starts, so --out is never made
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps({"terms": terms}))
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--element", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_self_adjoint_element_needs_the_word_problem(tmp_path):
+    # (ad)^4 = 1 makes adad its own inverse, although its reversal dada is another reduced word
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps({"terms": [{"word": "adad", "coef": 1.0}]}))
+    assert cli.main(["spectrum", "--element", str(path), "--level", "3", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_internal_fault_exits_three(tmp_path, monkeypatch, capsys):
+    def broken(matrix):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(cli, "sym_eigs", broken)
+    assert cli.main(["spectrum", "--level", "2", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "error: internal fault: ValueError: injected fault"
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["verify", "--level", "0", "--out", str(blocker)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("seed", [1, 7, 123])
+@pytest.mark.parametrize("block", [7, cli._DRAW_BLOCK])
+def test_rigidity_blockwise_draw_is_one_draw(seed, block, monkeypatch):
+    monkeypatch.setattr(cli, "_DRAW_BLOCK", block)
+    samples, depth = 5, (cli._DRAW_BLOCK * 3) // 5 + 3  # more than 3 blocks, rows straddle block edges
+    whole = np.random.default_rng(seed).random((samples, depth)) >= 0.3
+    assert np.array_equal(cli._draw_rays(np.random.default_rng(seed), 0.3, samples, depth), whole)
 
 
 def test_module_runs_as_script(tmp_path):

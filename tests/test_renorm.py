@@ -223,3 +223,79 @@ def test_omega_svg_slice_line_position():
     svg = omega_svg(size=1200, slice_alphas=(0.0,))
     # alpha = 0 slice sits on the vertical axis midline
     assert svg.count('x1="600.00"') >= 1
+
+
+def _reference_omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
+    """The per-point writer omega_svg replaced, kept verbatim as the byte-for-byte reference."""
+    span = 12.0
+
+    def sx(alpha: float) -> float:
+        return (alpha + 6.0) / span * size
+
+    def sy(beta: float) -> float:
+        return (6.0 - beta) / span * size
+
+    def pt(alpha: float, beta: float) -> str:
+        return f"{sx(alpha):.2f},{sy(beta):.2f}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+    # Omega clipped to the viewport is the first-quadrant polygon mirrored
+    # through both axes: between the lines |alpha - beta| = 2 outside the
+    # diamond |alpha| + |beta| = 2.
+    quadrant = [(2.0, 0.0), (6.0, 4.0), (6.0, 6.0), (4.0, 6.0), (0.0, 2.0)]
+    for fx, fy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        points = " ".join(pt(fx * a, fy * b) for a, b in quadrant)
+        parts.append(f'<polygon points="{points}" fill="#d0d8e8" stroke="none"/>')
+    parts.append(
+        f'<line x1="0" y1="{sy(0):.2f}" x2="{size}" y2="{sy(0):.2f}" stroke="#888" stroke-width="1"/>'
+    )
+    parts.append(
+        f'<line x1="{sx(0):.2f}" y1="0" x2="{sx(0):.2f}" y2="{size}" stroke="#888" stroke-width="1"/>'
+    )
+    palette = ("#b03030", "#3060b0", "#308050", "#a07020", "#703090", "#207878")
+    top = 1 << curve_levels
+    for j in sorted({0, *range(top // 2, top)}):
+        cos = math.cos(2.0 * math.pi * j / top)
+        alphas = np.linspace(-6.0, 6.0, 481)
+        betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
+        color = palette[(curve_levels + j) % len(palette)]
+        for sign in (1.0, -1.0):
+            coords = " ".join(pt(a, sign * b) for a, b in zip(alphas, betas) if abs(sign * b) <= 6.0)
+            if coords:
+                parts.append(
+                    f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1"/>'
+                )
+    for t in slice_alphas:
+        parts.append(
+            f'<line x1="{sx(t):.2f}" y1="0" x2="{sx(t):.2f}" y2="{size}" '
+            f'stroke="#c02020" stroke-width="1.5" stroke-dasharray="6,3"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+_SLICES = ((), (-0.5,), (-1.0, 1.5))
+_SIZES = (800, 1200)
+_COMBOS = [(alphas, size) for alphas in _SLICES for size in _SIZES]
+# every (slices, size) pair up to level 4, then one pair per level: the
+# reference takes about 1 s at level 10 and half that a level lower
+_GOLDEN_CASES = [(n, *combo) for n in range(5) for combo in _COMBOS] + [
+    (n, *_COMBOS[n % len(_COMBOS)]) for n in range(5, 10)
+] + [(10, (-0.5,), 800)]
+
+
+@pytest.mark.parametrize(
+    "levels, slice_alphas, size",
+    _GOLDEN_CASES,
+    ids=[f"{n}-t{'_'.join(map(str, alphas)) or 'none'}-{size}" for n, alphas, size in _GOLDEN_CASES],
+)
+def test_omega_svg_matches_per_point_reference(levels, slice_alphas, size):
+    got, want = omega_svg(levels, slice_alphas, size), _reference_omega_svg(levels, slice_alphas, size)
+    if got != want:
+        # pytest's own diff of two multi-megabyte strings takes minutes
+        at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        pytest.fail(f"first difference at character {at}: {got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
