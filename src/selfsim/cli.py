@@ -45,6 +45,8 @@ RIGIDITY_CELL_GUARD = 1 << 24  # samples x depth boundary coordinates drawn by r
 _DRAW_BLOCK = 1 << 16  # uniform draws rigidity holds as float64 at once (512 KB)
 # a two-ended radius-4096 ball has dimension 8193, the size of the level-13 spectrum
 RADIUS_GUARD = 4096
+# bounds every operator entry and eigenvalue, so the power-of-two prescale and squared residuals stay finite
+COEF_SUM_GUARD = 2.0**500
 
 
 def _write(outdir: str, name: str, text: str) -> str:
@@ -88,6 +90,9 @@ def _element(spec: str) -> tuple[str, str, AlgebraElement]:
             element = AlgebraElement.from_json(fh.read())
     except (OSError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"cannot read {spec!r}: {exc}") from None
+    # merged duplicate words may sum to inf, which fails the comparison too
+    if not sum(abs(c) for _, c in element.terms) <= COEF_SUM_GUARD:
+        raise argparse.ArgumentTypeError(f"{spec!r} has coefficients whose absolute sum exceeds 2^500")
     # terms are distinct group elements, and w2 is the inverse of w exactly when w w2 is the identity
     if not all(any(c2 == c and is_identity(w + w2) for w2, c2 in element.terms) for w, c in element.terms):
         raise argparse.ArgumentTypeError(f"{spec!r} is not self-adjoint")

@@ -44,9 +44,12 @@ _GEN_DECOMP = {
 }
 
 # The sections of _GEN_DECOMP as indices into _STATES: row = state, column =
-# bit.  State 0 is the identity, whose sections are the identity.
+# bit.  State 0 is the identity, whose sections are the identity.  One byte
+# per entry, so a state per sampled ray costs one byte too.
 _STATES = ("",) + GENERATORS
-_SECTION_TABLE = np.array([[0, 0]] + [[_STATES.index(s) for s in _GEN_DECOMP[g][1:]] for g in GENERATORS])
+_SECTION_TABLE = np.array(
+    [[0, 0]] + [[_STATES.index(s) for s in _GEN_DECOMP[g][1:]] for g in GENERATORS], dtype=np.uint8
+)
 
 # Klein four-group table for the {b, c, d} letters: any two distinct ones
 # multiply to the third, in either order.
@@ -268,9 +271,10 @@ def rigidity_depth(rays, letter: str) -> np.ndarray:
         raise ValueError(f"rays must be a 2-D array with at least one level, got shape {rays.shape}")
     if np.any((rays != 0) & (rays != 1)):
         raise ValueError("rays must hold only 0 and 1")
-    index = rays.astype(np.uint8)  # bits as table indices, one byte each: the sample may hold 2^24
-    state = np.full(index.shape[0], _STATES.index(letter), dtype=np.intp)
-    depth = np.zeros(index.shape[0], dtype=np.intp)
+    # bits and states as one-byte table indices, and depths as int32: the sample may hold 2^24 rows
+    index = rays.astype(np.uint8)
+    state = np.full(index.shape[0], _STATES.index(letter), dtype=np.uint8)
+    depth = np.zeros(index.shape[0], dtype=np.int32)
     for n, column in enumerate(index.T, start=1):
         state = _SECTION_TABLE[state, column]
         depth[(state == 0) & (depth == 0)] = n

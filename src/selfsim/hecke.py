@@ -188,30 +188,43 @@ def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
 def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatrix, np.ndarray]:
     """Compression of the orbit representation of m to a ball, with row flags.
 
-    Vertex identifiers of the ball must parse as boundary points; images are
-    computed by the exact boundary action, so multi-letter words are not
-    truncated at intermediate steps.  Row i is flagged when the value of the
-    operator there depends on points outside the ball.
+    A term whose word is one of the ball's labels reads its images from the
+    ball's edges: orbital_ball records the edge (y, g(y), g) for every vertex
+    y and label g with g(y) in the ball, so a missing out-edge means the image
+    lies outside and a missing in-edge means the inverse image does.  Any
+    other word (the identity, a longer word) acts on the vertex, parsed as a
+    boundary point, by the exact boundary action, so it is not truncated at
+    intermediate steps.  Row i is flagged when the value of the operator
+    there depends on points outside the ball.
     """
     missing = m.support_letters() - set("".join(ball.labels))
     if missing:
         raise MissingLabel(f"letters {sorted(missing)} not covered by the ball labels")
-    points = [BoundaryPoint.parse(v) for v in ball.vertices]
-    index = {y: i for i, y in enumerate(points)}
-    dim = len(points)
+    terms = [(word, coef, word in ball.labels) for word, coef in m.terms]
+    index = {v: i for i, v in enumerate(ball.vertices)}
+    points = [] if all(edge for *_, edge in terms) else [BoundaryPoint.parse(v) for v in ball.vertices]
+    point_index = {y: i for i, y in enumerate(points)}
+    dim = len(index)
     rows, cols, values = [], [], []
     flags = np.zeros(dim, dtype=bool)
-    for j, y in enumerate(points):
-        for word, coef in m.terms:
-            image = boundary_image(word, y)
-            i = index.get(image)
+    for j, v in enumerate(ball.vertices):
+        for word, coef, edge in terms:
+            if edge:
+                target, source = ball.edges_at(v, word)
+                i = index.get(target)
+                outside = source is None
+            else:
+                image = boundary_image(word, points[j])
+                i = point_index.get(image)
+                # palindromes are self-inverse
+                inverse = image if word == word[::-1] else boundary_image(word[::-1], points[j])
+                outside = inverse not in point_index
             if i is not None:
                 rows.append(i)
                 cols.append(j)
                 values.append(coef)
-            # inverse image outside the ball truncates row j (palindromes are self-inverse)
-            inverse = image if word == word[::-1] else boundary_image(word[::-1], y)
-            if inverse not in index:
+            # inverse image outside the ball truncates row j
+            if outside:
                 flags[j] = True
     return OperatorMatrix.from_triplets(rows, cols, values, dim), flags
 

@@ -52,6 +52,10 @@ class MarkedGraph:
             self._out[(src, lab)] = tgt
             self._in[(tgt, lab)] = src
 
+    def edges_at(self, v: str, label: str) -> tuple[str | None, str | None]:
+        """The target of v's out-edge and the source of its in-edge with this label, None where absent."""
+        return self._out.get((v, label)), self._in.get((v, label))
+
     def neighbors(self, v: str) -> list[str]:
         """Undirected neighborhood, deterministic order: labels, out then in."""
         seen: list[str] = []
@@ -73,7 +77,9 @@ def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
 
     One breadth-first pass keyed by the orbit points themselves.  Each edge is
     recorded when its image is computed: by the time the first point at
-    distance ``radius`` is expanded, every point of the ball is known.
+    distance ``radius`` is expanded, every point of the ball is known.  So
+    every vertex has an out-edge for each label whose image lies in the ball,
+    which is what assemble_orbital reads.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")

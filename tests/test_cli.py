@@ -244,8 +244,11 @@ def test_malformed_element_exits_two(text, tmp_path, capsys):
         (["spectrum", "--level", "2"], [{"word": "a", "coef": float("nan")}], "finite"),
         (["spectrum", "--level", "2"], [{"word": "a", "coef": 10**400}], "finite"),
         (["orbital", "--gens", "ab", "--radius", "2"], [{"word": "d", "coef": 1.0}], "['d']"),
+        (["spectrum", "--level", "0"], [{"word": "a", "coef": 1e308}, {"word": "b", "coef": 1e308}], "2^500"),
+        (["spectrum", "--level", "3"], [{"word": "a", "coef": 1e308}, {"word": "b", "coef": 1e308}], "2^500"),
     ],
-    ids=["not-self-adjoint", "nan-coef", "huge-int-coef", "letter-not-in-gens"],
+    ids=["not-self-adjoint", "nan-coef", "huge-int-coef", "letter-not-in-gens", "huge-sum-level-0",
+         "huge-sum-level-3"],
 )
 def test_element_usage_errors_exit_two(argv, terms, message, tmp_path, capsys):
     # rejected while the arguments are parsed: the command never starts, so --out is never made

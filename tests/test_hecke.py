@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from selfsim import hecke
 from selfsim.errors import LevelTooLarge, MissingLabel, PoleAtBeta
 from selfsim.group import BoundaryPoint, act_vertex, boundary_image, is_identity
 from selfsim.hecke import (
@@ -202,13 +203,8 @@ def test_assemble_orbital_interior_rows_exact():
             assert abs(row_sums[i] - 1.0) < 1e-15
 
 
-def test_assemble_orbital_non_palindromic_element():
-    # ab and ba are mutually inverse, distinct words: the inverse image of
-    # each term needs its own boundary_image call
-    element = AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0)])
-    assert [w for w, _ in element.terms] == ["ab", "ba"]
-    ball = orbital_ball(BoundaryPoint.parse("0(01)"), ABCD, 6)
-    M, flags = assemble_orbital(element, ball)
+def _orbital_reference(element, ball):
+    """Dense matrix and flags with every image and inverse image by the exact boundary action."""
     index = {v: i for i, v in enumerate(ball.vertices)}
     expected = np.zeros((len(index), len(index)))
     expected_flags = np.zeros(len(index), dtype=bool)
@@ -219,10 +215,65 @@ def test_assemble_orbital_non_palindromic_element():
             if i is not None:
                 expected[i, j] += coef
             expected_flags[j] |= str(boundary_image(word[::-1], y)) not in index
+    return expected, expected_flags
+
+
+def test_assemble_orbital_non_palindromic_element():
+    # ab and ba are mutually inverse, distinct words: the inverse image of
+    # each term needs its own boundary_image call
+    element = AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0)])
+    assert [w for w, _ in element.terms] == ["ab", "ba"]
+    ball = orbital_ball(BoundaryPoint.parse("0(01)"), ABCD, 6)
+    M, flags = assemble_orbital(element, ball)
+    expected, expected_flags = _orbital_reference(element, ball)
     assert np.array_equal(_dense(M), expected)
     assert np.array_equal(flags, expected_flags)
     assert flags.any() and not flags.all()
     assert np.array_equal(_dense(M), _dense(M).T)
+
+
+_SINGLE_LETTER_COEFS = {"a": 0.3, "b": -0.7, "c": 1.1, "d": 0.2}
+ORBITAL_ELEMENTS = {
+    "delta": lambda letters: delta_element(),
+    # a non-dyadic single-letter mix with an identity term, over the letters of the generating set
+    "mix": lambda letters: AlgebraElement.from_terms(
+        [("", 0.37)] + [(g, _SINGLE_LETTER_COEFS[g]) for g in sorted(set(letters))]
+    ),
+    "ab+ba": lambda letters: AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0)]),
+    "aca": lambda letters: AlgebraElement.from_terms([("aca", 1.0)]),
+}
+
+
+# ("ab", "c") covers the letter a, which is no label of its own and so has no edges
+@pytest.mark.parametrize("gens", [ABCD, ("a", "d"), ("ab", "c")], ids=["abcd", "ad", "ab-c"])
+@pytest.mark.parametrize("name", ORBITAL_ELEMENTS)
+def test_assemble_orbital_matches_boundary_action(name, gens):
+    element = ORBITAL_ELEMENTS[name]("".join(gens))
+    covered = element.support_letters() <= set("".join(gens))
+    for point in ("(1)", "0(01)", "01(10)", "110010(011)"):
+        for radius in (0, 1, 6):
+            ball = orbital_ball(BoundaryPoint.parse(point), gens, radius)
+            if not covered:
+                with pytest.raises(MissingLabel):
+                    assemble_orbital(element, ball)
+                continue
+            M, flags = assemble_orbital(element, ball)
+            expected, expected_flags = _orbital_reference(element, ball)
+            assert np.array_equal(_dense(M), expected)
+            assert np.array_equal(flags, expected_flags)
+
+
+def test_assemble_orbital_reads_label_images_from_the_edges(monkeypatch):
+    ball = orbital_ball(BoundaryPoint.parse("01(10)"), ABCD, 8)
+    expected, expected_flags = _orbital_reference(delta_element(), ball)
+
+    def unused(word, x):
+        raise AssertionError(f"boundary_image({word!r}, {x}) called for a label word")
+
+    monkeypatch.setattr(hecke, "boundary_image", unused)
+    M, flags = assemble_orbital(delta_element(), ball)
+    assert np.array_equal(_dense(M), expected)
+    assert np.array_equal(flags, expected_flags)
 
 
 def test_assemble_orbital_soft_spectrum():
