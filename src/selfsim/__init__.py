@@ -8,14 +8,6 @@ spectra (renorm), and numerical spectral utilities (spectra).  The `selfsim`
 command line drives batch reproductions.
 """
 
-from .errors import (
-    LevelTooLarge,
-    MissingLabel,
-    NotSymmetric,
-    PoleAtBeta,
-    RadiusTooSmall,
-    SelfsimError,
-)
 from .group import (
     GENERATORS,
     BoundaryPoint,
@@ -47,7 +39,6 @@ from .hecke import (
 from .renorm import (
     CurveCheck,
     IntervalUnion,
-    Param,
     curve_invariance_check,
     curve_points,
     in_omega,
@@ -58,9 +49,7 @@ from .renorm import (
 )
 from .spectra import (
     EigReport,
-    Histogram,
     ShiftReport,
-    eig_histogram,
     hausdorff_to_set,
     spectral_shift_check,
     sym_eigs,
@@ -70,12 +59,6 @@ from .spectra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SelfsimError",
-    "LevelTooLarge",
-    "MissingLabel",
-    "NotSymmetric",
-    "RadiusTooSmall",
-    "PoleAtBeta",
     "GENERATORS",
     "BoundaryPoint",
     "WreathDecomposition",
@@ -98,7 +81,6 @@ __all__ = [
     "assemble_orbital",
     "groupoid_block",
     "schur_step_check",
-    "Param",
     "renorm_map",
     "in_omega",
     "curve_points",
@@ -114,6 +96,4 @@ __all__ = [
     "hausdorff_to_set",
     "ShiftReport",
     "spectral_shift_check",
-    "Histogram",
-    "eig_histogram",
 ]

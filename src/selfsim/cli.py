@@ -31,7 +31,7 @@ from .hecke import (
 )
 from .renorm import IntervalUnion, curve_invariance_check, lambda_slice, omega_svg, slice_spectrum_samples
 from .schreier import orbital_ball
-from .spectra import eig_histogram, hausdorff_to_set, sym_eigs
+from .spectra import hausdorff_to_set, sym_eigs
 
 _TARGETS = {
     "delta": (((-0.5, 0.0), (0.5, 1.0))),
@@ -45,7 +45,8 @@ RIGIDITY_CELL_GUARD = 1 << 24  # samples x depth boundary coordinates drawn by r
 _DRAW_BLOCK = 1 << 16  # uniform draws rigidity holds as float64 at once (512 KB)
 # a two-ended radius-4096 ball has dimension 8193, the size of the level-13 spectrum
 RADIUS_GUARD = 4096
-# bounds every operator entry and eigenvalue, so the power-of-two prescale and squared residuals stay finite
+# bounds every operator entry and eigenvalue, so the power-of-two prescale and squared residuals stay finite;
+# --t, the coefficient of a in -t a + b + c + d, is held to it as well, so t * t stays finite
 COEF_SUM_GUARD = 2.0**500
 
 
@@ -227,7 +228,9 @@ def cmd_orbital(point: str, gens: str, radius: int, element_arg: tuple[str, str,
     flag_lines = ["vertex,flagged"]
     flag_lines.extend(f"{v},{int(f)}" for v, f in zip(ball.vertices, flags))
     outputs.append(_write(outdir, "flags.csv", "\n".join(flag_lines) + "\n"))
-    hist = eig_histogram(rep.eigenvalues, 20, (-0.6, 1.1))
+    values = np.asarray(rep.eigenvalues)
+    lo, hi = -0.6, 1.1
+    counts, _ = np.histogram(values, bins=20, range=(lo, hi))  # ignores values outside [lo, hi]
     report = {
         "point": str(x),
         "gens": "".join(letters),
@@ -235,8 +238,8 @@ def cmd_orbital(point: str, gens: str, radius: int, element_arg: tuple[str, str,
         "element": name,
         "dim": rep.dim,
         "flagged_rows": int(np.count_nonzero(flags)),
-        "histogram": {"lo": hist.lo, "hi": hist.hi, "counts": list(hist.counts),
-                      "underflow": hist.underflow, "overflow": hist.overflow},
+        "histogram": {"lo": lo, "hi": hi, "counts": counts.tolist(),
+                      "underflow": int(np.count_nonzero(values < lo)), "overflow": int(np.count_nonzero(values > hi))},
     }
     outputs.append(_write_json(outdir, "report.json", report))
     config = {"point": point, "gens": gens, "radius": radius, "element": element_spec}
@@ -272,23 +275,16 @@ def cmd_rigidity(q: float, samples: int, depth: int, seed: int, outdir: str) -> 
     return 0
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _in(lo, hi, kind=int):
+    """Argument type: an int (or another kind) in [lo, hi]; hi may be np.inf, and NaN is in no range."""
 
-
-def _int_in(lo: int, hi: int):
-    """Argument type: an integer in [lo, hi]; hi may be np.inf."""
-
-    def integer(text: str) -> int:
-        value = int(text)
+    def number(text: str):
+        value = kind(text)
         if not lo <= value <= hi:
             raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
         return value
 
-    return integer
+    return number
 
 
 def _point(text: str) -> str:
@@ -321,40 +317,42 @@ def build_parser() -> argparse.ArgumentParser:
         "OMP_NUM_THREADS and OPENBLAS_NUM_THREADS at start-up; set them to cap the thread count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    coef = _in(-COEF_SUM_GUARD, COEF_SUM_GUARD, float)
+    tol = _in(0.0, sys.float_info.max, float)
 
     p = sub.add_parser("verify", help="exact relation suite over a level range")
-    p.add_argument("--level", type=_int_in(0, LEVEL_GUARD), default=13, help="largest level checked (default 13)")
+    p.add_argument("--level", type=_in(0, LEVEL_GUARD), default=13, help="largest level checked (default 13)")
     p.add_argument("--out", default="selfsim-out", help="output directory")
 
     p = sub.add_parser("spectrum", help="level spectrum of an element vs a named target set")
     p.add_argument("--element", type=_element, default="delta", help="delta | sum | e | path to element JSON")
-    p.add_argument("--level", type=_int_in(0, ASSEMBLY_GUARD), default=8)
-    p.add_argument("--tol", type=_finite, default=1e-9, help="membership tolerance for the target set")
+    p.add_argument("--level", type=_in(0, ASSEMBLY_GUARD), default=8)
+    p.add_argument("--tol", type=tol, default=1e-9, help="membership tolerance for the target set")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("slice", help="slice spectrum endpoints and per-level samples")
-    p.add_argument("--t", type=_finite, default=-1.0)
-    p.add_argument("--level", type=_int_in(0, LEVEL_GUARD), default=8, help="largest sample level")
+    p.add_argument("--t", type=coef, default=-1.0)
+    p.add_argument("--level", type=_in(0, LEVEL_GUARD), default=8, help="largest sample level")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("omega", help="parameter-region plot and curve invariance residuals")
-    p.add_argument("--level", type=_int_in(1, OMEGA_LEVEL_GUARD), default=4, help="deepest curve family drawn and checked")
-    p.add_argument("--t", type=_finite, action="append", default=[], help="slice line(s) to draw")
-    p.add_argument("--tol", type=_finite, default=1e-9)
+    p.add_argument("--level", type=_in(1, OMEGA_LEVEL_GUARD), default=4, help="deepest curve family drawn and checked")
+    p.add_argument("--t", type=coef, action="append", default=[], help="slice line(s) to draw")
+    p.add_argument("--tol", type=tol, default=1e-9)
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("orbital", help="orbital-ball graph and truncated spectrum")
     p.add_argument("--point", type=_point, default="(1)", help="boundary point, e.g. '01(10)'")
     p.add_argument("--gens", type=_gens, default="abcd")
-    p.add_argument("--radius", type=_int_in(0, RADIUS_GUARD), default=64)
+    p.add_argument("--radius", type=_in(0, RADIUS_GUARD), default=64)
     p.add_argument("--element", type=_element, default="delta")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("rigidity", help="sampled rigidity fractions per generator")
     p.add_argument("--q", type=_probability, default=0.5, help="coordinatewise probability of 0")
-    p.add_argument("--samples", type=_int_in(0, RIGIDITY_CELL_GUARD), default=10000)
-    p.add_argument("--depth", type=_int_in(1, RIGIDITY_CELL_GUARD), default=64)
-    p.add_argument("--seed", type=_int_in(0, np.inf), default=1)
+    p.add_argument("--samples", type=_in(0, RIGIDITY_CELL_GUARD), default=10000)
+    p.add_argument("--depth", type=_in(1, RIGIDITY_CELL_GUARD), default=64)
+    p.add_argument("--seed", type=_in(0, np.inf), default=1)
     p.add_argument("--out", default="selfsim-out")
     return parser
 

@@ -27,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LevelTooLarge, MissingLabel, PoleAtBeta
 from .group import _GEN_DECOMP, BoundaryPoint, boundary_image, is_identity, reduce_word
 from .renorm import renorm_map
 from .schreier import MarkedGraph
@@ -40,7 +39,7 @@ def _check_level(n: int, guard: int) -> None:
     if n < 0:
         raise ValueError("level must be >= 0")
     if n > guard:
-        raise LevelTooLarge(f"level {n} exceeds the guard {guard}")
+        raise ValueError(f"level {n} exceeds the guard {guard}")
 
 
 @lru_cache(maxsize=None)
@@ -118,11 +117,6 @@ class AlgebraElement:
                 raise ValueError(f'element term {t!r} needs a string "word" and a finite number "coef"')
         return AlgebraElement.from_terms((t["word"], t["coef"]) for t in terms)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"terms": [{"word": w, "coef": c} for w, c in self.terms]}, sort_keys=True
-        )
-
     def support_letters(self) -> set[str]:
         return {ch for w, _ in self.terms for ch in w}
 
@@ -148,10 +142,9 @@ class OperatorMatrix:
     cols: np.ndarray
     entries: np.ndarray
     dim: int
-    level: int | None = None
 
     @staticmethod
-    def from_triplets(rows, cols, values, dim: int, level: int | None = None) -> "OperatorMatrix":
+    def from_triplets(rows, cols, values, dim: int) -> "OperatorMatrix":
         """Canonical form: sorted by (row, col), duplicates summed, zeros dropped.
 
         The sort is stable and duplicates are summed left to right from zero
@@ -166,7 +159,7 @@ class OperatorMatrix:
         sums = np.zeros(np.count_nonzero(first))
         np.add.at(sums, np.cumsum(first) - 1, np.asarray(values, dtype=float)[order])
         keep = sums != 0.0
-        return OperatorMatrix(rows[first][keep], cols[first][keep], sums[keep], dim, level)
+        return OperatorMatrix(rows[first][keep], cols[first][keep], sums[keep], dim)
 
     def csr(self):
         """The operator as a scipy CSR matrix."""
@@ -182,37 +175,34 @@ def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
     rows = np.array([word_perm(word, n) for word, _ in m.terms], dtype=np.int64).reshape(-1)
     cols = np.tile(np.arange(dim), len(m.terms))
     values = np.repeat([coef for _, coef in m.terms], dim)
-    return OperatorMatrix.from_triplets(rows, cols, values, dim, level=n)
+    return OperatorMatrix.from_triplets(rows, cols, values, dim)
 
 
 def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatrix, np.ndarray]:
     """Compression of the orbit representation of m to a ball, with row flags.
 
-    A term whose word is one of the ball's labels reads its images from the
-    ball's edges: orbital_ball records the edge (y, g(y), g) for every vertex
-    y and label g with g(y) in the ball, so a missing out-edge means the image
-    lies outside and a missing in-edge means the inverse image does.  Any
-    other word (the identity, a longer word) acts on the vertex, parsed as a
-    boundary point, by the exact boundary action, so it is not truncated at
-    intermediate steps.  Row i is flagged when the value of the operator
-    there depends on points outside the ball.
+    A one-letter term reads its images from the ball's edges: orbital_ball
+    records the edge (y, g(y), g) for every vertex y and label g with g(y) in
+    the ball, so a missing edge means the image, which is also the inverse
+    image, lies outside.  Any other word (the identity, a longer word) acts on
+    the vertex, parsed as a boundary point, by the exact boundary action, so
+    it is not truncated at intermediate steps.  Row i is flagged when the
+    value of the operator there depends on points outside the ball.
     """
-    missing = m.support_letters() - set("".join(ball.labels))
+    missing = m.support_letters() - set(ball.labels)
     if missing:
-        raise MissingLabel(f"letters {sorted(missing)} not covered by the ball labels")
-    terms = [(word, coef, word in ball.labels) for word, coef in m.terms]
+        raise ValueError(f"letters {sorted(missing)} not covered by the ball labels")
     index = {v: i for i, v in enumerate(ball.vertices)}
-    points = [] if all(edge for *_, edge in terms) else [BoundaryPoint.parse(v) for v in ball.vertices]
+    points = [] if all(len(word) == 1 for word, _ in m.terms) else [BoundaryPoint.parse(v) for v in ball.vertices]
     point_index = {y: i for i, y in enumerate(points)}
     dim = len(index)
     rows, cols, values = [], [], []
     flags = np.zeros(dim, dtype=bool)
     for j, v in enumerate(ball.vertices):
-        for word, coef, edge in terms:
-            if edge:
-                target, source = ball.edges_at(v, word)
-                i = index.get(target)
-                outside = source is None
+        for word, coef in m.terms:
+            if len(word) == 1:
+                i = index.get(ball.image(v, word))
+                outside = i is None
             else:
                 image = boundary_image(word, points[j])
                 i = point_index.get(image)
@@ -249,7 +239,6 @@ def _pencil(alpha: float, beta: float) -> AlgebraElement:
 @dataclass(frozen=True)
 class SchurReport:
     max_residual: float
-    block_residuals: dict
     tol: float
 
     @property
@@ -265,7 +254,7 @@ def schur_step_check(alpha: float, beta: float, n: int, tol: float) -> SchurRepo
     the level-(n-1) operator at the renormalized parameters.
     """
     if beta == 2.0 or beta == -2.0:
-        raise PoleAtBeta("corrector undefined at beta = +-2")
+        raise ValueError("corrector undefined at beta = +-2")
     if n < 1:
         raise ValueError("need n >= 1 to step down one level")
     from scipy import sparse
@@ -280,11 +269,10 @@ def schur_step_check(alpha: float, beta: float, n: int, tol: float) -> SchurRepo
     product = q_n @ corrector
     expected_tl = 2.0 * a_prev - beta * eye
     expected_br = assemble_level(_pencil(*renorm_map((alpha, beta))), n - 1).csr()
-    blocks = {
-        "top_left": product[:half, :half] - expected_tl,
-        "top_right": product[:half, half:],
-        "bottom_left": product[half:, :half] + alpha * eye,
-        "bottom_right": product[half:, half:] - expected_br,
-    }
-    residuals = {name: float(abs(block).max()) for name, block in blocks.items()}
-    return SchurReport(max(residuals.values()), residuals, tol)
+    blocks = (
+        product[:half, :half] - expected_tl,
+        product[:half, half:],
+        product[half:, :half] + alpha * eye,
+        product[half:, half:] - expected_br,
+    )
+    return SchurReport(max(float(abs(block).max()) for block in blocks), tol)

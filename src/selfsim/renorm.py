@@ -26,23 +26,19 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import PoleAtBeta
-
-Param = tuple[float, float]
-
 _POLE_MARGIN = 0.4  # halfwidth of the excluded alpha zones when sampling curves
 
 
-def renorm_map(p: Param) -> Param:
+def renorm_map(p: tuple) -> tuple:
     """One renormalization step (scalars or arrays); undefined on the lines beta = +-2."""
     alpha, beta = p
     if np.any(np.abs(beta) == 2.0):
-        raise PoleAtBeta(f"renormalization map undefined at beta = {beta}")
+        raise ValueError(f"renormalization map undefined at beta = {beta}")
     denom = 4.0 - beta * beta
     return (2.0 * alpha * alpha / denom, beta + alpha * alpha * beta / denom)
 
 
-def in_omega(p: Param) -> bool:
+def in_omega(p: tuple[float, float]) -> bool:
     alpha, beta = p
     return abs(abs(alpha) - abs(beta)) <= 2.0 and abs(alpha) + abs(beta) >= 2.0
 

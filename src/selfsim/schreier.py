@@ -1,6 +1,9 @@
 """Orbital-graph balls of the boundary action, as rooted marked graphs.
 
 Graphs are rooted and carry generator-labeled directed edges (y, g(y), g).
+The labels are generator letters, which act as involutions, so every edge
+(y, z, g) comes with its reverse (z, y, g) and the graph is undirected; a
+fixed point of g carries one loop.
 Orbit points are BoundaryPoints, which are canonical (minimal period, then
 shortest preperiod), so two points are equal exactly when they are the same
 boundary sequence.  Points of one orbit differ in finitely many coordinates,
@@ -15,14 +18,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .group import BoundaryPoint, boundary_image
+from .group import GENERATORS, BoundaryPoint, boundary_image
 
 
 @dataclass
 class MarkedGraph:
-    """Rooted directed graph with labeled edges, at most one per label and end.
+    """Rooted graph with labeled edges, at most one per label leaving a vertex.
 
-    ``labels`` is the declared generating set; a label may have no edges at a
+    ``labels`` is the declared generating set; a label may have no edge at a
     given vertex (truncated balls lose edges that point outside).  Treated as
     immutable after construction.
     """
@@ -32,7 +35,6 @@ class MarkedGraph:
     edges: list[tuple[str, str, str]]
     labels: tuple[str, ...]
     _out: dict[tuple[str, str], str] = field(default_factory=dict, repr=False)
-    _in: dict[tuple[str, str], str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         vset = set(self.vertices)
@@ -47,22 +49,21 @@ class MarkedGraph:
                 raise ValueError(f"edge label {lab!r} not declared")
             if src not in vset or tgt not in vset:
                 raise ValueError(f"edge ({src!r}, {tgt!r}) leaves the vertex set")
-            if (src, lab) in self._out or (tgt, lab) in self._in:
+            if (src, lab) in self._out:
                 raise ValueError(f"label {lab!r} repeats at a vertex")
             self._out[(src, lab)] = tgt
-            self._in[(tgt, lab)] = src
 
-    def edges_at(self, v: str, label: str) -> tuple[str | None, str | None]:
-        """The target of v's out-edge and the source of its in-edge with this label, None where absent."""
-        return self._out.get((v, label)), self._in.get((v, label))
+    def image(self, v: str, label: str) -> str | None:
+        """The target of v's edge with this label, None where it leaves the graph."""
+        return self._out.get((v, label))
 
     def neighbors(self, v: str) -> list[str]:
-        """Undirected neighborhood, deterministic order: labels, out then in."""
+        """Neighborhood in label order, without repeats."""
         seen: list[str] = []
         for lab in self.labels:
-            for w in (self._out.get((v, lab)), self._in.get((v, lab))):
-                if w is not None and w not in seen:
-                    seen.append(w)
+            w = self._out.get((v, lab))
+            if w is not None and w not in seen:
+                seen.append(w)
         return seen
 
     def to_csv(self) -> str:
@@ -75,33 +76,41 @@ class MarkedGraph:
 def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
     """Word-metric ball of the orbital graph around x, with internal edges.
 
-    One breadth-first pass keyed by the orbit points themselves.  Each edge is
-    recorded when its image is computed: by the time the first point at
-    distance ``radius`` is expanded, every point of the ball is known.  So
-    every vertex has an out-edge for each label whose image lies in the ball,
-    which is what assemble_orbital reads.
+    gens is a sequence of generator letters.  One breadth-first pass keyed by
+    the orbit points themselves.  Each edge is recorded when its image is
+    computed: by the time the first point at distance ``radius`` is expanded,
+    every point of the ball is known.  So every vertex has an edge for each
+    label whose image lies in the ball, which is what assemble_orbital reads.
+    An image g(y) = z also gives g(z) = y, so each edge costs one boundary
+    action.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     gens = tuple(gens)
+    for g in gens:
+        if g not in GENERATORS:
+            raise ValueError(f"label {g!r} is not a generator letter")
     found: dict[BoundaryPoint, tuple[str, int]] = {x: (str(x), 0)}
     vertices = [str(x)]
     edges = []
+    known: dict[tuple[str, str], str] = {}  # (z, g) -> y for every recorded edge (y, z, g)
     queue = deque([x])
     while queue:
         y = queue.popleft()
         name, dist = found[y]
         for g in gens:
-            # the inverse (the reversal, letters being involutions) only finds points
-            words = (g,) if dist == radius or g == g[::-1] else (g, g[::-1])
-            for word in words:
-                image = boundary_image(word, y)
-                if image not in found and dist < radius:
+            target = known.get((name, g))
+            if target is None:
+                image = boundary_image(g, y)
+                if image not in found:
+                    if dist == radius:
+                        continue
                     found[image] = (str(image), dist + 1)
                     vertices.append(found[image][0])
                     queue.append(image)
-                if word == g and image in found:
-                    edges.append((name, found[image][0], g))
+                target = found[image][0]
+                known[(target, g)] = name
+            edges.append((name, target, g))
     return MarkedGraph(vertices[0], vertices, edges, gens)
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetric, RadiusTooSmall
 from .hecke import OperatorMatrix
 from .renorm import IntervalUnion
 
@@ -37,12 +36,12 @@ def _band(M):
 
     S = M.csr() if isinstance(M, OperatorMatrix) else sparse.csr_matrix(M, dtype=float)
     if S.shape[0] != S.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {S.shape}")
+        raise ValueError(f"expected a square matrix, got shape {S.shape}")
     S.sum_duplicates()
     scale = 1.0 + float(np.abs(S.data).max(initial=0.0))
     asym = float(np.abs((S - S.T).data).max(initial=0.0))
     if asym > _ASYM_REL_TOL * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {_ASYM_REL_TOL:.0e} * {scale:.3e}")
+        raise ValueError(f"asymmetry {asym:.3e} exceeds {_ASYM_REL_TOL:.0e} * {scale:.3e}")
     perm = reverse_cuthill_mckee(S, symmetric_mode=True)
     P = S[perm][:, perm]
     lower = sparse.tril(P, format="coo")
@@ -190,9 +189,9 @@ def spectral_shift_check(M, alpha: float, R: float, tol: float) -> ShiftReport:
     values = sym_eigvals(A)
     norm = float(np.abs(values).max(initial=0.0))
     if R < 2.0 * norm:
-        raise RadiusTooSmall(f"need R >= 2 ||M|| = {2.0 * norm}, got {R}")
+        raise ValueError(f"need R >= 2 ||M|| = {2.0 * norm}, got {R}")
     if R <= 0.0:
-        raise RadiusTooSmall("need a positive radius")
+        raise ValueError("need a positive radius")
     gap_direct = float(np.abs(values - alpha).min())
     K = A - alpha * np.eye(A.shape[0])
     S = np.eye(A.shape[0]) - (K @ K) / (R * R)
@@ -200,33 +199,3 @@ def spectral_shift_check(M, alpha: float, R: float, tol: float) -> ShiftReport:
     gap_shifted = float(np.abs(mu - 1.0).min())
     return ShiftReport(alpha, R, tol, tol / (R * R), gap_direct, gap_shifted)
 
-
-@dataclass(frozen=True)
-class Histogram:
-    counts: tuple[int, ...]
-    lo: float
-    hi: float
-    underflow: int
-    overflow: int
-
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-
-def eig_histogram(points, bins: int, bounds: tuple[float, float]) -> Histogram:
-    """Fixed-range histogram; out-of-range values land in overflow buckets."""
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    pts = np.asarray(list(points), dtype=float)
-    inside = pts[(pts >= lo) & (pts <= hi)]
-    counts, _ = np.histogram(inside, bins=bins, range=(lo, hi))
-    return Histogram(
-        tuple(int(c) for c in counts),
-        lo,
-        hi,
-        int((pts < lo).sum()),
-        int((pts > hi).sum()),
-    )

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import selfsim.cli as cli
-from selfsim.hecke import AlgebraElement
 
 
 def _read_json(path):
@@ -51,9 +50,8 @@ def test_spectrum_delta(tmp_path):
 
 
 def test_spectrum_custom_element_file(tmp_path):
-    element = AlgebraElement.from_terms([("a", 1.0)])
     path = tmp_path / "elem.json"
-    path.write_text(element.to_json())
+    path.write_text(json.dumps({"terms": [{"word": "a", "coef": 1.0}]}))
     out = tmp_path / "s"
     assert cli.main(["spectrum", "--element", str(path), "--level", "3", "--out", str(out)]) == 0
     report = _read_json(out / "report.json")
@@ -133,6 +131,34 @@ def test_orbital_long_preperiod(tmp_path):
     assert len((out / "flags.csv").read_text().splitlines()) == 1 + 9
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [None, [{"word": "", "coef": 2.0}], [{"word": "", "coef": -1.0}], [{"word": "a", "coef": 1.0}, {"word": "", "coef": 0.2}]],
+    ids=["delta", "2e", "-e", "a+0.2e"],
+)
+def test_orbital_histogram_counts_the_spectrum(terms, tmp_path):
+    out = tmp_path / "orb"
+    argv = ["orbital", "--point", "01(10)", "--radius", "16", "--out", str(out)]
+    if terms is not None:
+        path = tmp_path / "elem.json"
+        path.write_text(json.dumps({"terms": terms}))
+        argv += ["--element", str(path)]
+    assert cli.main(argv) == 0
+    report = _read_json(out / "report.json")
+    hist = report["histogram"]
+    values = np.array([float(v) for v in (out / "spectrum.csv").read_text().splitlines()[2:]])
+    lo, hi = hist["lo"], hist["hi"]
+    assert (lo, hi) == (-0.6, 1.1)
+    # 20 bins [e_k, e_k+1) between equally spaced edges, the last one closed at hi
+    edges = np.linspace(lo, hi, 21)
+    inside = values[(lo <= values) & (values <= hi)]
+    bins = np.minimum(np.searchsorted(edges, inside, side="right") - 1, 19)
+    assert hist["counts"] == np.bincount(bins, minlength=20).tolist()
+    assert hist["underflow"] == np.count_nonzero(values < lo)
+    assert hist["overflow"] == np.count_nonzero(values > hi)
+    assert sum(hist["counts"]) + hist["underflow"] + hist["overflow"] == report["dim"] == values.size
+
+
 def test_rigidity_no_samples(tmp_path):
     out = tmp_path / "r"
     assert cli.main(["rigidity", "--samples", "0", "--out", str(out)]) == 0
@@ -210,19 +236,28 @@ def test_reruns_are_byte_identical(argv, tmp_path):
         ["rigidity", "--samples", "0", "--depth", "-5"],
         ["rigidity", "--depth", "0"],
         ["rigidity", "--samples", "10", "--seed", "-1"],
+        ["slice", "--level", "2", "--t", "1e200"],
+        ["omega", "--level", "1", "--t", "-1e200"],
+        ["spectrum", "--level", "3", "--tol", "-1"],
+        ["omega", "--level", "1", "--tol", "-1"],
     ],
     ids=["big-q", "zero-q", "neg-samples", "neg-level", "huge-level",
          "bad-point", "bad-gens", "missing-file", "unknown-cmd", "no-cmd",
          "nan-tol", "inf-omega-tol", "nan-slice-t", "inf-omega-t",
          "huge-slice-level", "huge-omega-level", "huge-rigidity-cells",
          "zero-omega-level", "neg-omega-level", "neg-slice-level", "huge-verify-level",
-         "huge-orbital-radius", "neg-rigidity-depth", "zero-rigidity-depth", "neg-rigidity-seed"],
+         "huge-orbital-radius", "neg-rigidity-depth", "zero-rigidity-depth", "neg-rigidity-seed",
+         "huge-slice-t", "huge-omega-t", "neg-spectrum-tol", "neg-omega-tol"],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
-    assert cli.main(argv + ["--out", str(tmp_path)] if argv else argv) == 2
+    # rejected while the arguments are parsed: the command never starts, so --out is never made
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)] if argv else argv) == 2
+    assert not out.exists()
     err = capsys.readouterr().err
-    if "--seed" in argv:
-        assert "--seed" in err
+    for flag in ("--seed", "--t", "--tol"):
+        if flag in argv:
+            assert flag in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import pytest
 
+from selfsim import schreier
+
 from selfsim.group import BoundaryPoint, boundary_image
 from selfsim.schreier import MarkedGraph, induced_ball, orbital_ball
 
@@ -48,7 +50,7 @@ def test_induced_ball_radius_zero_is_root_loops():
 
 @pytest.mark.parametrize(
     "point,gens,radius",
-    [("(1)", ABCD, 9), ("01(10)", ABCD, 6), ("(0)", ("ab", "c"), 7), ("1(011)", ("ab", "c"), 5), ("(1)", ("dab", "ca"), 4)],
+    [("(1)", ABCD, 9), ("01(10)", ABCD, 6), ("(0)", ("a", "d"), 7), ("1(011)", ("b", "c", "d"), 5), ("(1)", ("d", "c", "a"), 4)],
 )
 def test_orbital_ball_edges_are_images(point, gens, radius):
     ball = orbital_ball(BoundaryPoint.parse(point), gens, radius)
@@ -60,3 +62,22 @@ def test_orbital_ball_edges_are_images(point, gens, radius):
             if image in inside:
                 expected.append((v, image, g))
     assert ball.edges == expected
+
+
+@pytest.mark.parametrize("point,calls", [("(1)", 2564), ("01(10)", 5124)])
+def test_orbital_ball_computes_each_edge_once(point, calls, monkeypatch):
+    # every label is an involution: a call g(y) = z already gives g(z) = y
+    image = schreier.boundary_image
+    known = set()
+    made = []
+
+    def once(g, y):
+        assert (g, y) not in known, f"{g}({y}) is known from an earlier call"
+        z = image(g, y)
+        known.update({(g, y), (g, z)})
+        made.append(g)
+        return z
+
+    monkeypatch.setattr(schreier, "boundary_image", once)
+    orbital_ball(BoundaryPoint.parse(point), ABCD, 1024)
+    assert len(made) == calls
