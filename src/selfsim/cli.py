@@ -45,6 +45,8 @@ RIGIDITY_CELL_GUARD = 1 << 24  # samples x depth boundary coordinates drawn by r
 _DRAW_BLOCK = 1 << 16  # uniform draws rigidity holds as float64 at once (512 KB)
 # a two-ended radius-4096 ball has dimension 8193, the size of the level-13 spectrum
 RADIUS_GUARD = 4096
+# (2 radius + 1) x len(--point) characters: a ball holds at most 2 radius + 1 points about as long as --point
+POINT_CELL_GUARD = 1 << 24
 # bounds every operator entry and eigenvalue, so the power-of-two prescale and squared residuals stay finite;
 # --t, the coefficient of a in -t a + b + c + d, is held to it as well, so t * t stays finite
 COEF_SUM_GUARD = 2.0**500
@@ -62,11 +64,15 @@ def _write_json(outdir: str, name: str, data, indent: int | None = 2) -> str:
     return _write(outdir, name, json.dumps(data, sort_keys=True, indent=indent, allow_nan=False) + "\n")
 
 
-def _manifest(outdir: str, command: str, config: dict, tolerances: dict, outputs: list[str], **extra) -> None:
+def _manifest(args: argparse.Namespace, outputs: list[str], **extra) -> None:
+    """manifest.json: the parsed arguments but --out (the element by its spec), and --tol where taken."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out", "run")}
+    if "element" in config:
+        config["element"] = args.element[0]
     data = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "tolerances": tolerances,
+        "tolerances": {"tol": args.tol} if "tol" in config else {},
         "versions": {
             "selfsim": __version__,
             "numpy": np.__version__,
@@ -75,7 +81,7 @@ def _manifest(outdir: str, command: str, config: dict, tolerances: dict, outputs
         "outputs": sorted(outputs),
         **extra,
     }
-    _write_json(outdir, "manifest.json", data)
+    _write_json(args.out, "manifest.json", data)
 
 
 def _element(spec: str) -> tuple[str, str, AlgebraElement]:
@@ -144,19 +150,20 @@ def _verify_checks(level: int):
         yield f"(B+C+D-I)^2=4I at n={n}", _bcd_square_ok(n)
 
 
-def cmd_verify(level: int, outdir: str) -> int:
-    checks = [{"name": name, "ok": bool(ok)} for name, ok in _verify_checks(level)]
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks = [{"name": name, "ok": bool(ok)} for name, ok in _verify_checks(args.level)]
     failures = [c["name"] for c in checks if not c["ok"]]
-    report = {"level": level, "checks": checks, "all_ok": not failures}
-    outputs = [_write_json(outdir, "verify.json", report)]
-    _manifest(outdir, "verify", {"level": level}, {}, outputs)
+    report = {"level": args.level, "checks": checks, "all_ok": not failures}
+    outputs = [_write_json(args.out, "verify.json", report)]
+    _manifest(args, outputs)
     for name in failures:
         print(f"FAIL {name}", file=sys.stderr)
     return 1 if failures else 0
 
 
-def cmd_spectrum(element_arg: tuple[str, str, AlgebraElement], level: int, tol: float, outdir: str) -> int:
-    element_spec, name, element = element_arg
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    _, name, element = args.element
+    level, tol, outdir = args.level, args.tol, args.out
     rep = sym_eigs(assemble_level(element, level))
     outputs = [_write(outdir, "eigenvalues.csv", rep.to_csv())]
     target_pairs = _TARGETS.get(name)
@@ -173,15 +180,15 @@ def cmd_spectrum(element_arg: tuple[str, str, AlgebraElement], level: int, tol: 
         )
         failed = forward > tol
     outputs.append(_write_json(outdir, "report.json", report))
-    config = {"element": element_spec, "level": level, "tol": tol}
-    _manifest(outdir, "spectrum", config, {"tol": tol}, outputs, solver=rep.solver)
+    _manifest(args, outputs, solver=rep.solver)
     if failed:
         print(f"FAIL eigenvalues stray {report['hausdorff_forward']:.3e} from the target", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_slice(t: float, n_max: int, outdir: str) -> int:
+def cmd_slice(args: argparse.Namespace) -> int:
+    t, n_max, outdir = args.t, args.level, args.out
     union = lambda_slice(t)
     outputs = [_write_json(outdir, "lambda.json", {"t": t, "intervals": union.to_pairs()}, indent=None)]
     lines = ["n,value"]
@@ -194,12 +201,13 @@ def cmd_slice(t: float, n_max: int, outdir: str) -> int:
     outputs.append(_write(outdir, "samples.csv", "\n".join(lines) + "\n"))
     outputs.append(_write_json(outdir, "report.json", {"t": t, "hausdorff": per_level}))
     outputs.append(_write(outdir, "omega-slice.svg", omega_svg(curve_levels=3, slice_alphas=(t,))))
-    _manifest(outdir, "slice", {"t": t, "level": n_max}, {}, outputs)
+    _manifest(args, outputs)
     return 0
 
 
-def cmd_omega(level: int, slice_ts: tuple[float, ...], tol: float, outdir: str) -> int:
-    outputs = [_write(outdir, "omega.svg", omega_svg(curve_levels=level, slice_alphas=slice_ts))]
+def cmd_omega(args: argparse.Namespace) -> int:
+    level, tol, outdir = args.level, args.tol, args.out
+    outputs = [_write(outdir, "omega.svg", omega_svg(curve_levels=level, slice_alphas=tuple(args.t)))]
     rows = []
     worst = 0.0
     for n in range(1, level + 1):
@@ -209,17 +217,18 @@ def cmd_omega(level: int, slice_ts: tuple[float, ...], tol: float, outdir: str) 
             rows.append({"n": n, "j": j, "max_residual": check.max_residual})
     report = {"curve_checks": rows, "worst_residual": worst, "tol": tol, "all_ok": worst <= tol}
     outputs.append(_write_json(outdir, "curves.json", report))
-    _manifest(outdir, "omega", {"level": level, "t": list(slice_ts), "tol": tol}, {"tol": tol}, outputs)
+    _manifest(args, outputs)
     if worst > tol:
         print(f"FAIL curve residual {worst:.3e} exceeds {tol:.0e}", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_orbital(point: str, gens: str, radius: int, element_arg: tuple[str, str, AlgebraElement], outdir: str) -> int:
-    x = BoundaryPoint.parse(point)
-    letters = tuple(dict.fromkeys(gens))
-    element_spec, name, element = element_arg
+def cmd_orbital(args: argparse.Namespace) -> int:
+    x = BoundaryPoint.parse(args.point)
+    letters = tuple(dict.fromkeys(args.gens))
+    radius, outdir = args.radius, args.out
+    _, name, element = args.element
     ball = orbital_ball(x, letters, radius)
     outputs = [_write(outdir, "graph.csv", ball.to_csv())]
     matrix, flags = assemble_orbital(element, ball)
@@ -242,8 +251,7 @@ def cmd_orbital(point: str, gens: str, radius: int, element_arg: tuple[str, str,
                       "underflow": int(np.count_nonzero(values < lo)), "overflow": int(np.count_nonzero(values > hi))},
     }
     outputs.append(_write_json(outdir, "report.json", report))
-    config = {"point": point, "gens": gens, "radius": radius, "element": element_spec}
-    _manifest(outdir, "orbital", config, {}, outputs, solver=rep.solver)
+    _manifest(args, outputs, solver=rep.solver)
     return 0
 
 
@@ -262,7 +270,8 @@ def _draw_rays(rng: np.random.Generator, q: float, samples: int, depth: int) -> 
     return bits
 
 
-def cmd_rigidity(q: float, samples: int, depth: int, seed: int, outdir: str) -> int:
+def cmd_rigidity(args: argparse.Namespace) -> int:
+    q, samples, depth, seed = args.q, args.samples, args.depth, args.seed
     rng = np.random.default_rng(seed)
     per_generator: dict[str, float] = {}
     if samples > 0:
@@ -270,8 +279,8 @@ def cmd_rigidity(q: float, samples: int, depth: int, seed: int, outdir: str) -> 
         for g in GENERATORS:
             per_generator[g] = np.count_nonzero(rigidity_depth(bits, g)) / samples
     report = {"q": q, "samples": samples, "depth": depth, "seed": seed, "per_generator": per_generator}
-    outputs = [_write_json(outdir, "rigidity.json", report)]
-    _manifest(outdir, "rigidity", {"q": q, "samples": samples, "depth": depth, "seed": seed}, {}, outputs)
+    outputs = [_write_json(args.out, "rigidity.json", report)]
+    _manifest(args, outputs)
     return 0
 
 
@@ -321,27 +330,32 @@ def build_parser() -> argparse.ArgumentParser:
     tol = _in(0.0, sys.float_info.max, float)
 
     p = sub.add_parser("verify", help="exact relation suite over a level range")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--level", type=_in(0, LEVEL_GUARD), default=13, help="largest level checked (default 13)")
     p.add_argument("--out", default="selfsim-out", help="output directory")
 
     p = sub.add_parser("spectrum", help="level spectrum of an element vs a named target set")
+    p.set_defaults(run=cmd_spectrum)
     p.add_argument("--element", type=_element, default="delta", help="delta | sum | e | path to element JSON")
     p.add_argument("--level", type=_in(0, ASSEMBLY_GUARD), default=8)
     p.add_argument("--tol", type=tol, default=1e-9, help="membership tolerance for the target set")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("slice", help="slice spectrum endpoints and per-level samples")
+    p.set_defaults(run=cmd_slice)
     p.add_argument("--t", type=coef, default=-1.0)
     p.add_argument("--level", type=_in(0, LEVEL_GUARD), default=8, help="largest sample level")
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("omega", help="parameter-region plot and curve invariance residuals")
+    p.set_defaults(run=cmd_omega)
     p.add_argument("--level", type=_in(1, OMEGA_LEVEL_GUARD), default=4, help="deepest curve family drawn and checked")
     p.add_argument("--t", type=coef, action="append", default=[], help="slice line(s) to draw")
     p.add_argument("--tol", type=tol, default=1e-9)
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("orbital", help="orbital-ball graph and truncated spectrum")
+    p.set_defaults(run=cmd_orbital)
     p.add_argument("--point", type=_point, default="(1)", help="boundary point, e.g. '01(10)'")
     p.add_argument("--gens", type=_gens, default="abcd")
     p.add_argument("--radius", type=_in(0, RADIUS_GUARD), default=64)
@@ -349,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="selfsim-out")
 
     p = sub.add_parser("rigidity", help="sampled rigidity fractions per generator")
+    p.set_defaults(run=cmd_rigidity)
     p.add_argument("--q", type=_probability, default=0.5, help="coordinatewise probability of 0")
     p.add_argument("--samples", type=_in(0, RIGIDITY_CELL_GUARD), default=10000)
     p.add_argument("--depth", type=_in(1, RIGIDITY_CELL_GUARD), default=64)
@@ -364,25 +379,15 @@ def main(argv=None) -> int:
         if args.command == "rigidity" and args.samples * args.depth > RIGIDITY_CELL_GUARD:
             parser.error(f"--samples x --depth exceeds the guard {RIGIDITY_CELL_GUARD}")
         if args.command == "orbital":
+            if (2 * args.radius + 1) * len(args.point) > POINT_CELL_GUARD:
+                parser.error(f"(2 x --radius + 1) x the length of --point exceeds the guard {POINT_CELL_GUARD}")
             missing = args.element[2].support_letters() - set(args.gens)
             if missing:
                 parser.error(f"--element uses letters {sorted(missing)} that --gens {args.gens!r} leaves out")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "verify":
-            return cmd_verify(args.level, args.out)
-        if args.command == "spectrum":
-            return cmd_spectrum(args.element, args.level, args.tol, args.out)
-        if args.command == "slice":
-            return cmd_slice(args.t, args.level, args.out)
-        if args.command == "omega":
-            return cmd_omega(args.level, tuple(args.t), args.tol, args.out)
-        if args.command == "orbital":
-            return cmd_orbital(args.point, args.gens, args.radius, args.element, args.out)
-        if args.command == "rigidity":
-            return cmd_rigidity(args.q, args.samples, args.depth, args.seed, args.out)
-        raise ValueError(f"unknown command {args.command}")
+        return args.run(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

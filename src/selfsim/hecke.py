@@ -5,15 +5,18 @@ recursion
 
     A = [[0, I], [I, 0]],  B = diag(A, C),  C = diag(A, D),  D = diag(I, B)
 
-down to a scalar base, read off the generators' wreath recursions.  The
-recursion carries no measure parameter: the same matrices serve every
-Bernoulli weighting of the boundary at finite level.
+down to a scalar base, read off the generators' wreath recursions.  These
+matrices are the Koopman representation at the uniform Bernoulli measure
+(q = 1/2) compressed to the level-n cylinder functions; at any other q a
+Radon-Nikodym factor enters and they no longer describe it.
 Internally each generator is held as a permutation index array (exact integer
 data).
 
 Operator assembly U(m) = sum of m(w) times the word permutation composes the
 permutations exactly and converts to floating point at the final accumulation.
-Every operator is an OperatorMatrix of coordinate triplets (about one nonzero
+Level, groupoid and orbital operators alike are coefficients times partial
+permutations given as index maps (an orbital ball's image tables), which one
+builder turns into an OperatorMatrix of coordinate triplets (about one nonzero
 per term and row, since the Schreier graphs are lines); no assembler forms a
 dense array.
 """
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import _GEN_DECOMP, BoundaryPoint, boundary_image, is_identity, reduce_word
+from .group import _GEN_DECOMP, boundary_image, is_identity, reduce_word
 from .renorm import renorm_map
 from .schreier import MarkedGraph
 
@@ -168,67 +171,64 @@ class OperatorMatrix:
         return sparse.csr_matrix((self.entries, (self.rows, self.cols)), shape=(self.dim, self.dim))
 
 
+def _triplets(m: AlgebraElement, maps, dim: int) -> OperatorMatrix:
+    """Sum of c times the partial permutation maps[k] over the k-th term (w, c) of m.
+
+    Column j of term k goes to row maps[k][j], and -1 drops the entry.  The
+    triplets go in term by term, so from_triplets sums a duplicate position
+    in term order.
+    """
+    rows = np.array(maps, dtype=np.int64).reshape(-1)
+    cols = np.tile(np.arange(dim), len(maps))
+    values = np.repeat([coef for _, coef in m.terms], dim)
+    keep = rows >= 0
+    return OperatorMatrix.from_triplets(rows[keep], cols[keep], values[keep], dim)
+
+
 def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Level-n matrix of U(m): coefficients against exact word permutations."""
     _check_level(n, ASSEMBLY_GUARD)
-    dim = 1 << n
-    rows = np.array([word_perm(word, n) for word, _ in m.terms], dtype=np.int64).reshape(-1)
-    cols = np.tile(np.arange(dim), len(m.terms))
-    values = np.repeat([coef for _, coef in m.terms], dim)
-    return OperatorMatrix.from_triplets(rows, cols, values, dim)
+    return _triplets(m, [word_perm(word, n) for word, _ in m.terms], 1 << n)
 
 
 def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatrix, np.ndarray]:
     """Compression of the orbit representation of m to a ball, with row flags.
 
-    A one-letter term reads its images from the ball's edges: orbital_ball
-    records the edge (y, g(y), g) for every vertex y and label g with g(y) in
-    the ball, so a missing edge means the image, which is also the inverse
-    image, lies outside.  Any other word (the identity, a longer word) acts on
-    the vertex, parsed as a boundary point, by the exact boundary action, so
-    it is not truncated at intermediate steps.  Row i is flagged when the
-    value of the operator there depends on points outside the ball.
+    A one-letter term reads its index map from the ball's image table, which
+    is its own inverse.  Any other word (the identity, a longer word) maps
+    each point by the exact boundary action, so it is not truncated at
+    intermediate steps; its inverse is its reversal.  Row i is flagged when
+    the value of the operator there depends on points outside the ball: some
+    term's inverse maps points[i] outside.
     """
     missing = m.support_letters() - set(ball.labels)
     if missing:
         raise ValueError(f"letters {sorted(missing)} not covered by the ball labels")
-    index = {v: i for i, v in enumerate(ball.vertices)}
-    points = [] if all(len(word) == 1 for word, _ in m.terms) else [BoundaryPoint.parse(v) for v in ball.vertices]
-    point_index = {y: i for i, y in enumerate(points)}
-    dim = len(index)
-    rows, cols, values = [], [], []
-    flags = np.zeros(dim, dtype=bool)
-    for j, v in enumerate(ball.vertices):
-        for word, coef in m.terms:
-            if len(word) == 1:
-                i = index.get(ball.image(v, word))
-                outside = i is None
-            else:
-                image = boundary_image(word, points[j])
-                i = point_index.get(image)
-                # palindromes are self-inverse
-                inverse = image if word == word[::-1] else boundary_image(word[::-1], points[j])
-                outside = inverse not in point_index
-            if i is not None:
-                rows.append(i)
-                cols.append(j)
-                values.append(coef)
-            # inverse image outside the ball truncates row j
-            if outside:
-                flags[j] = True
-    return OperatorMatrix.from_triplets(rows, cols, values, dim), flags
+    index = {y: i for i, y in enumerate(ball.points)}
+
+    def point_map(word: str) -> np.ndarray:
+        return np.array([index.get(boundary_image(word, y), -1) for y in ball.points], dtype=np.int64)
+
+    maps = []
+    flags = np.zeros(len(ball.points), dtype=bool)
+    for word, _ in m.terms:
+        if len(word) == 1:
+            image = inverse = ball.images[word]
+        else:
+            image = point_map(word)
+            # palindromes are self-inverse
+            inverse = image if word == word[::-1] else point_map(word[::-1])
+        maps.append(image)
+        flags |= inverse < 0
+    return _triplets(m, maps, len(ball.points)), flags
 
 
 def groupoid_block(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Block-diagonal doubling of the level-n matrix, as the orbit-pair form."""
-    inner = assemble_level(m, n)
-    dim = inner.dim
-    return OperatorMatrix.from_triplets(
-        np.concatenate([inner.rows, inner.rows + dim]),
-        np.concatenate([inner.cols, inner.cols + dim]),
-        np.concatenate([inner.entries, inner.entries]),
-        2 * dim,
-    )
+    _check_level(n, ASSEMBLY_GUARD)
+    dim = 1 << n
+    maps = [np.concatenate([p, p + dim]) for p in (word_perm(word, n) for word, _ in m.terms)]
+    return _triplets(m, maps, 2 * dim)
 
 
 def _pencil(alpha: float, beta: float) -> AlgebraElement:

@@ -1,9 +1,11 @@
 """Orbital-graph balls of the boundary action, as rooted marked graphs.
 
-Graphs are rooted and carry generator-labeled directed edges (y, g(y), g).
-The labels are generator letters, which act as involutions, so every edge
-(y, z, g) comes with its reverse (z, y, g) and the graph is undirected; a
-fixed point of g carries one loop.
+A ball holds its orbit points in discovery order, root first, and one integer
+image table per generator label: images[g][i] is the index of g(points[i]),
+or -1 where that image lies outside the ball.  The labels are generator
+letters, which act as involutions, so each table is a partial permutation
+that is its own inverse, and the graph is undirected; a fixed point of g is a
+loop.  The vertex names, the edge list and the CSV are views of the tables.
 Orbit points are BoundaryPoints, which are canonical (minimal period, then
 shortest preperiod), so two points are equal exactly when they are the same
 boundary sequence.  Points of one orbit differ in finitely many coordinates,
@@ -15,74 +17,56 @@ of the whole group; edges between two included vertices are always included.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .group import GENERATORS, BoundaryPoint, boundary_image
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # arrays have no truth value, so graphs compare by identity
 class MarkedGraph:
-    """Rooted graph with labeled edges, at most one per label leaving a vertex.
+    """Rooted graph of orbit points with one image table per label.
 
-    ``labels`` is the declared generating set; a label may have no edge at a
-    given vertex (truncated balls lose edges that point outside).  Treated as
-    immutable after construction.
+    points[0] is the root.  images[g] is an int64 array over the points:
+    images[g][i] is the index of g(points[i]), -1 where it leaves the graph
+    (truncated balls lose edges that point outside).
     """
 
-    root: str
-    vertices: list[str]
-    edges: list[tuple[str, str, str]]
+    points: tuple[BoundaryPoint, ...]
     labels: tuple[str, ...]
-    _out: dict[tuple[str, str], str] = field(default_factory=dict, repr=False)
+    images: dict[str, np.ndarray]
 
-    def __post_init__(self) -> None:
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise ValueError("duplicate vertex identifiers")
-        if self.root not in vset:
-            raise ValueError(f"root {self.root!r} is not a vertex")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate labels")
-        for src, tgt, lab in self.edges:
-            if lab not in self.labels:
-                raise ValueError(f"edge label {lab!r} not declared")
-            if src not in vset or tgt not in vset:
-                raise ValueError(f"edge ({src!r}, {tgt!r}) leaves the vertex set")
-            if (src, lab) in self._out:
-                raise ValueError(f"label {lab!r} repeats at a vertex")
-            self._out[(src, lab)] = tgt
+    @cached_property
+    def vertices(self) -> list[str]:
+        return [str(y) for y in self.points]
 
-    def image(self, v: str, label: str) -> str | None:
-        """The target of v's edge with this label, None where it leaves the graph."""
-        return self._out.get((v, label))
+    @property
+    def root(self) -> str:
+        return self.vertices[0]
 
-    def neighbors(self, v: str) -> list[str]:
-        """Neighborhood in label order, without repeats."""
-        seen: list[str] = []
-        for lab in self.labels:
-            w = self._out.get((v, lab))
-            if w is not None and w not in seen:
-                seen.append(w)
-        return seen
+    @property
+    def edges(self) -> list[tuple[str, str, str]]:
+        """(source, target, label) for every image inside, by source index, then label."""
+        names = self.vertices
+        tables = [(g, self.images[g].tolist()) for g in self.labels]
+        return [(names[i], names[t[i]], g) for i in range(len(names)) for g, t in tables if t[i] >= 0]
 
     def to_csv(self) -> str:
         lines = [f"# root={self.root}", "source,target,label"]
-        for src, tgt, lab in sorted(self.edges):
-            lines.append(f"{src},{tgt},{lab}")
+        lines.extend(f"{src},{tgt},{lab}" for src, tgt, lab in sorted(self.edges))
         return "\n".join(lines) + "\n"
 
 
 def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
     """Word-metric ball of the orbital graph around x, with internal edges.
 
-    gens is a sequence of generator letters.  One breadth-first pass keyed by
-    the orbit points themselves.  Each edge is recorded when its image is
-    computed: by the time the first point at distance ``radius`` is expanded,
-    every point of the ball is known.  So every vertex has an edge for each
-    label whose image lies in the ball, which is what assemble_orbital reads.
-    An image g(y) = z also gives g(z) = y, so each edge costs one boundary
-    action.
+    gens is a sequence of distinct generator letters.  One breadth-first pass
+    over the points as they are found: by the time the first point at
+    distance ``radius`` is expanded, every point of the ball is known, so a
+    label's image there is either a known point or outside.  An image
+    g(y) = z also gives g(z) = y, so each edge costs one boundary action.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -90,44 +74,52 @@ def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
     for g in gens:
         if g not in GENERATORS:
             raise ValueError(f"label {g!r} is not a generator letter")
-    found: dict[BoundaryPoint, tuple[str, int]] = {x: (str(x), 0)}
-    vertices = [str(x)]
-    edges = []
-    known: dict[tuple[str, str], str] = {}  # (z, g) -> y for every recorded edge (y, z, g)
-    queue = deque([x])
-    while queue:
-        y = queue.popleft()
-        name, dist = found[y]
+    if len(set(gens)) != len(gens):
+        raise ValueError("duplicate labels")
+    index = {x: 0}
+    points, dist = [x], [0]
+    images: dict[str, list] = {g: [None] for g in gens}  # None: not computed yet
+    # the list is the queue: iterating it also reaches the points appended on the way
+    for i, y in enumerate(points):
         for g in gens:
-            target = known.get((name, g))
-            if target is None:
-                image = boundary_image(g, y)
-                if image not in found:
-                    if dist == radius:
-                        continue
-                    found[image] = (str(image), dist + 1)
-                    vertices.append(found[image][0])
-                    queue.append(image)
-                target = found[image][0]
-                known[(target, g)] = name
-            edges.append((name, target, g))
-    return MarkedGraph(vertices[0], vertices, edges, gens)
+            if images[g][i] is not None:
+                continue
+            z = boundary_image(g, y)
+            j = index.get(z)
+            if j is None:
+                if dist[i] == radius:
+                    images[g][i] = -1
+                    continue
+                j = index[z] = len(points)
+                points.append(z)
+                dist.append(dist[i] + 1)
+                for table in images.values():
+                    table.append(None)
+            images[g][i], images[g][j] = j, i
+    return MarkedGraph(tuple(points), gens, {g: np.array(t, dtype=np.int64) for g, t in images.items()})
 
 
 def induced_ball(graph: MarkedGraph, center: str, radius: int) -> MarkedGraph:
-    """Induced subgraph on vertices within undirected distance radius of center."""
-    dist = {center: 0}
-    queue = deque([center])
-    order = [center]
-    while queue:
-        v = queue.popleft()
+    """Induced subgraph on vertices within undirected distance radius of center.
+
+    The vertices are renumbered in breadth-first order from center.
+    """
+    try:
+        start = graph.vertices.index(center)
+    except ValueError:
+        raise ValueError(f"center {center!r} is not a vertex") from None
+    order, dist = [start], {start: 0}
+    for v in order:
         if dist[v] >= radius:
             continue
-        for w in graph.neighbors(v):
-            if w not in dist:
+        for g in graph.labels:
+            w = int(graph.images[g][v])
+            if w >= 0 and w not in dist:
                 dist[w] = dist[v] + 1
                 order.append(w)
-                queue.append(w)
-    inside = set(order)
-    edges = [e for e in graph.edges if e[0] in inside and e[1] in inside]
-    return MarkedGraph(center, order, edges, graph.labels)
+    old = np.array(order, dtype=np.int64)
+    # one slot past the end stays -1, so an image of -1 renumbers to -1
+    renumber = np.full(len(graph.points) + 1, -1, dtype=np.int64)
+    renumber[old] = np.arange(old.size)
+    images = {g: renumber[table[old]] for g, table in graph.images.items()}
+    return MarkedGraph(tuple(graph.points[i] for i in order), graph.labels, images)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,9 @@ import numpy as np
 import pytest
 
 import selfsim.cli as cli
+from selfsim.group import BoundaryPoint
+from selfsim.hecke import AlgebraElement, assemble_orbital
+from selfsim.schreier import orbital_ball
 
 
 def _read_json(path):
@@ -240,6 +244,7 @@ def test_reruns_are_byte_identical(argv, tmp_path):
         ["omega", "--level", "1", "--t", "-1e200"],
         ["spectrum", "--level", "3", "--tol", "-1"],
         ["omega", "--level", "1", "--tol", "-1"],
+        ["orbital", "--point", "0" * 32702 + "(1)", "--radius", "256"],
     ],
     ids=["big-q", "zero-q", "neg-samples", "neg-level", "huge-level",
          "bad-point", "bad-gens", "missing-file", "unknown-cmd", "no-cmd",
@@ -247,7 +252,7 @@ def test_reruns_are_byte_identical(argv, tmp_path):
          "huge-slice-level", "huge-omega-level", "huge-rigidity-cells",
          "zero-omega-level", "neg-omega-level", "neg-slice-level", "huge-verify-level",
          "huge-orbital-radius", "neg-rigidity-depth", "zero-rigidity-depth", "neg-rigidity-seed",
-         "huge-slice-t", "huge-omega-t", "neg-spectrum-tol", "neg-omega-tol"],
+         "huge-slice-t", "huge-omega-t", "neg-spectrum-tol", "neg-omega-tol", "huge-orbital-point"],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     # rejected while the arguments are parsed: the command never starts, so --out is never made
@@ -258,6 +263,15 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     for flag in ("--seed", "--t", "--tol"):
         if flag in argv:
             assert flag in err
+
+
+@pytest.mark.parametrize("radius, code", [(3, 0), (4, 2)])
+def test_orbital_point_size_guard(radius, code, tmp_path, monkeypatch):
+    # "01(10)" has 6 characters: (2 x 3 + 1) x 6 = 42 fits a guard of 45, (2 x 4 + 1) x 6 = 54 does not
+    monkeypatch.setattr(cli, "POINT_CELL_GUARD", 45)
+    out = tmp_path / "o"
+    assert cli.main(["orbital", "--point", "01(10)", "--radius", str(radius), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize(
@@ -384,3 +398,53 @@ def test_import_loads_no_scipy():
     code = "import sys, selfsim.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+_DELTA_TERMS = [("a", 0.25), ("b", 0.25), ("c", 0.25), ("d", 0.25)]
+
+
+# SHA-256 of graph.csv, of flags.csv and of the bytes of the assembled rows, cols and entries,
+# as the string-edge ball and the per-vertex orbital assembler made them; spectrum.csv is left
+# out because its last bits depend on the LAPACK build
+@pytest.mark.parametrize(
+    "point, gens, radius, terms, digests",
+    [
+        ("(1)", "abcd", 0, _DELTA_TERMS, (
+            "50c7aa428e9d2158f043cd8474281d45682b21162db58f31d25b7550be95ed27",
+            "6cf29243866d277485862558463f89a328d2b480ab7e6ff6da8be4beab351758",
+            "f2f7aaa15ac7722ddd9591dc24c19b6c96c66bd9e862c644abf1e3a86ac56d51")),
+        ("(1)", "abcd", 64, _DELTA_TERMS, (
+            "6fa0cf20b3427f78cc2cc9ae22279f28b483dd9faced3c93b120f744a79e273b",
+            "ad26ee0c7b0ccba64cdfa5d180608e4171f8775703ad9b6abab8ce5d3c3e97fb",
+            "c238e7a3dc56cd47067540ffb9278a1ea2b827a6d71bc8c3766245c6f3b9d3e6")),
+        ("01(10)", "abcd", 32, _DELTA_TERMS, (
+            "de733cdb95625e2c5381a0660edd7a3260180ee9d610fcd446d58f2916300db5",
+            "3e95d3e56dc4da4cf1c864c0db7b30190db709b3bc1c45ec98a7c27606abb7c3",
+            "2a1d4f6f43a8de4d06c8301932d1524fb367a08445a5abd4b3a6d99b70f6978d")),
+        ("110010(011)", "abcd", 24, [("ab", 1.0), ("ba", 1.0), ("aca", 0.5), ("c", -0.3), ("", 0.2)], (
+            "3013e844d8d6a4fd74999ba0b9b3a751fcc409aed468be99bc82e7479aebfcff",
+            "3912c8ce9ee8c6bbd35c17113c5155e3852967e215084650d226e52ad6f253d8",
+            "ee651b32f7c589fc2d9df807b14cd1e06a37381b284a26ea708615c3b8a636b1")),
+        ("0(01)", "ad", 1, [("a", 0.3), ("d", 0.2), ("ad", 1.0), ("da", 1.0), ("", 0.1)], (
+            "ae0c53e0b0920af308cf9934b66df779113e7aa3508091f7ec2017859e1baae6",
+            "a6393d28029dd818d385a45b39eb717110114e87d43b19406acf6c2cee2b3a36",
+            "517cdde4dcedb9b4449b85935d8fff6b869f9eafa4d9d5fcd735164e79f94a92")),
+        ("110010(011)", "bcd", 16, [("b", 1.0), ("c", -0.5), ("d", 0.25), ("", -1.0)], (
+            "ad2ab421ee10e13ecc75cd406f8c2f327e1f3ead9ad7ad7e3f0df006039ba643",
+            "4633a246e2e896f7b9b465d13b607b165f57fef46854a612708d0f21617cd0d6",
+            "642112dc63be650bc754593b2f60e55304240b7a85695709197108ff7653726d")),
+    ],
+    ids=["ones-r0", "ones-r64", "01(10)-r32", "five-term", "gens-ad", "gens-bcd"],
+)
+def test_orbital_outputs_match_pinned_digests(point, gens, radius, terms, digests, tmp_path):
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in terms]}))
+    out = tmp_path / "orb"
+    argv = ["orbital", "--point", point, "--gens", gens, "--radius", str(radius), "--element", str(path)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    ball = orbital_ball(BoundaryPoint.parse(point), tuple(gens), radius)
+    M, _ = assemble_orbital(AlgebraElement.from_terms(terms), ball)
+    triplets = M.rows.tobytes() + M.cols.tobytes() + M.entries.tobytes()
+    found = tuple(hashlib.sha256(data).hexdigest()
+                  for data in ((out / "graph.csv").read_bytes(), (out / "flags.csv").read_bytes(), triplets))
+    assert found == digests

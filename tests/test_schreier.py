@@ -3,7 +3,7 @@ import pytest
 from selfsim import schreier
 
 from selfsim.group import BoundaryPoint, boundary_image
-from selfsim.schreier import MarkedGraph, induced_ball, orbital_ball
+from selfsim.schreier import induced_ball, orbital_ball
 
 ABCD = ("a", "b", "c", "d")
 
@@ -15,9 +15,16 @@ def test_csv_roundtrip():
     assert [tuple(line.split(",")) for line in lines[2:]] == sorted(g.edges)
 
 
-def test_duplicate_label_edges_rejected():
-    with pytest.raises(ValueError):
-        MarkedGraph("x", ("x", "y"), (("x", "x", "a"), ("x", "y", "a")), ("a",))
+def test_orbital_ball_rejects_duplicate_labels():
+    # one image table per label: a repeated letter would need two
+    with pytest.raises(ValueError, match="duplicate labels"):
+        orbital_ball(BoundaryPoint.parse("(1)"), "aab", 1)
+
+
+def test_induced_ball_rejects_unknown_center():
+    g = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 2)
+    with pytest.raises(ValueError, match="'bogus' is not a vertex"):
+        induced_ball(g, "bogus", 2)
 
 
 def test_orbital_ball_radius_zero():
