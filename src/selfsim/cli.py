@@ -65,10 +65,9 @@ def _write_json(outdir: str, name: str, data, indent: int | None = 2) -> str:
 
 
 def _manifest(args: argparse.Namespace, outputs: list[str], **extra) -> None:
-    """manifest.json: the parsed arguments but --out (the element by its spec), and --tol where taken."""
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "out", "run")}
-    if "element" in config:
-        config["element"] = args.element[0]
+    """manifest.json: the parsed arguments but --out (--element and --point as given), and --tol where taken."""
+    config = {k: v[0] if isinstance(v, tuple) else v  # a (text, parsed...) argument by its text
+              for k, v in vars(args).items() if k not in ("command", "out", "run")}
     data = {
         "command": args.command,
         "config": config,
@@ -225,7 +224,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
 
 
 def cmd_orbital(args: argparse.Namespace) -> int:
-    x = BoundaryPoint.parse(args.point)
+    x = args.point[1]
     letters = tuple(dict.fromkeys(args.gens))
     radius, outdir = args.radius, args.out
     _, name, element = args.element
@@ -296,12 +295,12 @@ def _in(lo, hi, kind=int):
     return number
 
 
-def _point(text: str) -> str:
+def _point(text: str) -> tuple[str, BoundaryPoint]:
+    """Argument type: (text, point) for a boundary point."""
     try:
-        BoundaryPoint.parse(text)
+        return text, BoundaryPoint.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def _gens(text: str) -> str:
@@ -379,7 +378,7 @@ def main(argv=None) -> int:
         if args.command == "rigidity" and args.samples * args.depth > RIGIDITY_CELL_GUARD:
             parser.error(f"--samples x --depth exceeds the guard {RIGIDITY_CELL_GUARD}")
         if args.command == "orbital":
-            if (2 * args.radius + 1) * len(args.point) > POINT_CELL_GUARD:
+            if (2 * args.radius + 1) * len(args.point[0]) > POINT_CELL_GUARD:
                 parser.error(f"(2 x --radius + 1) x the length of --point exceeds the guard {POINT_CELL_GUARD}")
             missing = args.element[2].support_letters() - set(args.gens)
             if missing:

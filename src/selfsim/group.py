@@ -68,10 +68,13 @@ def _check_word(word: str) -> None:
             raise ValueError(f"bad generator letter {ch!r} in word {word!r}")
 
 
+_NOT_BITS = str.maketrans("", "", "01")
+
+
 def _check_bits(bits: str, what: str = "vertex") -> None:
-    for ch in bits:
-        if ch not in ("0", "1"):
-            raise ValueError(f"bad bit {ch!r} in {what} {bits!r}")
+    bad = bits.translate(_NOT_BITS)  # every character but 0 and 1, in order, in one pass
+    if bad:
+        raise ValueError(f"bad bit {bad[0]!r} in {what} {bits!r}")
 
 
 def reduce_word(word: str) -> str:
@@ -156,11 +159,16 @@ def act_vertex(word: str, vertex: str) -> str:
 
 
 def _minimal_period(period: str) -> str:
-    n = len(period)
-    for d in range(1, n + 1):
-        if n % d == 0 and period == period[:d] * (n // d):
-            return period[:d]
-    return period
+    # the least shift that maps a nonempty period onto itself divides its length and is its least period
+    return period[: (period + period).find(period, 1)]
+
+
+def _periodic_suffix(pre: str, period: str) -> int:
+    """Length of the longest suffix of pre that is also a suffix of ...period period."""
+    tail = period * (len(pre) // len(period) + 1)
+    # read as binary numbers, the strings differ first at the lowest set bit of their xor
+    diff = int(pre, 2) ^ int(tail[len(tail) - len(pre) :], 2)
+    return (diff & -diff).bit_length() - 1 if diff else len(pre)
 
 
 @dataclass(frozen=True)
@@ -181,9 +189,11 @@ class BoundaryPoint:
         if not self.period:
             raise ValueError("period must be nonempty")
         pre, per = self.preperiod, _minimal_period(self.period)
-        while pre and pre[-1] == per[-1]:
-            per = per[-1] + per[:-1]
-            pre = pre[:-1]
+        if pre and pre[-1] == per[-1]:
+            # the preperiod's last k bits continue the period backwards: drop them and rotate the period by k
+            k = _periodic_suffix(pre, per)
+            cut = len(per) - k % len(per)
+            pre, per = pre[: len(pre) - k], per[cut:] + per[:cut]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 

@@ -3,15 +3,26 @@
 All operators in scope are real symmetric, so spectra are eigenvalue
 multisets.  Every input (an OperatorMatrix through its csr(), a dense array or
 a scipy sparse matrix) is checked for symmetry in CSR form, reordered by
-reverse Cuthill-McKee and solved as a band matrix by LAPACK ?sbevd.  Level
-Schreier graphs and orbital balls are paths, so their operators come out
-tridiagonal.  The solver contract adds two guarantees on top of LAPACK:
+reverse Cuthill-McKee and solved as a band matrix.  Level Schreier graphs and
+orbital balls are paths, so their operators come out tridiagonal.  With
+eigenvectors, or at bandwidth above 1, LAPACK ?sbevd solves the band.
+Eigenvalues alone of a band of width at most 1 go to LAPACK ?sterf after a
+persymmetric split (Cantoni-Butler 1976): while the dimension 2m is even and
+the diagonal d and off-diagonal e equal their own reversals exactly (no
+tolerance), the matrix is orthogonally similar to the direct sum of two m x m
+tridiagonals with diagonal d[:m], last entry d[m-1] -/+ e[m-1], and
+off-diagonal e[:m-1], and the split goes on with the + block.  In path order
+every level operator is persymmetric, and for delta and sum the + block is the
+level-(n-1) operator again, so a level-n spectrum halves n times.  Each
+halving rounds one entry once, so the backward-stability bound dim * eps
+still holds.  The solver contract adds two guarantees on top of LAPACK:
 
 * determinism: identical input bytes give identical output bytes;
 * exact scale equivariance under powers of two: the band is divided by a
   power-of-two prescale factor before the LAPACK call (an exact float
-  operation), so eigvals(4 M) == 4 * eigvals(M) bitwise whenever the entries
-  of 4 M are representable.
+  operation, which commutes with the sums and differences of the split), so
+  eigvals(4 M) == 4 * eigvals(M) bitwise whenever the entries of 4 M are
+  representable.
 """
 
 from __future__ import annotations
@@ -66,15 +77,39 @@ def _prescale(M: np.ndarray) -> tuple[np.ndarray, float]:
     return M / p, p
 
 
+def _split_sterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """Eigenvalues (ascending) of a tridiagonal by LAPACK ?sterf after persymmetric halvings, and their number."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    parts = []
+    halvings = 0
+    while d.size % 2 == 0 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
+        m = d.size // 2
+        c = e[m - 1]
+        d, e = d[:m].copy(), e[: m - 1]
+        anti = d.copy()
+        anti[-1] -= c
+        parts.append(eigvalsh_tridiagonal(anti, e, lapack_driver="sterf"))
+        d[-1] += c
+        halvings += 1
+    parts.append(eigvalsh_tridiagonal(d, e, lapack_driver="sterf"))
+    return np.sort(np.concatenate(parts)), halvings
+
+
 def _solve_band(band: np.ndarray, vectors: bool):
-    """Eigenvalues (ascending) and, if asked, eigenvectors of a lower band."""
+    """Eigenvalues (ascending), eigenvectors if asked, the LAPACK driver and the halvings of a lower band."""
     from scipy.linalg import eig_banded
 
     scaled, p = _prescale(band)
-    if not vectors:
-        return p * eig_banded(scaled, lower=True, eigvals_only=True), None
-    w, V = eig_banded(scaled, lower=True)
-    return p * w, V
+    if vectors:
+        w, V = eig_banded(scaled, lower=True)
+        return p * w, V, "sbevd", 0
+    if scaled.shape[0] > 2:
+        return p * eig_banded(scaled, lower=True, eigvals_only=True), None, "sbevd", 0
+    d = scaled[0]
+    e = scaled[1, :-1] if scaled.shape[0] == 2 else np.zeros_like(d[1:])
+    w, halvings = _split_sterf(d, e)
+    return p * w, None, "sterf", halvings
 
 
 def sym_eigvals(M) -> np.ndarray:
@@ -87,6 +122,8 @@ class EigReport:
     eigenvalues: tuple[float, ...]
     residual_bound: float
     bandwidth: int
+    lapack_driver: str
+    halvings: int
 
     @property
     def dim(self) -> int:
@@ -94,7 +131,12 @@ class EigReport:
 
     @property
     def solver(self) -> dict:
-        return {"ordering": "reverse_cuthill_mckee", "lapack_driver": "sbevd", "bandwidth": self.bandwidth}
+        return {
+            "ordering": "reverse_cuthill_mckee",
+            "lapack_driver": self.lapack_driver,
+            "bandwidth": self.bandwidth,
+            "halvings": self.halvings,
+        }
 
     def to_csv(self) -> str:
         lines = [f"# dim={self.dim} residual_bound={self.residual_bound!r}", "value"]
@@ -112,7 +154,7 @@ def sym_eigs(M) -> EigReport:
     """
     P, band = _band(M)
     dim = band.shape[1]
-    values, V = _solve_band(band, vectors=dim <= _VECTOR_MAX_DIM)
+    values, V, driver, halvings = _solve_band(band, vectors=dim <= _VECTOR_MAX_DIM)
     norm = float(np.abs(values).max(initial=0.0))
     if V is None:
         residual = dim * float(np.finfo(float).eps)
@@ -121,7 +163,7 @@ def sym_eigs(M) -> EigReport:
     else:
         gap = P @ V - V * values
         residual = float(np.sqrt((gap * gap).sum(axis=0)).max()) / norm
-    return EigReport(tuple(float(v) for v in values), residual, band.shape[0] - 1)
+    return EigReport(tuple(float(v) for v in values), residual, band.shape[0] - 1, driver, halvings)
 
 
 def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:

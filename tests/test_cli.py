@@ -265,6 +265,18 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
             assert flag in err
 
 
+def test_orbital_parses_point_once(tmp_path, monkeypatch):
+    texts = []
+    parse = BoundaryPoint.parse
+    monkeypatch.setattr(BoundaryPoint, "parse", staticmethod(lambda text: texts.append(text) or parse(text)))
+    out = tmp_path / "o"
+    assert cli.main(["orbital", "--point", "1(01)", "--radius", "2", "--out", str(out)]) == 0
+    assert texts == ["1(01)"]
+    # the manifest keeps --point as given, the report its canonical form
+    assert _read_json(out / "manifest.json")["config"]["point"] == "1(01)"
+    assert _read_json(out / "report.json")["point"] == "(10)"
+
+
 @pytest.mark.parametrize("radius, code", [(3, 0), (4, 2)])
 def test_orbital_point_size_guard(radius, code, tmp_path, monkeypatch):
     # "01(10)" has 6 characters: (2 x 3 + 1) x 6 = 42 fits a guard of 45, (2 x 4 + 1) x 6 = 54 does not
@@ -360,21 +372,37 @@ def test_help_exits_zero(capsys):
         assert name in out
 
 
+_SOLVER = {"ordering": "reverse_cuthill_mckee", "bandwidth": 1}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "solver"),
     [
-        ["spectrum", "--element", "sum", "--level", "6"],
-        ["orbital", "--point", "(1)", "--gens", "abcd", "--radius", "16"],
+        pytest.param(
+            ["spectrum", "--element", "sum", "--level", "6"],
+            dict(_SOLVER, lapack_driver="sbevd", halvings=0),
+            id="spectrum",
+        ),
+        pytest.param(
+            ["orbital", "--point", "(1)", "--gens", "abcd", "--radius", "16"],
+            dict(_SOLVER, lapack_driver="sbevd", halvings=0),
+            id="orbital",
+        ),
+        # above the vector cutoff only eigenvalues are solved, and the level-12 operator halves 12 times
+        pytest.param(
+            ["spectrum", "--element", "delta", "--level", "12"],
+            dict(_SOLVER, lapack_driver="sterf", halvings=12),
+            id="spectrum-eigenvalues-only",
+        ),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_manifest_records_solver(argv, tmp_path):
+def test_manifest_records_solver(argv, solver, tmp_path):
     dirs = (tmp_path / "one", tmp_path / "two")
     for d in dirs:
         assert cli.main(argv + ["--out", str(d)]) == 0
     manifest = _read_json(dirs[0] / "manifest.json")
     # level graphs and orbital balls are paths: the operators are tridiagonal
-    assert manifest["solver"] == {"ordering": "reverse_cuthill_mckee", "lapack_driver": "sbevd", "bandwidth": 1}
+    assert manifest["solver"] == solver
     assert (dirs[0] / "manifest.json").read_bytes() == (dirs[1] / "manifest.json").read_bytes()
 
 

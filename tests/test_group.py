@@ -190,6 +190,42 @@ def test_boundary_point_canonical():
     assert BoundaryPoint.parse("01(10)").prefix(6) == "011010"
 
 
+def _reference_canonical(preperiod, period):
+    """(preperiod, period) canonicalized by the least dividing period and a one-bit-at-a-time rotation."""
+    n = len(period)
+    per = next(period[:d] for d in range(1, n + 1) if n % d == 0 and period == period[:d] * (n // d))
+    pre = preperiod
+    while pre and pre[-1] == per[-1]:
+        per = per[-1] + per[:-1]
+        pre = pre[:-1]
+    return pre, per
+
+
+@given(bits, st.text(alphabet="01", min_size=1, max_size=8), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=30))
+def test_boundary_point_canonical_matches_rotation_loop(head, root, copies, k):
+    # the preperiod ends with k bits that continue the period backwards
+    period = root * copies
+    preperiod = head + (period * 31)[len(period) * 31 - k :]
+    x = BoundaryPoint(preperiod, period)
+    assert (x.preperiod, x.period) == _reference_canonical(preperiod, period)
+
+
+def test_long_points_canonicalize():
+    assert BoundaryPoint("0" * (1 << 20), "0") == BoundaryPoint("", "0")
+    assert BoundaryPoint("1" + "01" * (1 << 19), "01") == BoundaryPoint("", "10")
+    assert BoundaryPoint("", "01" * (1 << 19)) == BoundaryPoint("", "01")
+
+
+def test_bad_bits_name_the_first_bad_character():
+    with pytest.raises(ValueError, match=r"^bad bit 'x' in preperiod '01x2'$"):
+        BoundaryPoint.parse("01x2(1)")
+    with pytest.raises(ValueError, match=r"^bad bit '2' in period '12\u00e9'$"):
+        BoundaryPoint.parse("(12\u00e9)")
+    with pytest.raises(ValueError, match=r"^bad bit '\u00e9' in vertex '0\u00e91'$"):
+        act_vertex("a", "0\u00e91")
+
+
 @given(words)
 def test_word_times_reverse_is_identity(word):
     assert is_identity(word + word[::-1])

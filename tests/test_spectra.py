@@ -3,10 +3,14 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
-from selfsim.hecke import assemble_level, delta_element, generator_sum_element
+from selfsim.hecke import AlgebraElement, assemble_level, delta_element, generator_sum_element
 from selfsim.renorm import IntervalUnion, lambda_slice
 from selfsim.spectra import (
+    _band,
+    _prescale,
+    _solve_band,
     hausdorff_to_set,
     spectral_shift_check,
     sym_eigs,
@@ -182,6 +186,74 @@ def test_dense_symmetric_matches_dense_solver():
         assert report.bandwidth == dim - 1
         assert np.abs(np.array(report.eigenvalues) - np.linalg.eigvalsh(A)).max() <= 1e-12
         assert np.abs(sym_eigvals(A) - np.linalg.eigvalsh(A)).max() <= 1e-12
+
+
+def _tridiagonal(d, e):
+    return sparse.diags([e, d, e], [-1, 0, 1], format="csr")
+
+
+def _eigvals_and_halvings(M):
+    values, _, driver, halvings = _solve_band(_band(M)[1], vectors=False)
+    assert driver == "sterf"
+    return values, halvings
+
+
+# dyadic entries make every halving exact; the others round once per halving
+_entry = st.one_of(
+    st.integers(min_value=-64, max_value=64).map(lambda k: k / 8.0),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+)
+
+
+@given(st.integers(min_value=1, max_value=128).flatmap(
+    lambda m: st.tuples(st.lists(_entry, min_size=m, max_size=m), st.lists(_entry, min_size=m, max_size=m))
+))
+def test_persymmetric_split_matches_unsplit_sterf(halves):
+    # an even-dimension tridiagonal that equals its own reversal: d = h + rev(h), e = g + [c] + rev(g)
+    head, (c, *tail) = halves
+    d = np.array(head + head[::-1])
+    e = np.array(tail + [c] + tail[::-1])
+    M = _tridiagonal(d, e)
+    values = sym_eigvals(M)
+    # with no zero entry the graph is a path and reverse Cuthill-McKee starts at one of its ends
+    if np.all(d != 0.0) and np.all(e != 0.0):
+        assert _eigvals_and_halvings(M)[1] >= 1
+    unsplit = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    top = float(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))
+    assert np.abs(values - unsplit).max() <= 1e-12 * (1.0 + top)
+
+
+def test_unsplit_bands_match_eig_banded_bitwise():
+    rng = np.random.default_rng(13)
+    for dim in (3, 9, 255, 256, 1025):
+        d, e = rng.standard_normal(dim), rng.standard_normal(dim - 1)
+        band = _band(_tridiagonal(d, e))[1]
+        values, halvings = _eigvals_and_halvings(_tridiagonal(d, e))
+        assert halvings == 0
+        scaled, p = _prescale(band)
+        assert np.array_equal(values, p * eig_banded(scaled, lower=True, eigvals_only=True))
+    # odd dimensions never split, even where the band is persymmetric
+    d, e = np.array([1.0, 2.0, 1.0]), np.array([0.5, 0.5])
+    assert _eigvals_and_halvings(_tridiagonal(d, e))[1] == 0
+
+
+def test_split_small_dimensions_and_diagonal_band():
+    assert np.array_equal(sym_eigvals(np.array([[0.75]])), [0.75])
+    values, halvings = _eigvals_and_halvings(np.array([[0.5, 0.25], [0.25, 0.5]]))
+    assert halvings == 1 and np.array_equal(values, [0.25, 0.75])
+    identity = AlgebraElement.from_terms([("", 1.0)])
+    for n in (0, 1, 5):
+        M = assemble_level(identity, n)
+        assert sym_eigs(M).bandwidth == 0
+        values, halvings = _eigvals_and_halvings(M)
+        assert halvings == n and np.array_equal(values, np.ones(1 << n))
+
+
+def test_level_operators_halve():
+    for n in range(1, 14):
+        assert _eigvals_and_halvings(assemble_level(delta_element(), n))[1] == n
+    general = AlgebraElement.from_terms([("a", -0.7), ("b", 1.0), ("c", 1.3), ("d", 0.2), ("", 0.1)])
+    assert _eigvals_and_halvings(assemble_level(general, 8))[1] == 1
 
 
 def test_sym_eigvals_sparse_input_rejects_asymmetric():
