@@ -222,12 +222,12 @@ class BoundaryPoint:
             return self
         top = max(positions) + 1
         pre_len = max(len(self.preperiod), top)
-        bits = list(self.prefix(pre_len))
-        for p in positions:
-            bits[p] = _FLIP[bits[p]]
+        bits = self.prefix(pre_len)
+        for p in positions:  # in order, so a position given twice flips back
+            bits = bits[:p] + _FLIP[bits[p]] + bits[p + 1 :]
         shift = (pre_len - len(self.preperiod)) % len(self.period)
         per = self.period[shift:] + self.period[:shift]
-        return BoundaryPoint("".join(bits), per)
+        return BoundaryPoint(bits, per)
 
 
 def boundary_image(word: str, x: BoundaryPoint) -> BoundaryPoint:

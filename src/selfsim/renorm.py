@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 _POLE_MARGIN = 0.4  # halfwidth of the excluded alpha zones when sampling curves
+_SVG_BLOCK = 8  # curves omega_svg formats at once
 
 
 def renorm_map(p: tuple) -> tuple:
@@ -43,6 +43,21 @@ def in_omega(p: tuple[float, float]) -> bool:
     return abs(abs(alpha) - abs(beta)) <= 2.0 and abs(alpha) + abs(beta) >= 2.0
 
 
+def _curve_samples(n: int, js, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alphas and betas of curve_points(n, j, count) for every j of js, one row per j."""
+    if count < 1:
+        raise ValueError("need at least one sample")
+    cos = np.array([math.cos(2.0 * math.pi * j / (1 << n)) for j in js]).reshape(-1, 1)
+    half = (count + 1) // 2
+    grid = np.linspace(-5.0, 5.0, max(half, 2) * 4)
+    keep = (np.abs(grid) >= _POLE_MARGIN) & (np.abs(grid - 4.0 * cos) >= _POLE_MARGIN)
+    # the two excluded zones hold under a fifth of the grid, so every row keeps at least half alphas
+    keep &= np.cumsum(keep, axis=1) <= half
+    alphas = np.broadcast_to(grid, keep.shape)[keep].reshape(len(cos), half)
+    betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
+    return np.concatenate([alphas, alphas], axis=1)[:, :count], np.concatenate([betas, -betas], axis=1)[:, :count]
+
+
 def curve_points(n: int, j: int, count: int) -> np.ndarray:
     """Sample points on gamma_{n,j}, avoiding the poles of the renormalization.
 
@@ -51,18 +66,8 @@ def curve_points(n: int, j: int, count: int) -> np.ndarray:
     4 cos) are skipped so images under F stay finite and accurate.
     Returns an array of (alpha, beta) rows.
     """
-    if count < 1:
-        raise ValueError("need at least one sample")
-    cos = math.cos(2.0 * math.pi * j / (1 << n))
-    half = (count + 1) // 2
-    alphas = np.linspace(-5.0, 5.0, max(half, 2) * 4)
-    keep = (np.abs(alphas) >= _POLE_MARGIN) & (np.abs(alphas - 4.0 * cos) >= _POLE_MARGIN)
-    alphas = alphas[keep][:half]
-    betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
-    pts = np.concatenate(
-        [np.stack([alphas, betas], axis=1), np.stack([alphas, -betas], axis=1)]
-    )
-    return pts[:count]
+    alphas, betas = _curve_samples(n, (j,), count)
+    return np.stack([alphas[0], betas[0]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -76,15 +81,24 @@ class CurveCheck:
         return self.max_residual <= self.tol
 
 
-def curve_invariance_check(n: int, j: int, samples: int, tol: float) -> CurveCheck:
-    """Verify that sampled points of gamma_{n,j} land on gamma_{n-1,j} under F."""
+def curve_residuals(n: int, js, samples: int) -> np.ndarray:
+    """Max |residual| on gamma_{n-1,j} of the F-images of curve_points(n, j, samples), for every j of js.
+
+    Every row is computed by the same floating-point operations, in the same
+    order, as one curve on its own, so a row does not depend on the others.
+    """
     if n < 1:
         raise ValueError("need n >= 1 to step down one level")
-    pts = curve_points(n, j, samples)
-    a1, b1 = renorm_map((pts[:, 0], pts[:, 1]))
-    cos_prev = math.cos(2.0 * math.pi * j / (1 << (n - 1)))
+    alphas, betas = _curve_samples(n, js, samples)
+    a1, b1 = renorm_map((alphas, betas))
+    cos_prev = np.array([math.cos(2.0 * math.pi * j / (1 << (n - 1))) for j in js]).reshape(-1, 1)
     residual = 4.0 - b1 * b1 + a1 * a1 - 4.0 * a1 * cos_prev
-    return CurveCheck(float(np.abs(residual).max()), len(pts), tol)
+    return np.abs(residual).max(axis=1)
+
+
+def curve_invariance_check(n: int, j: int, samples: int, tol: float) -> CurveCheck:
+    """Verify that sampled points of gamma_{n,j} land on gamma_{n-1,j} under F."""
+    return CurveCheck(float(curve_residuals(n, (j,), samples)[0]), samples, tol)
 
 
 @dataclass(frozen=True)
@@ -161,6 +175,42 @@ def slice_spectrum_samples(t: float, n: int, dedup_tol: float = 1e-12) -> list[f
     return kept
 
 
+def _two_decimals(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII codes of format(x, ".2f") for every x of v, and which of them to keep.
+
+    Each value gets one row along a new last axis: sign, integer digits,
+    point and two decimals, with the sign kept where the sign bit is set and
+    the leading zeros of the integer part dropped.  The digits are exact:
+    |x| = m 2^(e-53) with an integer m < 2^53, so 100 |x| = 100 m / 2^(53-e)
+    with 100 m < 2^60, and a shift with the remainder rounds it half to even,
+    as CPython's correctly rounded formatting does.  Values must be finite
+    and below 2^52 in magnitude.
+    """
+    if not (np.abs(v) < 2.0**52).all():  # false for NaN and the infinities too
+        raise ValueError("two-decimal formatting takes finite values below 2^52 in magnitude")
+    frac, exp = np.frexp(np.abs(v))
+    scaled = np.ldexp(frac, 53).astype(np.int64) * 100
+    # at least 1 below 2^52; capped at 62, where 100 m < 2^60 is below the half and rounds to 0 as it should
+    shift = np.minimum(53 - exp, 62).astype(np.int64)
+    hundredths = scaled >> shift
+    rest = scaled - (hundredths << shift)
+    half = np.int64(1) << (shift - 1)
+    hundredths += (rest > half) | ((rest == half) & (hundredths % 2 == 1))
+    width = max(3, len(str(int(hundredths.max(initial=0)))))
+    codes = np.empty(v.shape + (width + 2,), dtype=np.uint8)
+    shown = np.ones(codes.shape, dtype=bool)
+    codes[..., 0] = ord("-")
+    shown[..., 0] = np.signbit(v)
+    codes[..., width - 1] = ord(".")
+    # digit columns, most significant first: the integer part, then two decimals after the point
+    for k, column in enumerate([*range(1, width - 1), width, width + 1]):
+        power = 10 ** (width - 1 - k)
+        codes[..., column] = hundredths // power % 10 + ord("0")
+        if column < width - 2:  # a leading zero unless it is the units digit
+            shown[..., column] = hundredths >= power
+    return codes, shown
+
+
 def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
     """Static plot of Omega in [-6, 6]^2 with optional curves and slice lines.
 
@@ -172,9 +222,13 @@ def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
     colour and stacking order of its last copy in the all-(n, j) drawing.
 
     Every coordinate is written with two decimals, and the text is byte for
-    byte what formatting each point on its own gives: a curve's coordinates
-    are computed as whole arrays by the same floating-point operations, in
-    the same order, as the scalar mapping of one point.
+    byte what formatting each point on its own with f"{x:.2f}" gives: a
+    curve's coordinates are computed as whole arrays by the same
+    floating-point operations, in the same order, as the scalar mapping of
+    one point, and formatted in whole arrays with exact rounding.  CPython
+    rounds the exact binary value of x to two decimals, ties to even; the
+    array formatter computes that rounding in integers, so the two agree on
+    every finite value below 2^52 in magnitude (the bound it accepts).
     """
     span = 12.0
 
@@ -208,24 +262,36 @@ def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
     palette = ("#b03030", "#3060b0", "#308050", "#a07020", "#703090", "#207878")
     top = 1 << curve_levels
     alphas = np.linspace(-6.0, 6.0, 481)
-    xs = [f"{v:.2f}," for v in sx(alphas).tolist()]
-    for j in sorted({0, *range(top // 2, top)}):
-        cos = math.cos(2.0 * math.pi * j / top)
+    x_codes, x_shown = _two_decimals(sx(alphas))
+    js = sorted({0, *range(top // 2, top)})
+    for start in range(0, len(js), _SVG_BLOCK):
+        block = js[start : start + _SVG_BLOCK]
+        cos = np.array([math.cos(2.0 * math.pi * j / top) for j in block]).reshape(-1, 1)
         betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
-        color = palette[(curve_levels + j) % len(palette)]
-        for sign in (1.0, -1.0):
-            b = sign * betas
-            keep = (np.abs(b) <= 6.0).tolist()
-            ys = compress(sy(b).tolist(), keep)
-            coords = " ".join([x + f"{y:.2f}" for x, y in zip(compress(xs, keep), ys)])
-            if coords:
+        b = np.stack([betas, -betas], axis=1)  # (curve, sign, alpha)
+        keep = np.abs(b) <= 6.0
+        # points off the viewport are not written, and 0 stands in for them
+        y_codes, y_shown = _two_decimals(np.where(keep, sy(b), 0.0))
+        # one row "x,y " per point; a polyline is its points' rows with the last space cut
+        codes = np.concatenate(
+            [np.broadcast_to(x_codes, b.shape + x_codes.shape[1:]), np.full(b.shape + (1,), ord(","), np.uint8),
+             y_codes, np.full(b.shape + (1,), ord(" "), np.uint8)], axis=-1)
+        kept = keep[..., None]
+        shown = np.concatenate([x_shown & kept, kept, y_shown & kept, kept], axis=-1)
+        text = codes[shown].tobytes().decode("ascii")
+        ends = np.cumsum(shown.sum(axis=(2, 3)).ravel()).tolist()
+        # freed before the polylines are cut, so the arrays do not lie between the strings on the heap
+        del b, keep, kept, y_codes, y_shown, codes, shown
+        for k, (begin, end) in enumerate(zip([0] + ends, ends)):
+            if end > begin:
+                color = palette[(curve_levels + block[k // 2]) % len(palette)]
                 parts.append(
-                    f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1"/>'
+                    f'<polyline points="{text[begin:end - 1]}" fill="none" stroke="{color}" stroke-width="1"/>'
                 )
     for t in slice_alphas:
         parts.append(
             f'<line x1="{sx(t):.2f}" y1="0" x2="{sx(t):.2f}" y2="{size}" '
             f'stroke="#c02020" stroke-width="1.5" stroke-dasharray="6,3"/>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")  # the final newline inside the join: one copy of the text, not two
+    return "\n".join(parts)

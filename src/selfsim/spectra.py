@@ -3,11 +3,12 @@
 All operators in scope are real symmetric, so spectra are eigenvalue
 multisets.  Every input (an OperatorMatrix through its csr(), a dense array or
 a scipy sparse matrix) is checked for symmetry in CSR form, reordered by
-reverse Cuthill-McKee and solved as a band matrix.  Level Schreier graphs and
-orbital balls are paths, so their operators come out tridiagonal.  With
-eigenvectors, or at bandwidth above 1, LAPACK ?sbevd solves the band.
-Eigenvalues alone of a band of width at most 1 go to LAPACK ?sterf after a
-persymmetric split (Cantoni-Butler 1976): while the dimension 2m is even and
+reverse Cuthill-McKee (on the off-diagonal pattern) and solved as a band
+matrix.  Level Schreier graphs and orbital balls are paths, so their operators
+come out tridiagonal.  At bandwidth above 1 LAPACK ?sbevd solves the band.
+Eigenpairs of a band of width at most 1 come from LAPACK ?stemr, and its
+eigenvalues alone from LAPACK ?sterf after a persymmetric split
+(Cantoni-Butler 1976): while the dimension 2m is even and
 the diagonal d and off-diagonal e equal their own reversals exactly (no
 tolerance), the matrix is orthogonally similar to the direct sum of two m x m
 tridiagonals with diagonal d[:m], last entry d[m-1] -/+ e[m-1], and
@@ -53,7 +54,12 @@ def _band(M):
     asym = float(np.abs((S - S.T).data).max(initial=0.0))
     if asym > _ASYM_REL_TOL * scale:
         raise ValueError(f"asymmetry {asym:.3e} exceeds {_ASYM_REL_TOL:.0e} * {scale:.3e}")
-    perm = reverse_cuthill_mckee(S, symmetric_mode=True)
+    # ordered on the off-diagonal pattern: counted in a node's degree, diagonal entries can make a path's
+    # least-degree node an inner one, and an ordering started there widens the band
+    coo = S.tocoo()
+    off = coo.row != coo.col
+    graph = sparse.csr_matrix((np.ones(np.count_nonzero(off)), (coo.row[off], coo.col[off])), shape=S.shape)
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
     P = S[perm][:, perm]
     lower = sparse.tril(P, format="coo")
     offset = lower.row - lower.col
@@ -98,16 +104,19 @@ def _split_sterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _solve_band(band: np.ndarray, vectors: bool):
     """Eigenvalues (ascending), eigenvectors if asked, the LAPACK driver and the halvings of a lower band."""
-    from scipy.linalg import eig_banded
+    from scipy.linalg import eig_banded, eigh_tridiagonal
 
     scaled, p = _prescale(band)
-    if vectors:
-        w, V = eig_banded(scaled, lower=True)
-        return p * w, V, "sbevd", 0
     if scaled.shape[0] > 2:
+        if vectors:
+            w, V = eig_banded(scaled, lower=True)
+            return p * w, V, "sbevd", 0
         return p * eig_banded(scaled, lower=True, eigvals_only=True), None, "sbevd", 0
     d = scaled[0]
     e = scaled[1, :-1] if scaled.shape[0] == 2 else np.zeros_like(d[1:])
+    if vectors:
+        w, V = eigh_tridiagonal(d, e, lapack_driver="stemr")
+        return p * w, V, "stemr", 0
     w, halvings = _split_sterf(d, e)
     return p * w, None, "sterf", halvings
 

@@ -376,32 +376,46 @@ _SOLVER = {"ordering": "reverse_cuthill_mckee", "bandwidth": 1}
 
 
 @pytest.mark.parametrize(
-    ("argv", "solver"),
+    ("argv", "terms", "solver"),
     [
         pytest.param(
             ["spectrum", "--element", "sum", "--level", "6"],
-            dict(_SOLVER, lapack_driver="sbevd", halvings=0),
+            None,
+            dict(_SOLVER, lapack_driver="stemr", halvings=0),
             id="spectrum",
         ),
         pytest.param(
             ["orbital", "--point", "(1)", "--gens", "abcd", "--radius", "16"],
-            dict(_SOLVER, lapack_driver="sbevd", halvings=0),
+            None,
+            dict(_SOLVER, lapack_driver="stemr", halvings=0),
             id="orbital",
         ),
         # above the vector cutoff only eigenvalues are solved, and the level-12 operator halves 12 times
         pytest.param(
             ["spectrum", "--element", "delta", "--level", "12"],
+            None,
             dict(_SOLVER, lapack_driver="sterf", halvings=12),
             id="spectrum-eigenvalues-only",
         ),
+        # a + b + ab + ba links the path's vertices two steps apart: eigenpairs of a wider band come from ?sbevd
+        pytest.param(
+            ["spectrum", "--level", "5"],
+            [("a", 1.0), ("b", 1.0), ("ab", 1.0), ("ba", 1.0)],
+            dict(_SOLVER, lapack_driver="sbevd", halvings=0, bandwidth=2),
+            id="spectrum-bandwidth-2",
+        ),
     ],
 )
-def test_manifest_records_solver(argv, solver, tmp_path):
+def test_manifest_records_solver(argv, terms, solver, tmp_path):
+    if terms is not None:
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in terms]}))
+        argv = argv + ["--element", str(path)]
     dirs = (tmp_path / "one", tmp_path / "two")
     for d in dirs:
         assert cli.main(argv + ["--out", str(d)]) == 0
     manifest = _read_json(dirs[0] / "manifest.json")
-    # level graphs and orbital balls are paths: the operators are tridiagonal
+    # level graphs and orbital balls are paths: one-letter elements give tridiagonal operators
     assert manifest["solver"] == solver
     assert (dirs[0] / "manifest.json").read_bytes() == (dirs[1] / "manifest.json").read_bytes()
 

@@ -217,6 +217,28 @@ def test_long_points_canonicalize():
     assert BoundaryPoint("", "01" * (1 << 19)) == BoundaryPoint("", "01")
 
 
+def _reference_with_flips(x, positions):
+    """BoundaryPoint.with_flips as a one-character list of the prefix, flipped in place and joined."""
+    if not positions:
+        return x
+    top = max(positions) + 1
+    pre_len = max(len(x.preperiod), top)
+    chars = list(x.prefix(pre_len))
+    for p in positions:
+        chars[p] = "1" if chars[p] == "0" else "0"
+    shift = (pre_len - len(x.preperiod)) % len(x.period)
+    return BoundaryPoint("".join(chars), x.period[shift:] + x.period[:shift])
+
+
+@given(bits, st.text(alphabet="01", min_size=1, max_size=6), st.lists(st.integers(min_value=0, max_value=24), max_size=6))
+@example("01", "1", [3, 0, 3])
+@example("", "10", [5, 5])
+def test_with_flips_matches_joined_list(preperiod, period, positions):
+    # a position listed twice flips back
+    x = BoundaryPoint(preperiod, period)
+    assert x.with_flips(positions) == _reference_with_flips(x, positions)
+
+
 def test_bad_bits_name_the_first_bad_character():
     with pytest.raises(ValueError, match=r"^bad bit 'x' in preperiod '01x2'$"):
         BoundaryPoint.parse("01x2(1)")

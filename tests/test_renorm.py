@@ -3,13 +3,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from selfsim.renorm import (
+    CurveCheck,
     IntervalUnion,
+    _two_decimals,
     curve_invariance_check,
     curve_points,
+    curve_residuals,
     in_omega,
     lambda_slice,
     omega_svg,
@@ -80,6 +83,48 @@ def test_curve_invariance_examples():
         assert check.ok, (n, j, check.max_residual)
     with pytest.raises(ValueError):
         curve_invariance_check(0, 0, 10, 1e-9)
+
+
+def _reference_curve_points(n: int, j: int, count: int) -> np.ndarray:
+    """The per-curve sampler curve_points replaced, kept verbatim as the bitwise reference."""
+    if count < 1:
+        raise ValueError("need at least one sample")
+    cos = math.cos(2.0 * math.pi * j / (1 << n))
+    half = (count + 1) // 2
+    alphas = np.linspace(-5.0, 5.0, max(half, 2) * 4)
+    keep = (np.abs(alphas) >= 0.4) & (np.abs(alphas - 4.0 * cos) >= 0.4)
+    alphas = alphas[keep][:half]
+    betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
+    pts = np.concatenate(
+        [np.stack([alphas, betas], axis=1), np.stack([alphas, -betas], axis=1)]
+    )
+    return pts[:count]
+
+
+def _reference_curve_invariance_check(n: int, j: int, samples: int, tol: float) -> CurveCheck:
+    """The per-curve check curve_invariance_check replaced, kept verbatim as the bitwise reference."""
+    if n < 1:
+        raise ValueError("need n >= 1 to step down one level")
+    pts = _reference_curve_points(n, j, samples)
+    a1, b1 = renorm_map((pts[:, 0], pts[:, 1]))
+    cos_prev = math.cos(2.0 * math.pi * j / (1 << (n - 1)))
+    residual = 4.0 - b1 * b1 + a1 * a1 - 4.0 * a1 * cos_prev
+    return CurveCheck(float(np.abs(residual).max()), len(pts), tol)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 200, 256, 10**4])
+def test_curve_residuals_match_per_curve_reference(samples):
+    # every curve omega checks, in its chunks of 64, bitwise against the per-curve computation
+    for n in range(1, 11):
+        for start in range(0, 1 << n, 64):
+            js = range(start, min(start + 64, 1 << n))
+            got = curve_residuals(n, js, samples).tolist()
+            want = [_reference_curve_invariance_check(n, j, samples, 1e-9) for j in js]
+            assert got == [check.max_residual for check in want], (n, start)
+            assert all(check.samples == samples for check in want)
+    for n, j in ((1, 0), (4, 5), (10, 1023)):
+        assert curve_invariance_check(n, j, samples, 1e-9) == _reference_curve_invariance_check(n, j, samples, 1e-9)
+        assert np.array_equal(curve_points(n, j, samples), _reference_curve_points(n, j, samples))
 
 
 def test_lambda_slice_endpoints_exact():
@@ -218,6 +263,35 @@ def test_omega_svg_draws_the_top_layer_once(levels):
     assert _POLYLINE.findall(omega_svg(curve_levels=levels)) == top
 
 
+def _formatted(values):
+    codes, shown = _two_decimals(np.asarray(values, dtype=float))
+    space = np.full(codes.shape[:-1] + (1,), ord(" "), dtype=np.uint8)
+    kept = np.concatenate([codes, space], axis=-1)[np.concatenate([shown, np.ones(space.shape, bool)], axis=-1)]
+    return kept.tobytes().decode("ascii").split(" ")[:-1]
+
+
+@given(st.lists(st.floats(min_value=-1300.0, max_value=1300.0), min_size=1, max_size=64))
+@example([-0.0, 0.0, -0.001, 0.005, -0.005, 0.125, -0.375, 799.995, 1e-300, -5e-324])
+def test_two_decimals_match_python_formatting(values):
+    assert _formatted(values) == [f"{v:.2f}" for v in values]
+
+
+def test_two_decimals_ties_and_neighbours():
+    # the odd multiples of 1/8 are the ties that floats hold exactly; the k/200 are the rounding
+    # boundaries, which floats miss by less than an ulp, so their neighbours fall on both sides
+    eighths = np.arange(-1200 * 8, 1200 * 8 + 1) / 8.0
+    hundredths = np.arange(-120000, 120001) / 200.0
+    values = np.concatenate([eighths, hundredths, 2.0**51 - np.arange(4), [2.0**-1074, 0.0049999999999999996]])
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+    assert _formatted(values) == [f"{v:.2f}" for v in values.tolist()]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**52, -1e300])
+def test_two_decimals_refuse_values_out_of_range(bad):
+    with pytest.raises(ValueError, match="finite values below 2"):
+        _two_decimals(np.array([1.0, bad]))
+
+
 def test_omega_svg_slice_line_position():
     svg = omega_svg(size=1200, slice_alphas=(0.0,))
     # alpha = 0 slice sits on the vertical axis midline
@@ -281,10 +355,10 @@ _SLICES = ((), (-0.5,), (-1.0, 1.5))
 _SIZES = (800, 1200)
 _COMBOS = [(alphas, size) for alphas in _SLICES for size in _SIZES]
 # every (slices, size) pair up to level 4, then one pair per level: the
-# reference takes about 1 s at level 10 and half that a level lower
+# reference takes about 1 s at level 10 and doubles with each level
 _GOLDEN_CASES = [(n, *combo) for n in range(5) for combo in _COMBOS] + [
     (n, *_COMBOS[n % len(_COMBOS)]) for n in range(5, 10)
-] + [(10, (-0.5,), 800)]
+] + [(10, (-0.5,), 800), (12, (-0.5,), 800)]
 
 
 @pytest.mark.parametrize(

@@ -215,8 +215,8 @@ def test_persymmetric_split_matches_unsplit_sterf(halves):
     e = np.array(tail + [c] + tail[::-1])
     M = _tridiagonal(d, e)
     values = sym_eigvals(M)
-    # with no zero entry the graph is a path and reverse Cuthill-McKee starts at one of its ends
-    if np.all(d != 0.0) and np.all(e != 0.0):
+    # with no zero off-diagonal entry the graph is a path and reverse Cuthill-McKee starts at one of its ends
+    if np.all(e != 0.0):
         assert _eigvals_and_halvings(M)[1] >= 1
     unsplit = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
     top = float(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))
@@ -235,6 +235,18 @@ def test_unsplit_bands_match_eig_banded_bitwise():
     # odd dimensions never split, even where the band is persymmetric
     d, e = np.array([1.0, 2.0, 1.0]), np.array([0.5, 0.5])
     assert _eigvals_and_halvings(_tridiagonal(d, e))[1] == 0
+
+
+def test_ordering_ignores_the_diagonal():
+    # counted in the degrees, diagonal entries made an inner node the start of the ordering and widened the band
+    M = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 1.0]])
+    report = sym_eigs(M)
+    assert report.bandwidth == 1 and report.lapack_driver == "stemr"
+    assert np.abs(np.array(report.eigenvalues) - np.linalg.eigvalsh(M)).max() <= 1e-12
+    for terms in ([("a", 1.0), ("b", 1.0)], [("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0), ("", -1.0)]):
+        M = assemble_level(AlgebraElement.from_terms(terms), 8)
+        assert sym_eigs(M).bandwidth == 1
+        assert np.abs(sym_eigvals(M) - np.linalg.eigvalsh(M.csr().toarray())).max() <= 1e-12
 
 
 def test_split_small_dimensions_and_diagonal_band():
