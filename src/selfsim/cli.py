@@ -228,6 +228,20 @@ def cmd_omega(args: argparse.Namespace) -> int:
     return 0
 
 
+def _histogram(values: np.ndarray) -> dict:
+    """Counts of values in 20 equal bins of [-0.6, 1.1] (the last one closed), and below and above that range.
+
+    Values and edges are rounded to 12 decimals first, so a value on an edge
+    (1/4, the in-gap eigenvalue of delta) lands in the same bin whatever the
+    last bits of the LAPACK driver that computed it.
+    """
+    lo, hi = -0.6, 1.1
+    values = np.round(values, 12)
+    counts, _ = np.histogram(values, bins=np.round(np.linspace(lo, hi, 21), 12))  # ignores values outside [lo, hi]
+    return {"lo": lo, "hi": hi, "counts": counts.tolist(),
+            "underflow": int(np.count_nonzero(values < lo)), "overflow": int(np.count_nonzero(values > hi))}
+
+
 def cmd_orbital(args: argparse.Namespace) -> int:
     x = args.point[1]
     letters = tuple(dict.fromkeys(args.gens))
@@ -241,9 +255,6 @@ def cmd_orbital(args: argparse.Namespace) -> int:
     flag_lines = ["vertex,flagged"]
     flag_lines.extend(f"{v},{int(f)}" for v, f in zip(ball.vertices, flags))
     outputs.append(_write(outdir, "flags.csv", "\n".join(flag_lines) + "\n"))
-    values = np.asarray(rep.eigenvalues)
-    lo, hi = -0.6, 1.1
-    counts, _ = np.histogram(values, bins=20, range=(lo, hi))  # ignores values outside [lo, hi]
     report = {
         "point": str(x),
         "gens": "".join(letters),
@@ -251,8 +262,7 @@ def cmd_orbital(args: argparse.Namespace) -> int:
         "element": name,
         "dim": rep.dim,
         "flagged_rows": int(np.count_nonzero(flags)),
-        "histogram": {"lo": lo, "hi": hi, "counts": counts.tolist(),
-                      "underflow": int(np.count_nonzero(values < lo)), "overflow": int(np.count_nonzero(values > hi))},
+        "histogram": _histogram(np.asarray(rep.eigenvalues)),
     }
     outputs.append(_write_json(outdir, "report.json", report))
     _manifest(args, outputs, solver=rep.solver)

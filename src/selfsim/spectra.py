@@ -16,7 +16,12 @@ off-diagonal e[:m-1], and the split goes on with the + block.  In path order
 every level operator is persymmetric, and for delta and sum the + block is the
 level-(n-1) operator again, so a level-n spectrum halves n times.  Each
 halving rounds one entry once, so the backward-stability bound dim * eps
-still holds.  The solver contract adds two guarantees on top of LAPACK:
+still holds.  A block left by the halvings whose diagonal is one value c
+exactly (the orbital balls that miss 1^inf, where delta is 1/4 plus a
+zero-diagonal Jacobi matrix) is bipartite about c: its eigenvalues are
+c -/+ the singular values of a half-size bidiagonal, which LAPACK ?lasq1
+(dqds, Fernando-Parlett 1994) computes to high relative accuracy, so that
+bound holds there too.  The solver contract adds two guarantees on top of LAPACK:
 
 * determinism: identical input bytes give identical output bytes;
 * exact scale equivariance under powers of two: the band is divided by a
@@ -28,7 +33,9 @@ still holds.  The solver contract adds two guarantees on top of LAPACK:
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +44,7 @@ from .hecke import OperatorMatrix
 from .renorm import IntervalUnion
 
 _VECTOR_MAX_DIM = 2048  # above this residuals use the a priori backward bound
+_RESIDUAL_COLUMNS = 128  # eigenvectors per block of the residual product
 
 _ASYM_REL_TOL = 1e-12
 
@@ -83,23 +91,91 @@ def _prescale(M: np.ndarray) -> tuple[np.ndarray, float]:
     return M / p, p
 
 
-def _split_sterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
-    """Eigenvalues (ascending) of a tridiagonal by LAPACK ?sterf after persymmetric halvings, and their number."""
+@functools.cache
+def _dlasq1():
+    """LAPACK dlasq1 from scipy's Cython LAPACK capsules (loaded once, on first use), as dlasq1(d, e, work) -> info."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dlasq1"]
+    capsule_name = ctypes.pythonapi.PyCapsule_GetName
+    capsule_name.argtypes, capsule_name.restype = [ctypes.py_object], ctypes.c_char_p
+    capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    capsule_pointer.argtypes, capsule_pointer.restype = [ctypes.py_object, ctypes.c_char_p], ctypes.c_void_p
+    name = capsule_name(capsule)
+    # the capsule name is the C signature, with Cython's mangled name for the typedef d of double
+    signature = re.sub(r"__pyx_t_\w*?cython_lapack_", "", name.decode())
+    expected = "void (int *, d *, d *, d *, int *)"
+    if signature != expected:
+        raise RuntimeError(f"dlasq1 has signature {signature!r}, expected {expected!r}")
+    int_p = ctypes.POINTER(ctypes.c_int)
+    routine = ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, int_p)(
+        capsule_pointer(capsule, name)
+    )
+
+    def dlasq1(d: np.ndarray, e: np.ndarray, work: np.ndarray) -> int:
+        bad = any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (d, e, work))
+        if bad or e.size < d.size or work.size < 4 * d.size:
+            raise ValueError("dlasq1 needs contiguous float64 arrays d, e and work of sizes n, n and 4n")
+        info = ctypes.c_int(0)
+        routine(ctypes.byref(ctypes.c_int(d.size)), d.ctypes.data, e.ctypes.data, work.ctypes.data, ctypes.byref(info))
+        return info.value
+
+    return dlasq1
+
+
+def _bipartite_eigvals(c: float, e: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the tridiagonal with constant diagonal c and off-diagonal e, as c -/+ singular values.
+
+    With c taken off, the matrix maps even to odd positions and back, so its
+    eigenvalues are +/- the singular values of the block between them: the
+    upper bidiagonal with diagonal e[0::2] and superdiagonal e[1::2], which
+    LAPACK dlasq1 computes by dqds.  At odd dimension that block has one
+    column less; an exact 0 pads its diagonal, which adds the singular value
+    0 (returned as exactly 0.0 by dqds) and so the eigenvalue c, counted once.
+    """
+    odd = (e.size + 1) % 2
+    sigma = np.concatenate([e[0::2], np.zeros(odd)])  # overwritten with the singular values, descending
+    n = sigma.size
+    sup = np.zeros(n)  # dlasq1 reads n - 1 entries and uses all n as workspace
+    sup[: n - 1] = e[1::2]
+    info = _dlasq1()(sigma, sup, np.empty(4 * n))
+    if info != 0:
+        raise RuntimeError(f"dlasq1 failed with info={info}")
+    if odd and sigma[-1] != 0.0:
+        raise RuntimeError(f"dlasq1 returned {sigma[-1]!r} for the exact zero singular value")
+    return np.concatenate([c + sigma, c - sigma[: n - odd]])
+
+
+def _split_solve(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, str, int]:
+    """Eigenvalues (ascending) of a tridiagonal after persymmetric halvings, the LAPACK drivers and the halvings.
+
+    Each block left by the halvings goes to ?lasq1 if it has a constant
+    diagonal and size at least 2, and to ?sterf otherwise.
+    """
     from scipy.linalg import eigvalsh_tridiagonal
 
-    parts = []
-    halvings = 0
+    blocks = []
     while d.size % 2 == 0 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
         m = d.size // 2
         c = e[m - 1]
         d, e = d[:m].copy(), e[: m - 1]
         anti = d.copy()
         anti[-1] -= c
-        parts.append(eigvalsh_tridiagonal(anti, e, lapack_driver="sterf"))
+        blocks.append((anti, e))
         d[-1] += c
-        halvings += 1
-    parts.append(eigvalsh_tridiagonal(d, e, lapack_driver="sterf"))
-    return np.sort(np.concatenate(parts)), halvings
+    blocks.append((d, e))
+    parts, drivers = [], set()
+    for diag, off in blocks:
+        if diag.size >= 2 and np.all(diag == diag[0]):
+            parts.append(_bipartite_eigvals(diag[0], off))
+            drivers.add("lasq1")
+        else:
+            parts.append(eigvalsh_tridiagonal(diag, off, lapack_driver="sterf"))
+            drivers.add("sterf")
+    driver = "+".join(name for name in ("sterf", "lasq1") if name in drivers)
+    return np.sort(np.concatenate(parts)), driver, len(blocks) - 1
 
 
 def _solve_band(band: np.ndarray, vectors: bool):
@@ -117,8 +193,8 @@ def _solve_band(band: np.ndarray, vectors: bool):
     if vectors:
         w, V = eigh_tridiagonal(d, e, lapack_driver="stemr")
         return p * w, V, "stemr", 0
-    w, halvings = _split_sterf(d, e)
-    return p * w, None, "sterf", halvings
+    w, driver, halvings = _split_solve(d, e)
+    return p * w, None, driver, halvings
 
 
 def sym_eigvals(M) -> np.ndarray:
@@ -170,8 +246,12 @@ def sym_eigs(M) -> EigReport:
     elif norm == 0.0:
         residual = 0.0
     else:
-        gap = P @ V - V * values
-        residual = float(np.sqrt((gap * gap).sum(axis=0)).max()) / norm
+        worst = 0.0
+        for j in range(0, dim, _RESIDUAL_COLUMNS):
+            block = V[:, j : j + _RESIDUAL_COLUMNS]
+            gap = P @ block - block * values[j : j + _RESIDUAL_COLUMNS]
+            worst = max(worst, float(np.sqrt((gap * gap).sum(axis=0)).max()))
+        residual = worst / norm
     return EigReport(tuple(float(v) for v in values), residual, band.shape[0] - 1, driver, halvings)
 
 

@@ -98,6 +98,29 @@ def test_omega_outputs(tmp_path):
     assert report["worst_residual"] <= 1e-9
 
 
+# the counts binning without rounding gave, where ?stemr and ?sterf put 1/4 a few ulp above the edge
+@pytest.mark.parametrize(
+    ("point", "radius", "counts"),
+    [
+        ("(0)", 1024, [0, 302, 156, 123, 112, 115, 170, 46, 0, 0, 1, 0, 46, 170, 115, 112, 123, 156, 302, 0]),
+        ("001011(100)", 256, [0, 75, 39, 31, 28, 29, 43, 11, 0, 0, 1, 0, 11, 43, 29, 28, 31, 39, 75, 0]),
+    ],
+)
+def test_orbital_histogram_ignores_last_bits(point, radius, counts, tmp_path):
+    out = tmp_path / "orb"
+    assert cli.main(["orbital", "--point", point, "--radius", str(radius), "--out", str(out)]) == 0
+    hist = _read_json(out / "report.json")["histogram"]
+    assert hist == {"lo": -0.6, "hi": 1.1, "counts": counts, "underflow": 0, "overflow": 0}
+    values = np.array([float(v) for v in (out / "spectrum.csv").read_text().splitlines()[2:]])
+    # the in-gap eigenvalue 1/4 sits on the edge 0.2500000000000001: exact from ?lasq1 at (0), a few ulp off from ?stemr
+    assert np.abs(values - 0.25).min() <= 1e-15
+    for direction in (-np.inf, np.inf):
+        moved = values
+        for _ in range(4):
+            moved = np.nextafter(moved, direction)
+        assert cli._histogram(moved) == hist
+
+
 def test_orbital_identity_element(tmp_path):
     out = tmp_path / "orb"
     argv = ["orbital", "--point", "(0)", "--gens", "a", "--radius", "2",
@@ -153,8 +176,9 @@ def test_orbital_histogram_counts_the_spectrum(terms, tmp_path):
     values = np.array([float(v) for v in (out / "spectrum.csv").read_text().splitlines()[2:]])
     lo, hi = hist["lo"], hist["hi"]
     assert (lo, hi) == (-0.6, 1.1)
-    # 20 bins [e_k, e_k+1) between equally spaced edges, the last one closed at hi
-    edges = np.linspace(lo, hi, 21)
+    # 20 bins [e_k, e_k+1) between equally spaced edges, the last one closed at hi, all at 12 decimals
+    edges = np.round(np.linspace(lo, hi, 21), 12)
+    values = np.round(values, 12)
     inside = values[(lo <= values) & (values <= hi)]
     bins = np.minimum(np.searchsorted(edges, inside, side="right") - 1, 19)
     assert hist["counts"] == np.bincount(bins, minlength=20).tolist()
@@ -389,6 +413,13 @@ _SOLVER = {"ordering": "reverse_cuthill_mckee", "bandwidth": 1}
             None,
             dict(_SOLVER, lapack_driver="stemr", halvings=0),
             id="orbital",
+        ),
+        # a two-ended ball above the vector cutoff has diagonal 1/4 throughout: its eigenvalues come from ?lasq1
+        pytest.param(
+            ["orbital", "--point", "(0)", "--radius", "1024"],
+            None,
+            dict(_SOLVER, lapack_driver="lasq1", halvings=0),
+            id="orbital-bipartite",
         ),
         # above the vector cutoff only eigenvalues are solved, and the level-12 operator halves 12 times
         pytest.param(

@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
-from selfsim.hecke import AlgebraElement, assemble_level, delta_element, generator_sum_element
+from selfsim.group import GENERATORS, BoundaryPoint
+from selfsim.hecke import AlgebraElement, assemble_level, assemble_orbital, delta_element, generator_sum_element
 from selfsim.renorm import IntervalUnion, lambda_slice
+from selfsim.schreier import orbital_ball
 from selfsim.spectra import (
     _band,
     _prescale,
@@ -65,6 +67,15 @@ def test_sym_eigs_residual_invariant():
         report = sym_eigs(A)
         norm = float(np.abs(A).max())
         assert report.residual_bound <= 1e-10 * (1.0 + norm)
+
+
+def test_blocked_residual_matches_one_shot_formula():
+    M = assemble_level(delta_element(), 11)
+    P, band = _band(M)
+    values, V, _, _ = _solve_band(band, vectors=True)
+    gap = P @ V - V * values
+    one_shot = float(np.sqrt((gap * gap).sum(axis=0)).max()) / float(np.abs(values).max())
+    assert sym_eigs(M).residual_bound == one_shot
 
 
 def test_hausdorff_examples():
@@ -192,9 +203,23 @@ def _tridiagonal(d, e):
     return sparse.diags([e, d, e], [-1, 0, 1], format="csr")
 
 
-def _eigvals_and_halvings(M):
-    values, _, driver, halvings = _solve_band(_band(M)[1], vectors=False)
-    assert driver == "sterf"
+def _documented_driver(M):
+    """The driver record the split should give: the blocks Cantoni-Butler halving leaves, and which route each takes."""
+    band = _prescale(_band(M)[1])[0]  # the split sees the prescaled band, where tiny entries may have lost bits
+    d, e = band[0], band[1, :-1]
+    blocks = []
+    while d.size % 2 == 0 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
+        m = d.size // 2
+        blocks.append(np.append(d[: m - 1], d[m - 1] - e[m - 1]))
+        d, e = np.append(d[: m - 1], d[m - 1] + e[m - 1]), e[: m - 1]
+    blocks.append(d)
+    bipartite = [b.size >= 2 and np.all(b == b[0]) for b in blocks]
+    return "+".join(name for name, ran in (("sterf", not all(bipartite)), ("lasq1", any(bipartite))) if ran)
+
+
+def _eigvals_and_halvings(M, driver="sterf"):
+    values, _, ran, halvings = _solve_band(_band(M)[1], vectors=False)
+    assert ran == driver
     return values, halvings
 
 
@@ -217,7 +242,8 @@ def test_persymmetric_split_matches_unsplit_sterf(halves):
     values = sym_eigvals(M)
     # with no zero off-diagonal entry the graph is a path and reverse Cuthill-McKee starts at one of its ends
     if np.all(e != 0.0):
-        assert _eigvals_and_halvings(M)[1] >= 1
+        # a block left by the halvings can have a constant diagonal (head [1, 2] with c = 1 leaves [1, 1])
+        assert _eigvals_and_halvings(M, _documented_driver(M))[1] >= 1
     unsplit = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
     top = float(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))
     assert np.abs(values - unsplit).max() <= 1e-12 * (1.0 + top)
@@ -237,6 +263,34 @@ def test_unsplit_bands_match_eig_banded_bitwise():
     assert _eigvals_and_halvings(_tridiagonal(d, e))[1] == 0
 
 
+# some off-diagonal entries are zero, which splits the path; c is never subnormal once prescaled
+_off_entry = st.one_of(_entry, st.just(0.0))
+_diagonal_value = _entry.filter(lambda c: c == 0.0 or abs(c) > 1e-300)
+
+
+@given(_diagonal_value, st.lists(_off_entry, min_size=1, max_size=200))
+def test_constant_diagonal_matches_unsplit_sterf(c, off):
+    e = np.array(off)
+    d = np.full(e.size + 1, c)
+    M = _tridiagonal(d, e)
+    values = sym_eigvals(M)
+    unsplit = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    top = float(max(abs(c), np.abs(e).max()))
+    assert np.abs(values - unsplit).max() <= 1e-12 * (1.0 + top)
+    if d.size % 2:
+        # odd dimensions never halve, and the padded zero of the bidiagonal gives c itself
+        assert _eigvals_and_halvings(M, "lasq1")[1] == 0
+        assert c in values
+
+
+def test_bipartite_solve_is_exactly_equivariant():
+    ball = orbital_ball(BoundaryPoint.parse("(0)"), GENERATORS, 1024)
+    M = assemble_orbital(delta_element(), ball)[0].csr()
+    values, halvings = _eigvals_and_halvings(M, "lasq1")
+    assert halvings == 0 and values.size == 2049 and 0.25 in values
+    assert np.array_equal(sym_eigvals(4.0 * M), 4.0 * values)
+
+
 def test_ordering_ignores_the_diagonal():
     # counted in the degrees, diagonal entries made an inner node the start of the ordering and widened the band
     M = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 1.0]])
@@ -253,11 +307,17 @@ def test_split_small_dimensions_and_diagonal_band():
     assert np.array_equal(sym_eigvals(np.array([[0.75]])), [0.75])
     values, halvings = _eigvals_and_halvings(np.array([[0.5, 0.25], [0.25, 0.5]]))
     assert halvings == 1 and np.array_equal(values, [0.25, 0.75])
+    # the - block of this one is [[1, 0.5], [0.5, 1]] and its + block [[1, 0.5], [0.5, 3]]
+    M = _tridiagonal(np.array([1.0, 2.0, 2.0, 1.0]), np.array([0.5, 1.0, 0.5]))
+    assert _documented_driver(M) == "sterf+lasq1"
+    values, halvings = _eigvals_and_halvings(M, "sterf+lasq1")
+    assert halvings == 1 and np.abs(values - np.linalg.eigvalsh(M.toarray())).max() <= 1e-15
     identity = AlgebraElement.from_terms([("", 1.0)])
-    for n in (0, 1, 5):
+    # the - blocks of a diagonal band of size 2 and more have a constant diagonal; the last + block has size 1
+    for n, driver in ((0, "sterf"), (1, "sterf"), (5, "sterf+lasq1")):
         M = assemble_level(identity, n)
         assert sym_eigs(M).bandwidth == 0
-        values, halvings = _eigvals_and_halvings(M)
+        values, halvings = _eigvals_and_halvings(M, driver)
         assert halvings == n and np.array_equal(values, np.ones(1 << n))
 
 
