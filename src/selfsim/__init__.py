@@ -27,7 +27,6 @@ from .schreier import (
 from .hecke import (
     AlgebraElement,
     OperatorMatrix,
-    SchurReport,
     assemble_level,
     assemble_orbital,
     delta_element,
@@ -37,10 +36,8 @@ from .hecke import (
     word_perm,
 )
 from .renorm import (
-    CurveCheck,
     IntervalUnion,
     curve_invariance_check,
-    curve_points,
     in_omega,
     lambda_slice,
     omega_svg,
@@ -49,7 +46,6 @@ from .renorm import (
 )
 from .spectra import (
     EigReport,
-    ShiftReport,
     hausdorff_to_set,
     spectral_shift_check,
     sym_eigs,
@@ -73,7 +69,6 @@ __all__ = [
     "induced_ball",
     "AlgebraElement",
     "OperatorMatrix",
-    "SchurReport",
     "word_perm",
     "delta_element",
     "generator_sum_element",
@@ -83,9 +78,7 @@ __all__ = [
     "schur_step_check",
     "renorm_map",
     "in_omega",
-    "curve_points",
     "curve_invariance_check",
-    "CurveCheck",
     "IntervalUnion",
     "lambda_slice",
     "slice_spectrum_samples",
@@ -94,6 +87,5 @@ __all__ = [
     "sym_eigvals",
     "sym_eigs",
     "hausdorff_to_set",
-    "ShiftReport",
     "spectral_shift_check",
 ]

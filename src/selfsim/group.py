@@ -132,8 +132,8 @@ def wreath_decompose(word: str) -> WreathDecomposition:
     return WreathDecomposition(*acc)
 
 
-def _letter_flips(letter: str, bits: str) -> list[int]:
-    """Positions of bits that the generator flips, read along its sections.
+def _letter_flip(letter: str, bits: str) -> int | None:
+    """Position of the one bit that the generator flips, read along its sections, or None.
 
     A generator's section is again a generator or dies, so the walk is one
     state per bit and stops at the first swap or dead section.
@@ -141,11 +141,11 @@ def _letter_flips(letter: str, bits: str) -> list[int]:
     for i, bit in enumerate(bits):
         swap, s0, s1 = _GEN_DECOMP[letter]
         if swap:
-            return [i]
+            return i
         letter = s0 if bit == "0" else s1
         if not letter:
             break
-    return []
+    return None
 
 
 def act_vertex(word: str, vertex: str) -> str:
@@ -153,7 +153,8 @@ def act_vertex(word: str, vertex: str) -> str:
     _check_word(word)
     _check_bits(vertex)
     for ch in reversed(word):
-        for i in _letter_flips(ch, vertex):
+        i = _letter_flip(ch, vertex)
+        if i is not None:
             vertex = vertex[:i] + _FLIP[vertex[i]] + vertex[i + 1 :]
     return vertex
 
@@ -216,18 +217,12 @@ class BoundaryPoint:
         reps = k // len(self.period) + 1
         return (self.preperiod + self.period * reps)[:n]
 
-    def with_flips(self, positions) -> "BoundaryPoint":
-        """Copy of the point with the given coordinate positions flipped."""
-        if not positions:
-            return self
-        top = max(positions) + 1
-        pre_len = max(len(self.preperiod), top)
+    def with_flip(self, i: int) -> "BoundaryPoint":
+        """Copy of the point with coordinate i flipped."""
+        pre_len = max(len(self.preperiod), i + 1)
         bits = self.prefix(pre_len)
-        for p in positions:  # in order, so a position given twice flips back
-            bits = bits[:p] + _FLIP[bits[p]] + bits[p + 1 :]
         shift = (pre_len - len(self.preperiod)) % len(self.period)
-        per = self.period[shift:] + self.period[:shift]
-        return BoundaryPoint(bits, per)
+        return BoundaryPoint(bits[:i] + _FLIP[bits[i]] + bits[i + 1 :], self.period[shift:] + self.period[:shift])
 
 
 def boundary_image(word: str, x: BoundaryPoint) -> BoundaryPoint:
@@ -241,7 +236,9 @@ def boundary_image(word: str, x: BoundaryPoint) -> BoundaryPoint:
     and the image is again eventually periodic.
     """
     for ch in reversed(reduce_word(word)):
-        x = x.with_flips(_letter_flips(ch, x.prefix(len(x.preperiod) + len(x.period) + 1)))
+        i = _letter_flip(ch, x.prefix(len(x.preperiod) + len(x.period) + 1))
+        if i is not None:
+            x = x.with_flip(i)
     return x
 
 

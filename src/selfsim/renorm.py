@@ -27,6 +27,8 @@ import numpy as np
 
 _POLE_MARGIN = 0.4  # halfwidth of the excluded alpha zones when sampling curves
 _SVG_BLOCK = 8  # curves omega_svg formats at once
+_SVG_SIZE = 800  # width and height of the Omega plot in pixels
+_DEDUP_TOL = 1e-12  # slice samples closer than this are one value
 
 
 def renorm_map(p: tuple) -> tuple:
@@ -44,7 +46,12 @@ def in_omega(p: tuple[float, float]) -> bool:
 
 
 def _curve_samples(n: int, js, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alphas and betas of curve_points(n, j, count) for every j of js, one row per j."""
+    """Alphas and betas of count sample points on gamma_{n,j} for every j of js, one row per j.
+
+    Solves beta = +-sqrt(alpha^2 - 4 alpha cos + 4) over an alpha grid in
+    [-5, 5]; alphas within the pole margin of beta^2 = 4 (alpha near 0 or
+    4 cos) are skipped so images under F stay finite and accurate.
+    """
     if count < 1:
         raise ValueError("need at least one sample")
     cos = np.array([math.cos(2.0 * math.pi * j / (1 << n)) for j in js]).reshape(-1, 1)
@@ -58,31 +65,8 @@ def _curve_samples(n: int, js, count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([alphas, alphas], axis=1)[:, :count], np.concatenate([betas, -betas], axis=1)[:, :count]
 
 
-def curve_points(n: int, j: int, count: int) -> np.ndarray:
-    """Sample points on gamma_{n,j}, avoiding the poles of the renormalization.
-
-    Solves beta = +-sqrt(alpha^2 - 4 alpha cos + 4) over an alpha grid in
-    [-5, 5]; alphas within the pole margin of beta^2 = 4 (alpha near 0 or
-    4 cos) are skipped so images under F stay finite and accurate.
-    Returns an array of (alpha, beta) rows.
-    """
-    alphas, betas = _curve_samples(n, (j,), count)
-    return np.stack([alphas[0], betas[0]], axis=1)
-
-
-@dataclass(frozen=True)
-class CurveCheck:
-    max_residual: float
-    samples: int
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_residual <= self.tol
-
-
 def curve_residuals(n: int, js, samples: int) -> np.ndarray:
-    """Max |residual| on gamma_{n-1,j} of the F-images of curve_points(n, j, samples), for every j of js.
+    """Max |residual| on gamma_{n-1,j} of the F-images of the samples of gamma_{n,j}, for every j of js.
 
     Every row is computed by the same floating-point operations, in the same
     order, as one curve on its own, so a row does not depend on the others.
@@ -96,9 +80,9 @@ def curve_residuals(n: int, js, samples: int) -> np.ndarray:
     return np.abs(residual).max(axis=1)
 
 
-def curve_invariance_check(n: int, j: int, samples: int, tol: float) -> CurveCheck:
-    """Verify that sampled points of gamma_{n,j} land on gamma_{n-1,j} under F."""
-    return CurveCheck(float(curve_residuals(n, (j,), samples)[0]), samples, tol)
+def curve_invariance_check(n: int, j: int, samples: int) -> float:
+    """Max |residual| on gamma_{n-1,j} of F applied to sampled points of gamma_{n,j}."""
+    return float(curve_residuals(n, (j,), samples)[0])
 
 
 @dataclass(frozen=True)
@@ -156,11 +140,11 @@ def lambda_slice(t: float) -> IntervalUnion:
     return IntervalUnion(((1.0 - hi, 1.0 - lo), (1.0 + lo, 1.0 + hi)))
 
 
-def slice_spectrum_samples(t: float, n: int, dedup_tol: float = 1e-12) -> list[float]:
+def slice_spectrum_samples(t: float, n: int) -> list[float]:
     """Level-n eigenvalue samples on the alpha = t slice: 1 +- sqrt per curve.
 
     The radicand t^2 - 4 t cos + 4 equals (t - 2 cos)^2 + 4 sin^2 and is never
-    negative.  Values are sorted and deduplicated within dedup_tol, collapsing
+    negative.  Values are sorted and deduplicated within _DEDUP_TOL, collapsing
     the exact cosine collisions between j and 2^n - j.
     """
     if n < 0:
@@ -170,7 +154,7 @@ def slice_spectrum_samples(t: float, n: int, dedup_tol: float = 1e-12) -> list[f
     values = np.sort(np.concatenate([1.0 - root, 1.0 + root]))
     kept: list[float] = []
     for v in values:
-        if not kept or v - kept[-1] > dedup_tol:
+        if not kept or v - kept[-1] > _DEDUP_TOL:
             kept.append(float(v))
     return kept
 
@@ -211,8 +195,8 @@ def _two_decimals(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, shown
 
 
-def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
-    """Static plot of Omega in [-6, 6]^2 with optional curves and slice lines.
+def omega_svg(curve_levels: int = 0, slice_alphas=()) -> str:
+    """Static _SVG_SIZE-pixel plot of Omega in [-6, 6]^2 with optional curves and slice lines.
 
     Fixed viewport, axis-aligned, deterministic output; curve overlays show
     gamma_{n,j} for n <= curve_levels and slice lines are vertical alpha = t.
@@ -230,7 +214,7 @@ def omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
     array formatter computes that rounding in integers, so the two agree on
     every finite value below 2^52 in magnitude (the bound it accepts).
     """
-    span = 12.0
+    span, size = 12.0, _SVG_SIZE
 
     def sx(alpha: float) -> float:
         return (alpha + 6.0) / span * size
