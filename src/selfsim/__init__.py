@@ -11,7 +11,6 @@ command line drives batch reproductions.
 from .group import (
     GENERATORS,
     BoundaryPoint,
-    WreathDecomposition,
     act_vertex,
     boundary_image,
     is_identity,
@@ -20,13 +19,11 @@ from .group import (
     wreath_decompose,
 )
 from .schreier import (
-    MarkedGraph,
     induced_ball,
     orbital_ball,
 )
 from .hecke import (
     AlgebraElement,
-    OperatorMatrix,
     assemble_level,
     assemble_orbital,
     delta_element,
@@ -45,7 +42,6 @@ from .renorm import (
     slice_spectrum_samples,
 )
 from .spectra import (
-    EigReport,
     hausdorff_to_set,
     spectral_shift_check,
     sym_eigs,
@@ -57,18 +53,15 @@ __version__ = "0.1.0"
 __all__ = [
     "GENERATORS",
     "BoundaryPoint",
-    "WreathDecomposition",
     "reduce_word",
     "wreath_decompose",
     "act_vertex",
     "boundary_image",
     "is_identity",
     "rigidity_depth",
-    "MarkedGraph",
     "orbital_ball",
     "induced_ball",
     "AlgebraElement",
-    "OperatorMatrix",
     "word_perm",
     "delta_element",
     "generator_sum_element",
@@ -83,7 +76,6 @@ __all__ = [
     "lambda_slice",
     "slice_spectrum_samples",
     "omega_svg",
-    "EigReport",
     "sym_eigvals",
     "sym_eigs",
     "hausdorff_to_set",

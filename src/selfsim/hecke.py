@@ -194,25 +194,29 @@ def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
 def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatrix, np.ndarray]:
     """Compression of the orbit representation of m to a ball, with row flags.
 
-    A one-letter term reads its index map from the ball's image table, which
-    is its own inverse.  Any other word (the identity, a longer word) maps
-    each point by the exact boundary action, so it is not truncated at
-    intermediate steps; its inverse is its reversal.  Row i is flagged when
-    the value of the operator there depends on points outside the ball: some
-    term's inverse maps points[i] outside.
+    The identity maps every vertex to itself, and a one-letter term reads its
+    index map from the ball's image table, which is its own inverse.  A word
+    of two or more letters maps each point by the exact boundary action, so
+    it is not truncated at intermediate steps; its inverse is its reversal.
+    Row i is flagged when the value of the operator there depends on points
+    outside the ball: some term's inverse maps vertex i outside.
     """
     missing = m.support_letters() - set(ball.labels)
     if missing:
         raise ValueError(f"letters {sorted(missing)} not covered by the ball labels")
-    index = {y: i for i, y in enumerate(ball.points)}
+    dim = len(ball.vertices)
+    # parsed and hashed only for words of two or more letters
+    index = {y: i for i, y in enumerate(ball.points)} if any(len(w) > 1 for w, _ in m.terms) else {}
 
     def point_map(word: str) -> np.ndarray:
         return np.array([index.get(boundary_image(word, y), -1) for y in ball.points], dtype=np.int64)
 
     maps = []
-    flags = np.zeros(len(ball.points), dtype=bool)
+    flags = np.zeros(dim, dtype=bool)
     for word, _ in m.terms:
-        if len(word) == 1:
+        if not word:
+            image = inverse = np.arange(dim, dtype=np.int64)
+        elif len(word) == 1:
             image = inverse = ball.images[word]
         else:
             image = point_map(word)
@@ -220,7 +224,7 @@ def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatr
             inverse = image if word == word[::-1] else point_map(word[::-1])
         maps.append(image)
         flags |= inverse < 0
-    return _triplets(m, maps, len(ball.points)), flags
+    return _triplets(m, maps, dim), flags
 
 
 def groupoid_block(m: AlgebraElement, n: int) -> OperatorMatrix:

@@ -7,10 +7,18 @@ summary string on success, so callers can assert and report uniformly.
 import numpy as np
 from scipy.stats import qmc
 
-from selfsim.group import BoundaryPoint, act_vertex, is_identity, reduce_word, wreath_decompose
+from selfsim.group import (
+    GENERATORS,
+    BoundaryPoint,
+    act_vertex,
+    boundary_image,
+    is_identity,
+    reduce_word,
+    wreath_decompose,
+)
 from selfsim.hecke import word_perm
 from selfsim.renorm import in_omega, renorm_map
-from selfsim.schreier import induced_ball, orbital_ball
+from selfsim.schreier import MarkedGraph, induced_ball, orbital_ball
 from selfsim.spectra import spectral_shift_check, sym_eigvals
 
 LETTERS = "abcd"
@@ -104,6 +112,46 @@ def suite_word_action():
         trivial += acts_trivially
         count += 1
     return f"{count} words checked on V_10, {trivial} identities"
+
+
+def bfs_orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
+    """Reference orbital ball: a breadth-first search that acts on each point found.
+
+    One breadth-first pass over the points as they are found: by the time
+    the first point at distance ``radius`` is expanded, every point of the
+    ball is known, so a label's image there is either a known point or
+    outside.  An image g(y) = z also gives g(z) = y, so each edge costs one
+    boundary action.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    gens = tuple(gens)
+    for g in gens:
+        if g not in GENERATORS:
+            raise ValueError(f"label {g!r} is not a generator letter")
+    if len(set(gens)) != len(gens):
+        raise ValueError("duplicate labels")
+    index = {x: 0}
+    points, dist = [x], [0]
+    images: dict[str, list] = {g: [None] for g in gens}  # None: not computed yet
+    # the list is the queue: iterating it also reaches the points appended on the way
+    for i, y in enumerate(points):
+        for g in gens:
+            if images[g][i] is not None:
+                continue
+            z = boundary_image(g, y)
+            j = index.get(z)
+            if j is None:
+                if dist[i] == radius:
+                    images[g][i] = -1
+                    continue
+                j = index[z] = len(points)
+                points.append(z)
+                dist.append(dist[i] + 1)
+                for table in images.values():
+                    table.append(None)
+            images[g][i], images[g][j] = j, i
+    return MarkedGraph(tuple(str(y) for y in points), gens, {g: np.array(t, dtype=np.int64) for g, t in images.items()})
 
 
 def _graph_key(g):

@@ -1,9 +1,13 @@
-import pytest
+import itertools
 
-from selfsim import schreier
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from selfsim.group import BoundaryPoint, boundary_image
 from selfsim.schreier import induced_ball, orbital_ball
+from suites import bfs_orbital_ball
 
 ABCD = ("a", "b", "c", "d")
 
@@ -71,20 +75,58 @@ def test_orbital_ball_edges_are_images(point, gens, radius):
     assert ball.edges == expected
 
 
-@pytest.mark.parametrize("point,calls", [("(1)", 2564), ("01(10)", 5124)])
-def test_orbital_ball_computes_each_edge_once(point, calls, monkeypatch):
-    # every label is an involution: a call g(y) = z already gives g(z) = y
-    image = schreier.boundary_image
-    known = set()
-    made = []
+def _assert_same_ball(x, gens, radius):
+    ball, expected = orbital_ball(x, gens, radius), bfs_orbital_ball(x, gens, radius)
+    assert ball.vertices == expected.vertices, (str(x), gens, radius)
+    assert ball.labels == expected.labels
+    assert list(ball.images) == list(expected.images)
+    for g in gens:
+        assert ball.images[g].dtype == np.int64
+        assert np.array_equal(ball.images[g], expected.images[g]), (str(x), gens, radius, g)
 
-    def once(g, y):
-        assert (g, y) not in known, f"{g}({y}) is known from an earlier call"
-        z = image(g, y)
-        known.update({(g, y), (g, z)})
-        made.append(g)
-        return z
 
-    monkeypatch.setattr(schreier, "boundary_image", once)
-    orbital_ball(BoundaryPoint.parse(point), ABCD, 1024)
-    assert len(made) == calls
+# every nonempty generating set, in letter order and reversed
+_GENS_ORDERS = sorted({order for k in range(1, 5) for subset in itertools.combinations(ABCD, k)
+                       for order in (subset, subset[::-1])})
+
+
+@pytest.mark.parametrize(
+    "point",
+    ["(1)", "0(1)", "1110(1)", "(0)", "(01)", "1(011)", "0(01)", "110010(011)", "011010011101(10110)", "100000000000(00101)"],
+)
+def test_orbital_ball_matches_breadth_first_search(point):
+    x = BoundaryPoint.parse(point)
+    for gens in _GENS_ORDERS:
+        for radius in range(41):
+            _assert_same_ball(x, gens, radius)
+
+
+@pytest.mark.parametrize("point,gens", [("(1)", "abcd"), ("0(1)", "dcba"), ("01(10)", "abcd"), ("110010(011)", "dab")])
+def test_orbital_ball_matches_breadth_first_search_far_out(point, gens):
+    _assert_same_ball(BoundaryPoint.parse(point), tuple(gens), 1024)
+
+
+@given(
+    pre=st.text("01", max_size=12),
+    per=st.text("01", min_size=1, max_size=5),
+    gens=st.permutations(ABCD).flatmap(lambda p: st.integers(1, 4).map(lambda k: tuple(p[:k]))),
+    radius=st.integers(0, 64),
+)
+def test_orbital_ball_matches_breadth_first_search_property(pre, per, gens, radius):
+    _assert_same_ball(BoundaryPoint(pre, per), gens, radius)
+
+
+def test_orbital_ball_without_labels_is_its_root():
+    ball = orbital_ball(BoundaryPoint.parse("01(10)"), (), 5)
+    assert ball.vertices == ("01(10)",) and ball.images == {}
+    assert ball.to_csv() == "# root=01(10)\nsource,target,label\n"
+
+
+def test_ray_of_ones_is_complemented_gray_code():
+    # the vertex at distance m from 1^inf is NOT gray(m): bit i of gray(m) is coordinate i
+    ball = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 4095)
+    assert len(ball.vertices) == 4096
+    for m in range(4096):
+        gray = m ^ (m >> 1)
+        bits = "".join("0" if gray >> i & 1 else "1" for i in range(12))
+        assert ball.vertices[m] == str(BoundaryPoint(bits, "1"))
