@@ -12,7 +12,6 @@ from .group import (
     GENERATORS,
     BoundaryPoint,
     act_vertex,
-    boundary_image,
     is_identity,
     reduce_word,
     rigidity_depth,
@@ -56,7 +55,6 @@ __all__ = [
     "reduce_word",
     "wreath_decompose",
     "act_vertex",
-    "boundary_image",
     "is_identity",
     "rigidity_depth",
     "orbital_ball",

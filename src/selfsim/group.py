@@ -9,10 +9,12 @@ exchanges them.  Group elements are plain words over "abcd"; the empty word is
 the identity and every generator is an involution, so no inverse letters are
 needed.  Words compose with the rightmost letter acting first.
 
-Every section of a generator is again a generator or the identity, so each
-generator is a bounded automaton: reading a ray, it changes at most the one
-coordinate after the first 0.  The tree action, on vertices and on boundary
-points alike, applies the letters of a word one at a time along this walk.
+Every section of a generator is again a generator or the identity, and the
+recursions unfold into one rule, _moves: a flips coordinate 0, and b, c and d
+flip the coordinate f just after the first 0 (their flip position) unless
+they are the loop letter _LOOP[(f - 1) % 3] there.  The vertex and boundary
+actions, the level permutations (hecke), the orbital lines (schreier) and the
+rigidity depths all read it.
 
 Provides:
     - wreath_decompose / act_vertex: the level-1 decomposition and the vertex
@@ -43,13 +45,7 @@ _GEN_DECOMP = {
     "d": (False, "", "b"),
 }
 
-# The sections of _GEN_DECOMP as indices into _STATES: row = state, column =
-# bit.  State 0 is the identity, whose sections are the identity.  One byte
-# per entry, so a state per sampled ray costs one byte too.
-_STATES = ("",) + GENERATORS
-_SECTION_TABLE = np.array(
-    [[0, 0]] + [[_STATES.index(s) for s in _GEN_DECOMP[g][1:]] for g in GENERATORS], dtype=np.uint8
-)
+_LOOP = "dcb"  # the one of b, c, d fixing a ray whose first 0 is at coordinate f - 1, by (f - 1) mod 3
 
 # Klein four-group table for the {b, c, d} letters: any two distinct ones
 # multiply to the third, in either order.
@@ -132,20 +128,17 @@ def wreath_decompose(word: str) -> WreathDecomposition:
     return WreathDecomposition(*acc)
 
 
-def _letter_flip(letter: str, bits: str) -> int | None:
-    """Position of the one bit that the generator flips, read along its sections, or None.
+def _moves(letter: str, f):
+    """Whether the generator flips coordinate f when f is its flip position (scalars or arrays); b, c, d need f >= 1."""
+    if letter == "a":
+        return f == 0
+    return (f >= 1) & ((f - 1) % 3 != _LOOP.index(letter))
 
-    A generator's section is again a generator or dies, so the walk is one
-    state per bit and stops at the first swap or dead section.
-    """
-    for i, bit in enumerate(bits):
-        swap, s0, s1 = _GEN_DECOMP[letter]
-        if swap:
-            return i
-        letter = s0 if bit == "0" else s1
-        if not letter:
-            break
-    return None
+
+def _letter_flip(letter: str, bits: str) -> int | None:
+    """Position of the one bit that the generator flips, or None."""
+    f = 0 if letter == "a" else bits.find("0") + 1  # 0 for b, c and d when there is no 0, which never moves
+    return f if f < len(bits) and _moves(letter, f) else None
 
 
 def act_vertex(word: str, vertex: str) -> str:
@@ -266,25 +259,29 @@ def rigidity_depth(rays, letter: str) -> np.ndarray:
 
     ``rays`` is a 2-D 0/1 array (bool or integer) holding one ray prefix per
     row; its width is the deepest level read.  ``letter`` is one generator or
-    the empty word.  All rows walk the wreath recursion together, one
-    _SECTION_TABLE lookup per level as in the tree walk; entry i is the first
-    level n at which the section at the first n coordinates of row i is the
-    identity, or 0 if that does not happen within the row.
+    the empty word.  Entry i is the first level n at which the section at the
+    first n coordinates of row i is the identity, or 0 if that does not happen
+    within the row: 1 for a and the identity, and for b, c and d the flip
+    position f after the row's first 0, or f + 1 (through a) where they move.
+    The columns are walked until every row has met its first 0.
     """
-    if letter not in _STATES:
+    if letter not in ("",) + GENERATORS:
         raise ValueError(f"rigidity_depth takes one generator letter or the empty word, got {letter!r}")
     rays = np.asarray(rays)
     if rays.ndim != 2 or rays.shape[1] == 0:
         raise ValueError(f"rays must be a 2-D array with at least one level, got shape {rays.shape}")
     if np.any((rays != 0) & (rays != 1)):
         raise ValueError("rays must hold only 0 and 1")
-    # bits and states as one-byte table indices, and depths as int32: the sample may hold 2^24 rows
-    index = rays.astype(np.uint8)
-    state = np.full(index.shape[0], _STATES.index(letter), dtype=np.uint8)
-    depth = np.zeros(index.shape[0], dtype=np.int32)
-    for n, column in enumerate(index.T, start=1):
-        state = _SECTION_TABLE[state, column]
-        depth[(state == 0) & (depth == 0)] = n
-        if not state.any():
+    if letter in ("", "a"):
+        return np.ones(rays.shape[0], dtype=np.int32)
+    # depths as int32 and one flag per row: the sample may hold 2^24 rows
+    depth = np.zeros(rays.shape[0], dtype=np.int32)
+    open_rows = np.ones(rays.shape[0], dtype=bool)  # rows that have not met a 0 yet
+    for f, column in enumerate(rays.T, start=1):
+        hit = (column == 0) & open_rows
+        level = f + int(_moves(letter, f))
+        depth[hit] = level if level <= rays.shape[1] else 0  # else the section a outlives the row
+        open_rows ^= hit
+        if not open_rows.any():
             break
     return depth

@@ -1,11 +1,11 @@
 """Finite-level operator matrices for group-algebra elements.
 
-The level-n action of the generators is produced by unfolding the block
-recursion
+The level-n action of the generators is the block recursion
 
     A = [[0, I], [I, 0]],  B = diag(A, C),  C = diag(A, D),  D = diag(I, B)
 
-down to a scalar base, read off the generators' wreath recursions.  These
+read off the generators' wreath recursions and unfolded to the flip rule of
+group._moves, one whole-array XOR of the level indices per generator.  These
 matrices are the Koopman representation at the uniform Bernoulli measure
 (q = 1/2) compressed to the level-n cylinder functions; at any other q a
 Radon-Nikodym factor enters and they no longer describe it.
@@ -30,9 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import _GEN_DECOMP, boundary_image, is_identity, reduce_word
+from .group import GENERATORS, _moves, boundary_image, is_identity, reduce_word
 from .renorm import renorm_map
-from .schreier import MarkedGraph
+from .schreier import MarkedGraph, _bit_length
 
 LEVEL_GUARD = 20
 ASSEMBLY_GUARD = 13  # level operators stay within seconds of solve time
@@ -51,18 +51,16 @@ def _level_perms(n: int) -> dict[str, np.ndarray]:
 
     Index j encodes the vertex whose bit string is j written MSB-first, so the
     first tree coordinate is the high-order bit and block structure matches
-    the operator recursion.  perm[j] is the image index.
+    the operator recursion.  perm[j] is the image index.  The first 0 of
+    vertex j is the top set bit of NOT j, so the flip position of b, c and d
+    is f = n + 1 - bit_length(NOT j), held in bit n - 1 - f.
     """
     _check_level(n, LEVEL_GUARD)
-    out = {g: np.zeros(1, dtype=np.int64) for g in _GEN_DECOMP}
-    for k in range(1, n + 1):
-        half = 1 << (k - 1)
-        p = {"": np.arange(half, dtype=np.int64), **out}
-        # the swapping generator exchanges the halves; the others act on each half by a section
-        out = {
-            g: np.concatenate([p[s0] + half, p[s1]] if swap else [p[s0], p[s1] + half])
-            for g, (swap, s0, s1) in _GEN_DECOMP.items()
-        }
+    j = np.arange(1 << n, dtype=np.int64)
+    length = _bit_length(j ^ ((1 << n) - 1))
+    f = (n + 1 - length).astype(np.int8)  # one byte each keeps the % in _moves cheap at 2^20 vertices
+    bit = (1 << length) >> 2  # 0 where f >= n: no 0, or the first 0 in the last coordinate
+    out = {"a": j ^ (1 << n >> 1), **{g: j ^ bit * _moves(g, f) for g in GENERATORS[1:]}}
     for arr in out.values():
         arr.setflags(write=False)
     return out

@@ -28,7 +28,6 @@ import numpy as np
 _POLE_MARGIN = 0.4  # halfwidth of the excluded alpha zones when sampling curves
 _SVG_BLOCK = 8  # curves omega_svg formats at once
 _SVG_SIZE = 800  # width and height of the Omega plot in pixels
-_DEDUP_TOL = 1e-12  # slice samples closer than this are one value
 
 
 def renorm_map(p: tuple) -> tuple:
@@ -141,22 +140,18 @@ def lambda_slice(t: float) -> IntervalUnion:
 
 
 def slice_spectrum_samples(t: float, n: int) -> list[float]:
-    """Level-n eigenvalue samples on the alpha = t slice: 1 +- sqrt per curve.
+    """Level-n spectrum of -t a + b + c + d with multiplicity: 2^n floats, sorted.
 
-    The radicand t^2 - 4 t cos + 4 equals (t - 2 cos)^2 + 4 sin^2 and is never
-    negative.  Values are sorted and deduplicated within _DEDUP_TOL, collapsing
-    the exact cosine collisions between j and 2^n - j.
+    The eigenvalues are 3 - t, 3 + t when n >= 1, and
+    1 +- sqrt(t^2 - 4 t cos(2 pi j / 2^k) + 4) for 2 <= k <= n and odd
+    j < 2^(k-1).  As i = j 2^(n-k) the angles are 2 pi i / 2^n for
+    0 < i < 2^(n-1), the same floats, since scaling by a power of two is
+    exact.  The radicand equals (t - 2 cos)^2 + 4 sin^2 and is never negative.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    j = np.arange(1 << n)
-    root = np.sqrt(t * t - 4.0 * t * np.cos(2.0 * np.pi * j / (1 << n)) + 4.0)
-    values = np.sort(np.concatenate([1.0 - root, 1.0 + root]))
-    kept: list[float] = []
-    for v in values:
-        if not kept or v - kept[-1] > _DEDUP_TOL:
-            kept.append(float(v))
-    return kept
+    root = np.sqrt(t * t - 4.0 * t * np.cos(2.0 * np.pi * np.arange(1, 1 << n >> 1) / (1 << n)) + 4.0)
+    return np.sort(np.concatenate([[3.0 - t, 3.0 + t][: min(n, 1) + 1], 1.0 - root, 1.0 + root])).tolist()
 
 
 def _two_decimals(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,10 +17,10 @@ operators related to some fractal groups"; Grigorchuk-Lenz-Nagnibeda,
 with aperiodic order"), and the line has a coordinate.  Read a point y as a
 2-adic integer, coordinate i as bit i.  Then y = NOT gray(m) with
 gray(m) = m XOR (m >> 1), and one step along the line is m -> m +- 1, which
-flips the one coordinate v2 of the larger end.  A flip of coordinate 0 is the
-a edge; a flip of coordinate f >= 1 is a b, c and d edge whose loop letter
-(the generator that fixes both ends) is fixed by (f - 1) mod 3, the other two
-letters moving along it.  gray(m) = gray(-1 - m), so the orbit of 1^inf,
+flips the one coordinate v2 of the larger end, the flip position of both
+ends, so group._moves says which letters take it: a flip of coordinate 0 is
+the a edge, and one of f >= 1 a b, c and d edge whose loop letter (fixing
+both ends) is fixed by (f - 1) mod 3.  gray(m) = gray(-1 - m), so the orbit of 1^inf,
 where m is a nonnegative integer, is one-ended: crossing from 0 to -1 is the
 step where b, c and d all loop.  Every other orbit is two-ended.  A ball of
 radius r reads only the low bits of m and, past them, at most one carry or
@@ -39,9 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .group import GENERATORS, BoundaryPoint
+from .group import GENERATORS, BoundaryPoint, _moves
 
-_LOOP = "dcb"  # the one of b, c, d fixing a flip of coordinate f >= 1, by (f - 1) mod 3
 _FOLD = -1  # step flip of the one-ended line's end, where b, c and d all loop
 
 
@@ -189,7 +188,7 @@ def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
     flip = _bit_length(below & -below) - 1
     flip[u == 0] = _FOLD if borrow_flip is None else borrow_flip
     flip[u == 1 << low] = carry_flip
-    moves = {g: flip == 0 if g == "a" else (flip >= 1) & ((flip - 1) % 3 != _LOOP.find(g)) for g in gens}
+    moves = {g: _moves(g, flip) for g in gens}
     taken = np.zeros(step.size, dtype=bool)
     for move in moves.values():
         taken |= move

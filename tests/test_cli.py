@@ -77,7 +77,8 @@ def test_slice_outputs(tmp_path):
     assert _read_json(out / "lambda.json")["intervals"] == [[-2.0, 0.0], [2.0, 4.0]]
     lines = (out / "samples.csv").read_text().splitlines()
     assert lines[0] == "n,value"
-    assert lines[1] == "0,-2.0"
+    assert lines[1] == "0,4.0"
+    assert len(lines) == 1 + 31  # 2^n eigenvalues at each level n <= 4
     report = _read_json(out / "report.json")
     assert sorted(report["hausdorff"]) == ["0", "1", "2", "3", "4"]
     assert all(v["forward"] <= 1e-9 for v in report["hausdorff"].values())

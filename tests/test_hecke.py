@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfsim import hecke
-from selfsim.group import BoundaryPoint, act_vertex, boundary_image, is_identity
+from selfsim.group import BoundaryPoint, boundary_image, is_identity
 from selfsim.hecke import (
     AlgebraElement,
     _pencil,
@@ -21,6 +21,7 @@ from selfsim.hecke import (
 )
 from selfsim.schreier import orbital_ball
 from selfsim.spectra import sym_eigvals
+from suites import _act_via_decomposition
 
 ABCD = ("a", "b", "c", "d")
 NON_DYADIC = AlgebraElement.from_terms(
@@ -56,13 +57,14 @@ def test_level_two_block_recursion():
 
 
 def test_perms_match_vertex_action():
+    # the reference walks wreath_decompose, not the flip rule that word_perm reads
     for n in range(11):
         strings = [format(i, f"0{n}b") if n else "" for i in range(1 << n)]
         index = {s: i for i, s in enumerate(strings)}
         for g in ABCD:
             perm = word_perm(g, n)
             for i, s in enumerate(strings):
-                assert perm[i] == index[act_vertex(g, s)]
+                assert perm[i] == index[_act_via_decomposition(g, s)]
 
 
 def test_word_perm_relations():

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from selfsim import renorm
+from selfsim.hecke import AlgebraElement, assemble_level
 from selfsim.renorm import (
     IntervalUnion,
     _curve_samples,
@@ -19,7 +20,7 @@ from selfsim.renorm import (
     renorm_map,
     slice_spectrum_samples,
 )
-from selfsim.spectra import hausdorff_to_set
+from selfsim.spectra import hausdorff_to_set, sym_eigvals
 
 
 def test_renorm_map_fixed_points():
@@ -144,15 +145,28 @@ def test_lambda_slice_endpoints_exact():
 
 
 def test_slice_samples_small_levels():
-    assert slice_spectrum_samples(-1.0, 1) == [-2.0, 0.0, 2.0, 4.0]
-    for n in (0, 3, 5):
-        assert slice_spectrum_samples(0.0, n) == [-1.0, 3.0]
+    assert slice_spectrum_samples(-1.0, 0) == [4.0]
+    assert slice_spectrum_samples(-1.0, 1) == [2.0, 4.0]
+    assert slice_spectrum_samples(0.0, 0) == [3.0]
+    for n in (1, 3, 5):
+        # repeats are kept: at t = 0 every radicand is 4
+        assert slice_spectrum_samples(0.0, n) == [-1.0] * ((1 << n - 1) - 1) + [3.0] * ((1 << n - 1) + 1)
     vals = slice_spectrum_samples(-1.0, 2)
-    assert len(vals) == 6
+    assert len(vals) == 4
     assert min(abs(v - (1.0 + 5**0.5)) for v in vals) < 1e-12
     assert min(abs(v - (1.0 - 5**0.5)) for v in vals) < 1e-12
-    # cosine collisions between j and 2^n - j collapse under dedup
-    assert len(slice_spectrum_samples(-1.0, 3)) == 10
+    # 1 - |t - 2| and 1 - |t + 2| end the lower band of the slice but are eigenvalues at no level
+    for n in range(8):
+        assert len(slice_spectrum_samples(-1.0, n)) == 1 << n
+        assert -2.0 not in slice_spectrum_samples(-1.0, n) and 0.0 not in slice_spectrum_samples(-1.0, n)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, -1.0, 2.0, -2.0, -0.5, 2.5])
+def test_slice_samples_are_the_level_spectra(t):
+    element = AlgebraElement.from_terms([("a", -t), ("b", 1.0), ("c", 1.0), ("d", 1.0)])
+    for n in range(14):
+        solved = np.sort(sym_eigvals(assemble_level(element, n)))
+        assert np.abs(np.array(slice_spectrum_samples(t, n)) - solved).max() <= 1e-12, (t, n)
 
 
 def test_slice_samples_stay_in_slice():
