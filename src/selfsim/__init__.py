@@ -17,10 +17,7 @@ from .group import (
     rigidity_depth,
     wreath_decompose,
 )
-from .schreier import (
-    induced_ball,
-    orbital_ball,
-)
+from .schreier import orbital_ball
 from .hecke import (
     AlgebraElement,
     assemble_level,
@@ -58,7 +55,6 @@ __all__ = [
     "is_identity",
     "rigidity_depth",
     "orbital_ball",
-    "induced_ball",
     "AlgebraElement",
     "word_perm",
     "delta_element",

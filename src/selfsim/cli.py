@@ -249,7 +249,7 @@ def cmd_orbital(args: argparse.Namespace) -> int:
     _, name, element = args.element
     ball = orbital_ball(x, letters, radius)
     outputs = [_write(outdir, "graph.csv", ball.to_csv())]
-    matrix, flags = assemble_orbital(element, ball)
+    matrix, flags = assemble_orbital(element, x, letters, radius)
     rep = sym_eigs(matrix)
     outputs.append(_write(outdir, "spectrum.csv", rep.to_csv()))
     flag_lines = ["vertex,flagged"]

@@ -270,7 +270,7 @@ def rigidity_depth(rays, letter: str) -> np.ndarray:
     rays = np.asarray(rays)
     if rays.ndim != 2 or rays.shape[1] == 0:
         raise ValueError(f"rays must be a 2-D array with at least one level, got shape {rays.shape}")
-    if np.any((rays != 0) & (rays != 1)):
+    if rays.dtype != bool and np.any((rays != 0) & (rays != 1)):  # a bool array holds nothing else
         raise ValueError("rays must hold only 0 and 1")
     if letter in ("", "a"):
         return np.ones(rays.shape[0], dtype=np.int32)

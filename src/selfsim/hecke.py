@@ -15,10 +15,12 @@ data).
 Operator assembly U(m) = sum of m(w) times the word permutation composes the
 permutations exactly and converts to floating point at the final accumulation.
 Level, groupoid and orbital operators alike are coefficients times partial
-permutations given as index maps (an orbital ball's image tables), which one
-builder turns into an OperatorMatrix of coordinate triplets (about one nonzero
-per term and row, since the Schreier graphs are lines); no assembler forms a
-dense array.
+permutations given as index maps, which one builder turns into an
+OperatorMatrix of coordinate triplets (about one nonzero per term and row,
+since the Schreier graphs are lines); no assembler forms a dense array.  An
+orbital term's map composes the per-letter image tables of a stretch of the
+orbit line (schreier), the same way a level term composes the generator
+permutations; no point is parsed or acted on.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import GENERATORS, _moves, boundary_image, is_identity, reduce_word
+from .group import GENERATORS, _moves, is_identity, reduce_word
 from .renorm import renorm_map
-from .schreier import MarkedGraph, _bit_length
+from .schreier import _bit_length, _line_tables
 
 LEVEL_GUARD = 20
 ASSEMBLY_GUARD = 13  # level operators stay within seconds of solve time
@@ -189,39 +191,35 @@ def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
     return _triplets(m, [word_perm(word, n) for word, _ in m.terms], 1 << n)
 
 
-def assemble_orbital(m: AlgebraElement, ball: MarkedGraph) -> tuple[OperatorMatrix, np.ndarray]:
-    """Compression of the orbit representation of m to a ball, with row flags.
+def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorMatrix, np.ndarray]:
+    """Compression of the orbit representation of m to orbital_ball(x, gens, radius), with row flags.
 
-    The identity maps every vertex to itself, and a one-letter term reads its
-    index map from the ball's image table, which is its own inverse.  A word
-    of two or more letters maps each point by the exact boundary action, so
-    it is not truncated at intermediate steps; its inverse is its reversal.
-    Row i is flagged when the value of the operator there depends on points
-    outside the ball: some term's inverse maps vertex i outside.
+    Each term composes the image tables of the ball L - 1 steps larger, L
+    the longest word of m, and is cut at the radius ball, a prefix of it.  A
+    letter moves a point at most one step, so the word's intermediate images
+    stay in the larger ball and its map is exact.  Row i is flagged when the
+    operator there depends on points outside the ball: some term's inverse,
+    its reversal, maps vertex i outside.
     """
-    missing = m.support_letters() - set(ball.labels)
+    missing = m.support_letters() - set(gens)
     if missing:
         raise ValueError(f"letters {sorted(missing)} not covered by the ball labels")
-    dim = len(ball.vertices)
-    # parsed and hashed only for words of two or more letters
-    index = {y: i for i, y in enumerate(ball.points)} if any(len(w) > 1 for w, _ in m.terms) else {}
+    longest = max((len(word) for word, _ in m.terms), default=0)
+    images, offsets, _ = _line_tables(x, gens, radius, max(longest - 1, 0))
+    dim = int(np.count_nonzero(np.abs(offsets) <= radius))
 
-    def point_map(word: str) -> np.ndarray:
-        return np.array([index.get(boundary_image(word, y), -1) for y in ball.points], dtype=np.int64)
+    def word_map(word: str) -> np.ndarray:
+        image = np.arange(dim, dtype=np.int64)
+        for ch in reversed(word):
+            image = images[ch][image]  # only the last letter can leave the larger ball (-1)
+        image[image >= dim] = -1
+        return image
 
     maps = []
     flags = np.zeros(dim, dtype=bool)
     for word, _ in m.terms:
-        if not word:
-            image = inverse = np.arange(dim, dtype=np.int64)
-        elif len(word) == 1:
-            image = inverse = ball.images[word]
-        else:
-            image = point_map(word)
-            # palindromes are self-inverse
-            inverse = image if word == word[::-1] else point_map(word[::-1])
-        maps.append(image)
-        flags |= inverse < 0
+        maps.append(word_map(word))
+        flags |= word_map(word[::-1]) < 0
     return _triplets(m, maps, dim), flags
 
 

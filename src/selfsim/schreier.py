@@ -8,8 +8,7 @@ partial permutation that is its own inverse, and the graph is undirected; a
 fixed point of g is a loop.  The edge list and the CSV are views of the
 tables.  Vertex names are canonical BoundaryPoint strings (minimal period,
 then shortest preperiod), so two vertices are equal exactly when they are the
-same boundary sequence; the BoundaryPoints themselves are parsed from the
-names only when a caller asks for them.
+same boundary sequence.  No name is parsed back into a point.
 
 Orbits are lines (Bartholdi-Grigorchuk, "On the spectrum of Hecke type
 operators related to some fractal groups"; Grigorchuk-Lenz-Nagnibeda,
@@ -29,13 +28,15 @@ borrow run, so it is built in whole-array passes without acting on a point.
 Balls use the word metric of the supplied generating set, not an enumeration
 of the whole group; edges between two included vertices are always included.
 A generating set that leaves out every letter of some step cuts the line
-there.
+there.  A ball is a prefix of every larger ball around the same point, so
+hecke reads the image of a word of length L on the radius-r ball off the
+tables of the radius r + L - 1 ball: no letter moves a point more than one
+step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,10 +57,6 @@ class MarkedGraph:
     vertices: tuple[str, ...]
     labels: tuple[str, ...]
     images: dict[str, np.ndarray]
-
-    @cached_property
-    def points(self) -> tuple[BoundaryPoint, ...]:
-        return tuple(BoundaryPoint.parse(v) for v in self.vertices)
 
     @property
     def root(self) -> str:
@@ -128,14 +125,23 @@ def _line_coordinate(x: BoundaryPoint, low: int) -> tuple[int, int, int | None]:
     return m & ((1 << low) - 1), low + v2(h + 1), low + v2(h) if h else None
 
 
-def _names(x: BoundaryPoint, low: int, low_flips: np.ndarray, far: np.ndarray, far_bits) -> list[str]:
-    """Canonical names of the points x XOR low_flips XOR (1 << far_bits[far]), where far_bits[0] is None.
+def _names(x: BoundaryPoint, offsets: np.ndarray, low: int, lo: int, carry_flip: int, borrow_flip) -> list[str]:
+    """Canonical names of the points offsets[i] steps along the line from x.
 
-    low_flips holds coordinates below low.  The preperiod of a point is as
-    long as the bit length of its XOR with the purely periodic sequence that
-    x ends in, and its period is that sequence's period read from there.  All
-    names are written into one byte array, a row each, padded with NUL bytes.
+    (lo, carry_flip, borrow_flip) is _line_coordinate(x, low).  The
+    coordinates flipped from x are gray of the change in m, whose part
+    at and above low is one carry or borrow run: that part flips one far
+    coordinate, carry_flip or borrow_flip, and coordinate low - 1.  The
+    preperiod of a point is as long as the bit length of its XOR with the
+    purely periodic sequence that x ends in, and its period is that
+    sequence's period read from there.  All names are written into one byte
+    array, a row each, padded with NUL bytes.
     """
+    u = lo + offsets
+    carry, borrow = u >= 1 << low, u < 0
+    change = lo ^ (u & ((1 << low) - 1))
+    low_flips = change ^ (change >> 1) ^ ((carry | borrow).astype(np.int64) << (low - 1))
+    far, far_bits = carry + 2 * borrow, (None, carry_flip, borrow_flip)
     pre, per, p = x.preperiod, x.period, len(x.period)
     start = -len(pre) % p
     rotated = per[start:] + per[:start]  # coordinate i of the periodic sequence is rotated[i % p]
@@ -161,15 +167,15 @@ def _names(x: BoundaryPoint, low: int, low_flips: np.ndarray, far: np.ndarray, f
     return [row.decode("ascii") for row in cells.view(f"S{width}").ravel()]
 
 
-def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
-    """Word-metric ball of the orbital graph around x, with internal edges.
+def _line_tables(x: BoundaryPoint, gens, radius: int, beyond: int = 0):
+    """(image tables, offsets, line coordinate) of the ball of radius + beyond around x.
 
-    gens is a sequence of distinct generator letters.  The ball is the
-    stretch of the line within radius steps of x on either side, cut at the
-    first step that no letter of gens takes and at the one-ended orbit's end.
-    Its vertices are numbered as a breadth-first search from x would find
-    them: the root, then the two sides interleaved, the side reached by the
-    earlier letter of gens first.
+    The ball is the one orbital_ball(x, gens, radius + beyond) describes,
+    and radius must be >= 0.  offsets[i] is the number of steps along the
+    line from x to vertex i, and the coordinate is (low, *_line_coordinate(x,
+    low)), which _names reads.  A radius-r ball is the first vertices of any
+    larger ball around x, those with |offset| <= r, numbered alike, and its
+    image tables are the larger ball's cut there.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -179,6 +185,7 @@ def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
             raise ValueError(f"label {g!r} is not a generator letter")
     if len(set(gens)) != len(gens):
         raise ValueError("duplicate labels")
+    radius += beyond
     low = radius.bit_length() + 1  # m + k carries or borrows at most once past bit low for |k| <= radius + 1
     lo, carry_flip, borrow_flip = _line_coordinate(x, low)
     # flip[j] is the coordinate that step j, from m + j - 1 to m + j, flips: v2(m + j)
@@ -205,36 +212,18 @@ def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
     k = offsets[order]  # offsets in breadth-first order
     at = k + radius  # the steps to offsets k + 1 and k - 1 are step[at + 1] and step[at]
     images = {g: index[k + move[at + 1] - move[at] + n_down + 1] for g, move in moves.items()}
-    # coordinates flipped from x: gray of the change in m, whose high part is one carry or borrow run
-    u = lo + k
-    carry, borrow = u >= 1 << low, u < 0
-    change = lo ^ (u & ((1 << low) - 1))
-    low_flips = change ^ (change >> 1) ^ ((carry | borrow).astype(np.int64) << (low - 1))
-    names = _names(x, low, low_flips, carry + 2 * borrow, (None, carry_flip, borrow_flip))
-    return MarkedGraph(tuple(names), gens, images)
+    return images, k, (low, lo, carry_flip, borrow_flip)
 
 
-def induced_ball(graph: MarkedGraph, center: str, radius: int) -> MarkedGraph:
-    """Induced subgraph on vertices within undirected distance radius of center.
+def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
+    """Word-metric ball of the orbital graph around x, with internal edges.
 
-    The vertices are renumbered in breadth-first order from center.
+    gens is a sequence of distinct generator letters.  The ball is the
+    stretch of the line within radius steps of x on either side, cut at the
+    first step that no letter of gens takes and at the one-ended orbit's end.
+    Its vertices are numbered as a breadth-first search from x would find
+    them: the root, then the two sides interleaved, the side reached by the
+    earlier letter of gens first.
     """
-    try:
-        start = graph.vertices.index(center)
-    except ValueError:
-        raise ValueError(f"center {center!r} is not a vertex") from None
-    order, dist = [start], {start: 0}
-    for v in order:
-        if dist[v] >= radius:
-            continue
-        for g in graph.labels:
-            w = int(graph.images[g][v])
-            if w >= 0 and w not in dist:
-                dist[w] = dist[v] + 1
-                order.append(w)
-    old = np.array(order, dtype=np.int64)
-    # one slot past the end stays -1, so an image of -1 renumbers to -1
-    renumber = np.full(len(graph.vertices) + 1, -1, dtype=np.int64)
-    renumber[old] = np.arange(old.size)
-    images = {g: renumber[table[old]] for g, table in graph.images.items()}
-    return MarkedGraph(tuple(graph.vertices[i] for i in order), graph.labels, images)
+    images, offsets, coordinate = _line_tables(x, gens, radius)
+    return MarkedGraph(tuple(_names(x, offsets, *coordinate)), tuple(images), images)

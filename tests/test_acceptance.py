@@ -21,7 +21,6 @@ from selfsim.hecke import (
     schur_step_check,
 )
 from selfsim.renorm import IntervalUnion, curve_invariance_check, lambda_slice, slice_spectrum_samples
-from selfsim.schreier import orbital_ball
 from selfsim.spectra import hausdorff_to_set, sym_eigvals
 
 from suites import (
@@ -161,8 +160,7 @@ def test_c09_generic_boundary_points_are_rigid():
 
 
 def test_c10_large_ball_spectrum_concentrates():
-    ball = orbital_ball(BoundaryPoint.parse("(1)"), GENERATORS, 256)
-    matrix, _ = assemble_orbital(delta_element(), ball)
+    matrix, _ = assemble_orbital(delta_element(), BoundaryPoint.parse("(1)"), GENERATORS, 256)
     values = sym_eigvals(matrix)
     assert values.min() >= -0.6 and values.max() <= 1.1
     near = sum(1 for v in values if DELTA_TARGET.distance(float(v)) <= 0.05)

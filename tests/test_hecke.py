@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selfsim import hecke
+from selfsim import group
 from selfsim.group import BoundaryPoint, boundary_image, is_identity
 from selfsim.hecke import (
     AlgebraElement,
@@ -184,23 +184,22 @@ def test_groupoid_block_doubles_spectrum():
 
 def test_assemble_orbital_examples():
     ones = BoundaryPoint.parse("(1)")
-    ball0 = orbital_ball(ones, ABCD, 0)
-    M, flags = assemble_orbital(delta_element(), ball0)
+    M, flags = assemble_orbital(delta_element(), ones, ABCD, 0)
     assert M.dim == 1 and np.array_equal(_dense(M), [[0.75]])
     assert flags.any()
 
     ident = AlgebraElement.from_terms([("", 1.0)])
-    Mi, fi = assemble_orbital(ident, ball0)
+    Mi, fi = assemble_orbital(ident, ones, ABCD, 0)
     assert np.array_equal(_dense(Mi), [[1.0]]) and not fi.any()
 
     with pytest.raises(ValueError, match=r"letters \['a'\] not covered"):
-        assemble_orbital(delta_element(), orbital_ball(ones, ("b", "c", "d"), 0))
+        assemble_orbital(delta_element(), ones, ("b", "c", "d"), 0)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        assemble_orbital(AlgebraElement.from_terms([("abacaba", 1.0)]), ones, ABCD, -1)
 
 
 def test_assemble_orbital_interior_rows_exact():
-    ones = BoundaryPoint.parse("(1)")
-    ball = orbital_ball(ones, ABCD, 8)
-    M, flags = assemble_orbital(delta_element(), ball)
+    M, flags = assemble_orbital(delta_element(), BoundaryPoint.parse("(1)"), ABCD, 8)
     assert np.array_equal(_dense(M), _dense(M).T)
     # interior rows sum to 1: the four quarter-weight images all stay inside
     row_sums = _dense(M).sum(axis=1)
@@ -226,12 +225,12 @@ def _orbital_reference(element, ball):
 
 def test_assemble_orbital_non_palindromic_element():
     # ab and ba are mutually inverse, distinct words: the inverse image of
-    # each term needs its own boundary_image call
+    # each term needs its own map
     element = AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0)])
     assert [w for w, _ in element.terms] == ["ab", "ba"]
-    ball = orbital_ball(BoundaryPoint.parse("0(01)"), ABCD, 6)
-    M, flags = assemble_orbital(element, ball)
-    expected, expected_flags = _orbital_reference(element, ball)
+    x = BoundaryPoint.parse("0(01)")
+    M, flags = assemble_orbital(element, x, ABCD, 6)
+    expected, expected_flags = _orbital_reference(element, orbital_ball(x, ABCD, 6))
     assert np.array_equal(_dense(M), expected)
     assert np.array_equal(flags, expected_flags)
     assert flags.any() and not flags.all()
@@ -247,6 +246,9 @@ ORBITAL_ELEMENTS = {
     ),
     "ab+ba": lambda letters: AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0)]),
     "aca": lambda letters: AlgebraElement.from_terms([("aca", 1.0)]),
+    # on 1^inf at radius 6 its map has 6 entries inside the ball, and the
+    # ball's own tables composed give 4: two paths leave the ball and come back
+    "abacaba": lambda letters: AlgebraElement.from_terms([("abacaba", 1.0)]),
 }
 
 
@@ -262,34 +264,64 @@ def test_assemble_orbital_matches_boundary_action(name, gens):
     covered = element.support_letters() <= set(gens)
     for point in ("(1)", "0(01)", "01(10)", "110010(011)"):
         for radius in (0, 1, 6):
-            ball = orbital_ball(BoundaryPoint.parse(point), gens, radius)
+            x = BoundaryPoint.parse(point)
             if not covered:
                 with pytest.raises(ValueError, match="not covered by the ball labels"):
-                    assemble_orbital(element, ball)
+                    assemble_orbital(element, x, gens, radius)
                 continue
-            M, flags = assemble_orbital(element, ball)
-            expected, expected_flags = _orbital_reference(element, ball)
+            M, flags = assemble_orbital(element, x, gens, radius)
+            expected, expected_flags = _orbital_reference(element, orbital_ball(x, gens, radius))
             assert np.array_equal(_dense(M), expected)
             assert np.array_equal(flags, expected_flags)
 
 
-def test_assemble_orbital_reads_label_images_from_the_edges(monkeypatch):
-    ball = orbital_ball(BoundaryPoint.parse("01(10)"), ABCD, 8)
-    expected, expected_flags = _orbital_reference(delta_element(), ball)
+FIVE_TERMS = AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0), ("aca", 0.5), ("c", -0.3), ("", 0.2)])
 
-    def unused(word, x):
-        raise AssertionError(f"boundary_image({word!r}, {x}) called for a label word")
 
-    monkeypatch.setattr(hecke, "boundary_image", unused)
-    M, flags = assemble_orbital(delta_element(), ball)
+def test_assemble_orbital_acts_on_no_point(monkeypatch):
+    x = BoundaryPoint.parse("110010(011)")
+    expected, expected_flags = _orbital_reference(FIVE_TERMS, orbital_ball(x, ABCD, 1024))
+
+    def unused(*args):
+        raise AssertionError(f"a point was parsed or acted on: {args!r}")
+
+    monkeypatch.setattr(group, "boundary_image", unused)
+    monkeypatch.setattr(BoundaryPoint, "parse", staticmethod(unused))
+    M, flags = assemble_orbital(FIVE_TERMS, x, ABCD, 1024)
     assert np.array_equal(_dense(M), expected)
     assert np.array_equal(flags, expected_flags)
 
 
+def _reduced_word(rng, gens, length):
+    """A random word of at most length letters over gens in which no two neighbours reduce."""
+    word = ""
+    for _ in range(length):
+        # a and one of b, c, d alternate in a reduced word
+        choices = [g for g in gens if (g == "a") != (word[-1:] == "a")] if word else list(gens)
+        if not choices:
+            break
+        word += str(rng.choice(choices))
+    return word
+
+
+def test_assemble_orbital_matches_boundary_action_sweep():
+    rng = np.random.default_rng(20261019)
+    for _ in range(500):
+        gens = tuple(rng.permutation(list("abcd"))[: rng.integers(1, 5)].tolist())
+        terms = [(_reduced_word(rng, gens, int(rng.integers(0, 8))), float(rng.integers(-4, 5)) / 4)
+                 for _ in range(int(rng.integers(1, 4)))]
+        pre = "".join(rng.choice(["0", "1"], int(rng.integers(0, 9))))
+        x = BoundaryPoint(pre, "".join(rng.choice(["0", "1"], int(rng.integers(1, 5)))))
+        radius = int(rng.integers(0, 21))
+        element = AlgebraElement.from_terms(terms)
+        M, flags = assemble_orbital(element, x, gens, radius)
+        expected, expected_flags = _orbital_reference(element, orbital_ball(x, gens, radius))
+        assert np.array_equal(_dense(M), expected), (str(x), gens, radius, element.terms)
+        assert np.array_equal(flags, expected_flags), (str(x), gens, radius, element.terms)
+
+
 def test_assemble_orbital_soft_spectrum():
-    ones = BoundaryPoint.parse("(1)")
-    ball = orbital_ball(ones, ABCD, 64)
-    M, _ = assemble_orbital(delta_element(), ball)
+    M, _ = assemble_orbital(delta_element(), BoundaryPoint.parse("(1)"), ABCD, 64)
     ev = sym_eigvals(M)
     assert ev.min() >= -0.6 and ev.max() <= 1.1
 
@@ -333,7 +365,7 @@ def test_level_triplets_are_canonical(element):
 def test_orbital_and_block_triplets_are_canonical():
     ball = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 64)
     for element in (delta_element(), NON_DYADIC):
-        M, _ = assemble_orbital(element, ball)
+        M, _ = assemble_orbital(element, BoundaryPoint.parse("(1)"), ABCD, 64)
         assert M.dim == len(ball.vertices)
         _assert_canonical(M)
     for element in (delta_element(), NON_DYADIC, B_MINUS_C):

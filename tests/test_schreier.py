@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfsim.group import BoundaryPoint, boundary_image
-from selfsim.schreier import induced_ball, orbital_ball
+from selfsim.schreier import orbital_ball
 from suites import bfs_orbital_ball
 
 ABCD = ("a", "b", "c", "d")
@@ -23,12 +23,6 @@ def test_orbital_ball_rejects_duplicate_labels():
     # one image table per label: a repeated letter would need two
     with pytest.raises(ValueError, match="duplicate labels"):
         orbital_ball(BoundaryPoint.parse("(1)"), "aab", 1)
-
-
-def test_induced_ball_rejects_unknown_center():
-    g = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 2)
-    with pytest.raises(ValueError, match="'bogus' is not a vertex"):
-        induced_ball(g, "bogus", 2)
 
 
 def test_orbital_ball_radius_zero():
@@ -50,13 +44,6 @@ def test_orbital_ball_stabilizes():
     assert ("(0)", "1(0)", "a") in two.edges and ("1(0)", "(0)", "a") in two.edges
     bigger = orbital_ball(BoundaryPoint.parse("(0)"), ("a",), 7)
     assert sorted(bigger.vertices) == sorted(two.vertices)
-
-
-def test_induced_ball_radius_zero_is_root_loops():
-    g = orbital_ball(BoundaryPoint.parse("(1)"), ABCD, 2)
-    sub = induced_ball(g, "(1)", 0)
-    assert list(sub.vertices) == ["(1)"]
-    assert sorted(sub.edges) == [("(1)", "(1)", "b"), ("(1)", "(1)", "c"), ("(1)", "(1)", "d")]
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 from selfsim.group import GENERATORS, BoundaryPoint
 from selfsim.hecke import AlgebraElement, assemble_level, assemble_orbital, delta_element, generator_sum_element
 from selfsim.renorm import IntervalUnion, lambda_slice
-from selfsim.schreier import orbital_ball
 from selfsim.spectra import (
     _band,
     _prescale,
@@ -320,8 +319,7 @@ def test_graded_band_is_flushed():
 
 
 def test_bipartite_solve_is_exactly_equivariant():
-    ball = orbital_ball(BoundaryPoint.parse("(0)"), GENERATORS, 1024)
-    M = assemble_orbital(delta_element(), ball)[0].csr()
+    M = assemble_orbital(delta_element(), BoundaryPoint.parse("(0)"), GENERATORS, 1024)[0].csr()
     values, halvings = _eigvals_and_halvings(M, "lasq1")
     assert halvings == 0 and values.size == 2049 and 0.25 in values
     assert np.array_equal(sym_eigvals(4.0 * M), 4.0 * values)
