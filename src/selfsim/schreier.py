@@ -226,4 +226,4 @@ def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
     earlier letter of gens first.
     """
     images, offsets, coordinate = _line_tables(x, gens, radius)
-    return MarkedGraph(tuple(_names(x, offsets, *coordinate)), tuple(images), images)
+    return MarkedGraph(tuple(_names(x, offsets, *coordinate)), tuple(gens), images)
