@@ -165,11 +165,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    _, name, element = args.element
+    spec, name, element = args.element
     level, tol, outdir = args.level, args.tol, args.out
     rep = sym_eigs(assemble_level(element, level))
     outputs = [_write(outdir, "eigenvalues.csv", rep.to_csv())]
-    target_pairs = _TARGETS.get(name)
+    target_pairs = _TARGETS.get(spec)  # a named element's own; a file named delta has none
     report: dict = {"element": name, "level": level, "dim": rep.dim, "target": None}
     failed = False
     if target_pairs is not None:

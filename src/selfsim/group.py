@@ -17,8 +17,8 @@ actions, the level permutations (hecke), the orbital lines (schreier) and the
 rigidity depths all read it.
 
 Provides:
-    - wreath_decompose / act_vertex: the level-1 decomposition and the vertex
-      action of an arbitrary word,
+    - wreath_decompose / act_vertex: the one-pass level-1 decomposition and
+      the vertex action of an arbitrary word,
     - BoundaryPoint: eventually periodic boundary sequences with an exact
       group action (boundary_image),
     - is_identity: the contracting word-problem decision procedure,
@@ -109,23 +109,21 @@ class WreathDecomposition:
     section1: str
 
 
-def _compose(left: tuple[bool, str, str], right: tuple[bool, str, str]) -> tuple[bool, str, str]:
-    # left acts after right: sections pick up left's section at the subtree
-    # right sends them to.
-    ls, l0, l1 = left
-    rs, r0, r1 = right
-    if rs:
-        return (ls != rs, l1 + r0, l0 + r1)
-    return (ls != rs, l0 + r0, l1 + r1)
-
-
 def wreath_decompose(word: str) -> WreathDecomposition:
-    """Decompose the product of the letters of ``word`` at the root."""
+    """Decompose the product of the letters of ``word`` at the root, in one pass.
+
+    A root swap sends the letters before it to the other subtree, so it swaps
+    the two section lists; each letter then appends its own two sections.
+    """
     _check_word(word)
-    acc = (False, "", "")
+    swap, first, second = False, [], []
     for ch in word:
-        acc = _compose(acc, _GEN_DECOMP[ch])
-    return WreathDecomposition(*acc)
+        turns, own0, own1 = _GEN_DECOMP[ch]
+        if turns:
+            swap, first, second = not swap, second, first
+        first.append(own0)
+        second.append(own1)
+    return WreathDecomposition(swap, "".join(first), "".join(second))
 
 
 def _moves(letter: str, f):

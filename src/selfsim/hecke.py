@@ -20,7 +20,8 @@ OperatorMatrix of coordinate triplets (about one nonzero per term and row,
 since the Schreier graphs are lines); no assembler forms a dense array.  An
 orbital term's map composes the per-letter image tables of a stretch of the
 orbit line (schreier), the same way a level term composes the generator
-permutations; no point is parsed or acted on.
+permutations, in the one loop _word_map, once per term; no point is parsed
+or acted on, and the orbital row flags are read off the same maps.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from .schreier import _bit_length, _line_tables
 
 LEVEL_GUARD = 20
 ASSEMBLY_GUARD = 13  # level operators stay within seconds of solve time
+# element files, checked before any word is reduced: the word problem pairs the terms, and letters lengthen the line
+TERM_GUARD = 256
+LETTER_GUARD = 4096  # letters of all the words together
 
 
 def _check_level(n: int, guard: int) -> None:
@@ -68,16 +72,20 @@ def _level_perms(n: int) -> dict[str, np.ndarray]:
     return out
 
 
-def word_perm(word: str, n: int) -> np.ndarray:
-    """Permutation array of an arbitrary word at level n, rightmost letter first."""
-    perms = _level_perms(n)
-    acc = np.arange(1 << n, dtype=np.int64)
+def _word_map(tables, word: str, size: int) -> np.ndarray:
+    """Index map of the word on size indices, composed from per-letter tables, rightmost letter first."""
+    image = np.arange(size, dtype=np.int64)
     for ch in reversed(word):
         try:
-            acc = perms[ch][acc]
+            image = tables[ch][image]
         except KeyError:
             raise ValueError(f"bad generator letter {ch!r} in word {word!r}") from None
-    return acc
+    return image
+
+
+def word_perm(word: str, n: int) -> np.ndarray:
+    """Permutation array of an arbitrary word at level n, rightmost letter first."""
+    return _word_map(_level_perms(n), word, 1 << n)
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,7 @@ class AlgebraElement:
 
     @staticmethod
     def from_json(text: str) -> "AlgebraElement":
-        """Parse {"terms": [{"word": str, "coef": number}, ...]}; ValueError if malformed."""
+        """Parse {"terms": [{"word": str, "coef": number}, ...]}; ValueError if malformed or past a size guard."""
         data = json.loads(text)
         terms = data.get("terms") if isinstance(data, dict) else None
         if not isinstance(terms, list):
@@ -118,6 +126,11 @@ class AlgebraElement:
             if not (isinstance(t, dict) and isinstance(t.get("word"), str) and isinstance(t.get("coef"), (int, float))
                     and abs(t["coef"]) <= sys.float_info.max):
                 raise ValueError(f'element term {t!r} needs a string "word" and a finite number "coef"')
+        if len(terms) > TERM_GUARD:
+            raise ValueError(f"element has {len(terms)} terms, more than the guard {TERM_GUARD}")
+        letters = sum(len(t["word"]) for t in terms)
+        if letters > LETTER_GUARD:
+            raise ValueError(f"element words have {letters} letters in all, more than the guard {LETTER_GUARD}")
         return AlgebraElement.from_terms((t["word"], t["coef"]) for t in terms)
 
     def support_letters(self) -> set[str]:
@@ -199,7 +212,8 @@ def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorM
     letter moves a point at most one step, so the word's intermediate images
     stay in the larger ball and its map is exact.  Row i is flagged when the
     operator there depends on points outside the ball: some term's inverse,
-    its reversal, maps vertex i outside.
+    its reversal, maps vertex i outside.  A term's map is one-to-one, so that
+    is when no vertex maps to i under the term.
     """
     missing = m.support_letters() - set(gens)
     if missing:
@@ -207,19 +221,9 @@ def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorM
     longest = max((len(word) for word, _ in m.terms), default=0)
     images, offsets, _ = _line_tables(x, gens, radius, max(longest - 1, 0))
     dim = int(np.count_nonzero(np.abs(offsets) <= radius))
-
-    def word_map(word: str) -> np.ndarray:
-        image = np.arange(dim, dtype=np.int64)
-        for ch in reversed(word):
-            image = images[ch][image]  # only the last letter can leave the larger ball (-1)
-        image[image >= dim] = -1
-        return image
-
-    maps = []
-    flags = np.zeros(dim, dtype=bool)
-    for word, _ in m.terms:
-        maps.append(word_map(word))
-        flags |= word_map(word[::-1]) < 0
+    maps = np.array([_word_map(images, word, dim) for word, _ in m.terms], dtype=np.int64).reshape(-1, dim)
+    maps[maps >= dim] = -1  # only the last letter can leave the larger ball (-1)
+    flags = np.bincount(maps[maps >= 0], minlength=dim) < len(maps)
     return _triplets(m, maps, dim), flags
 
 

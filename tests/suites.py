@@ -42,6 +42,27 @@ def _all_words_with_perms(n):
     yield from walk("", identity, 8)
 
 
+_GEN_DECOMP = {"a": (True, "", ""), "b": (False, "a", "c"), "c": (False, "a", "d"), "d": (False, "", "b")}
+
+
+def _compose(left, right):
+    # left acts after right: sections pick up left's section at the subtree
+    # right sends them to.
+    ls, l0, l1 = left
+    rs, r0, r1 = right
+    if rs:
+        return (ls != rs, l1 + r0, l0 + r1)
+    return (ls != rs, l0 + r0, l1 + r1)
+
+
+def fold_decompose(word):
+    """Reference level-1 decomposition: (swap, section0, section1) by a left fold of whole sections."""
+    acc = (False, "", "")
+    for ch in word:
+        acc = _compose(acc, _GEN_DECOMP[ch])
+    return acc
+
+
 def _perm_from_decomposition(word, n, cache):
     """Level-n permutation rebuilt from the level-1 wreath decomposition."""
     word = reduce_word(word)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import selfsim.cli as cli
+import selfsim.hecke as hecke
 from selfsim.group import BoundaryPoint
 from selfsim.hecke import AlgebraElement, assemble_orbital
 
@@ -62,6 +63,16 @@ def test_spectrum_custom_element_file(tmp_path):
     assert report["element"] == "elem.json"
     values = [float(v) for v in (out / "eigenvalues.csv").read_text().splitlines()[2:]]
     assert all(abs(abs(v) - 1.0) < 1e-12 for v in values)
+
+
+def test_element_file_named_delta_has_no_target(tmp_path):
+    path = tmp_path / "delta"
+    path.write_text(json.dumps({"terms": [{"word": "a", "coef": 3}]}))
+    out = tmp_path / "s"
+    assert cli.main(["spectrum", "--element", str(path), "--level", "3", "--out", str(out)]) == 0
+    report = _read_json(out / "report.json")
+    assert report["target"] is None
+    assert report["element"] == "delta"
 
 
 def test_spectrum_failure_exit(tmp_path, monkeypatch, capsys):
@@ -343,6 +354,36 @@ def test_element_usage_errors_exit_two(argv, terms, message, tmp_path, capsys):
     assert cli.main(argv + ["--element", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [([{"word": "a", "coef": 1.0}] * 257, "257 terms"), ([{"word": "a" * 4097, "coef": 1.0}], "4097 letters")],
+    ids=["terms", "letters"],
+)
+def test_element_size_guards_exit_two(terms, message, tmp_path, monkeypatch, capsys):
+    def unreachable(word):
+        raise AssertionError("a word was reduced before the size check")
+
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps({"terms": terms}))
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(hecke, "reduce_word", unreachable)
+        out = tmp_path / "o"
+        assert cli.main(["spectrum", "--element", str(path), "--level", "3", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_element_at_the_size_guards_is_accepted(tmp_path):
+    # 256 terms of 16 letters: 4096 letters in all; (ab)^8 is an involution, so the merged element is self-adjoint
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps({"terms": [{"word": "ab" * 8, "coef": 1.0}] * hecke.TERM_GUARD}))
+    assert hecke.TERM_GUARD * 16 == hecke.LETTER_GUARD
+    out = tmp_path / "s"
+    assert cli.main(["spectrum", "--element", str(path), "--level", "3", "--out", str(out)]) == 0
+    assert _read_json(out / "report.json")["dim"] == 8
 
 
 def test_self_adjoint_element_needs_the_word_problem(tmp_path):

@@ -13,6 +13,7 @@ from selfsim.group import (
     rigidity_depth,
     wreath_decompose,
 )
+from suites import fold_decompose
 
 words = st.text(alphabet="abcd", max_size=12)
 bits = st.text(alphabet="01", max_size=10)
@@ -70,6 +71,20 @@ def test_wreath_decompose_product():
     assert dec.swap
     assert reduce_word(dec.section0) == ""
     assert reduce_word(dec.section1) == "b"
+
+
+def test_wreath_decompose_matches_fold():
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        word = "".join(rng.choice(list("abcd"), int(rng.integers(0, 65))))
+        dec = wreath_decompose(word)
+        assert (dec.swap, dec.section0, dec.section1) == fold_decompose(word), word
+
+
+def test_is_identity_long_words():
+    # ab has order 16; the decomposition appends each letter's sections instead of rebuilding both strings
+    assert is_identity("ab" * 100000) is True
+    assert is_identity("ab" * 100001) is False
 
 
 def test_act_vertex_examples():
