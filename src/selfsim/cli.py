@@ -18,7 +18,7 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .group import GENERATORS, BoundaryPoint, is_identity, rigidity_depth
+from .group import GENERATORS, BoundaryPoint, rigidity_depth
 from .hecke import (
     ASSEMBLY_GUARD,
     LEVEL_GUARD,
@@ -103,8 +103,8 @@ def _element(spec: str) -> tuple[str, str, AlgebraElement]:
     # merged duplicate words may sum to inf, which fails the comparison too
     if not sum(abs(c) for _, c in element.terms) <= COEF_SUM_GUARD:
         raise argparse.ArgumentTypeError(f"{spec!r} has coefficients whose absolute sum exceeds 2^500")
-    # terms are distinct group elements, and w2 is the inverse of w exactly when w w2 is the identity
-    if not all(any(c2 == c and is_identity(w + w2) for w2, c2 in element.terms) for w, c in element.terms):
+    # m* takes each word to its reversal, the inverse of a product of involutions; self-adjoint is m - m* = 0
+    if AlgebraElement.from_terms([*element.terms, *((w[::-1], -c) for w, c in element.terms)]).terms:
         raise argparse.ArgumentTypeError(f"{spec!r} is not self-adjoint")
     return spec, os.path.basename(spec), element
 

@@ -21,7 +21,7 @@ Provides:
       the vertex action of an arbitrary word,
     - BoundaryPoint: eventually periodic boundary sequences with an exact
       group action (boundary_image),
-    - is_identity: the contracting word-problem decision procedure,
+    - is_identity: the word problem, read off the canonical _element_key,
     - rigidity_depth: first level at which a generator's section dies, along
       every ray of a 0/1 array at once.
 
@@ -31,7 +31,6 @@ All functions are pure; values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +43,8 @@ _GEN_DECOMP = {
     "c": (False, "a", "d"),
     "d": (False, "", "b"),
 }
+# the nucleus e, a, b, c, d: its elements' level-1 triples (the keys of their sections) to their letters
+_NUCLEUS = {**{v: k for k, v in _GEN_DECOMP.items()}, (False, "", ""): ""}
 
 _LOOP = "dcb"  # the one of b, c, d fixing a ray whose first 0 is at coordinate f - 1, by (f - 1) mod 3
 
@@ -78,7 +79,7 @@ def reduce_word(word: str) -> str:
 
     The rewriting system (xx -> e for every letter, xy -> z for distinct
     x, y, z in {b,c,d}) is confluent, so the result is a canonical form for
-    the quotient monoid; full group identity still needs is_identity.
+    the quotient monoid; equality in the group is equality of _element_key.
     """
     _check_word(word)
     out: list[str] = []
@@ -233,23 +234,26 @@ def boundary_image(word: str, x: BoundaryPoint) -> BoundaryPoint:
     return x
 
 
-@lru_cache(maxsize=None)
-def _is_identity_reduced(word: str) -> bool:
+def _element_key(word: str):
+    """Canonical key of the word's group element: two words get equal keys exactly when they are equal.
+
+    A reduced word of at most one letter is its own key, a longer one the
+    triple (swap, key(section0), key(section1)), or the nucleus letter with
+    that triple (adadada gets "d", as (ad)^4 = 1).  The action is faithful, so
+    an element is its root swap and its two sections, and the sections of a
+    reduced word of length >= 2 are strictly shorter: induct on the length.
+    """
+    word = reduce_word(word)
     if len(word) <= 1:
-        return word == ""
+        return word
     dec = wreath_decompose(word)
-    if dec.swap:
-        return False
-    # reduced length >= 2 makes both sections strictly shorter after
-    # reduction, so this recursion terminates
-    return _is_identity_reduced(reduce_word(dec.section0)) and _is_identity_reduced(
-        reduce_word(dec.section1)
-    )
+    key = (dec.swap, _element_key(dec.section0), _element_key(dec.section1))
+    return _NUCLEUS.get(key, key)
 
 
 def is_identity(word: str) -> bool:
     """Whether the word acts trivially on the whole tree."""
-    return _is_identity_reduced(reduce_word(word))
+    return _element_key(word) == ""
 
 
 def rigidity_depth(rays, letter: str) -> np.ndarray:

@@ -33,13 +33,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import GENERATORS, _moves, is_identity, reduce_word
+from .group import GENERATORS, _element_key, _moves, reduce_word
 from .renorm import renorm_map
 from .schreier import _bit_length, _line_tables
 
 LEVEL_GUARD = 20
 ASSEMBLY_GUARD = 13  # level operators stay within seconds of solve time
-# element files, checked before any word is reduced: the word problem pairs the terms, and letters lengthen the line
+# element files, checked before any word is reduced: every term is keyed, and letters lengthen the line
 TERM_GUARD = 256
 LETTER_GUARD = 4096  # letters of all the words together
 
@@ -93,7 +93,7 @@ class AlgebraElement:
     """Finitely supported real coefficient map on group words.
 
     Terms are keyed by reduced words; construction merges words that define
-    the same group element (decided by the word problem) and drops zero
+    the same group element (the same group._element_key) and drops zero
     coefficients, so the support is duplicate-free.
     """
 
@@ -101,17 +101,13 @@ class AlgebraElement:
 
     @staticmethod
     def from_terms(items) -> "AlgebraElement":
-        merged: list[tuple[str, float]] = []
+        merged = {}  # element key -> (first reduced word, coefficient summed in input order)
         for word, coef in items:
             word = reduce_word(word)
-            for i, (w, c) in enumerate(merged):
-                # involutive letters make the inverse of a word its reversal
-                if is_identity(word + w[::-1]):
-                    merged[i] = (w, c + float(coef))
-                    break
-            else:
-                merged.append((word, float(coef)))
-        kept = tuple(sorted((w, c) for w, c in merged if c != 0.0))
+            key = _element_key(word)
+            first, total = merged.get(key, (word, 0.0))
+            merged[key] = (first, total + float(coef))
+        kept = tuple(sorted((w, c) for w, c in merged.values() if c != 0.0))
         return AlgebraElement(kept)
 
     @staticmethod
@@ -122,8 +118,8 @@ class AlgebraElement:
         if not isinstance(terms, list):
             raise ValueError('element JSON needs a "terms" list')
         for t in terms:
-            # NaN fails the comparison, and an int compares exactly, so no float overflow is possible
-            if not (isinstance(t, dict) and isinstance(t.get("word"), str) and isinstance(t.get("coef"), (int, float))
+            # NaN fails the comparison, an int compares exactly (no float overflow), and the exact type turns away bools
+            if not (isinstance(t, dict) and isinstance(t.get("word"), str) and type(t.get("coef")) in (int, float)
                     and abs(t["coef"]) <= sys.float_info.max):
                 raise ValueError(f'element term {t!r} needs a string "word" and a finite number "coef"')
         if len(terms) > TERM_GUARD:

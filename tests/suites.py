@@ -63,6 +63,16 @@ def fold_decompose(word):
     return acc
 
 
+def reference_is_identity(word):
+    """Reference word problem: the identity has no root swap and trivial sections, down to words of one letter."""
+    word = reduce_word(word)
+    if len(word) <= 1:
+        return word == ""
+    dec = wreath_decompose(word)
+    # reduced length >= 2 makes both sections strictly shorter, so this recursion terminates
+    return not dec.swap and reference_is_identity(dec.section0) and reference_is_identity(dec.section1)
+
+
 def _perm_from_decomposition(word, n, cache):
     """Level-n permutation rebuilt from the level-1 wreath decomposition."""
     word = reduce_word(word)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,14 +338,17 @@ def test_malformed_element_exits_two(text, tmp_path, capsys):
     "argv, terms, message",
     [
         (["spectrum", "--level", "0"], [{"word": "ab", "coef": 1.0}], "not self-adjoint"),
+        (["spectrum", "--level", "3"], [{"word": "ab", "coef": 1.0}, {"word": "badadadada", "coef": 2.0}],
+         "not self-adjoint"),
         (["spectrum", "--level", "2"], [{"word": "a", "coef": float("nan")}], "finite"),
         (["spectrum", "--level", "2"], [{"word": "a", "coef": 10**400}], "finite"),
+        (["spectrum", "--level", "2"], [{"word": "a", "coef": True}], "finite"),
         (["orbital", "--gens", "ab", "--radius", "2"], [{"word": "d", "coef": 1.0}], "['d']"),
         (["spectrum", "--level", "0"], [{"word": "a", "coef": 1e308}, {"word": "b", "coef": 1e308}], "2^500"),
         (["spectrum", "--level", "3"], [{"word": "a", "coef": 1e308}, {"word": "b", "coef": 1e308}], "2^500"),
     ],
-    ids=["not-self-adjoint", "nan-coef", "huge-int-coef", "letter-not-in-gens", "huge-sum-level-0",
-         "huge-sum-level-3"],
+    ids=["not-self-adjoint", "inverse-coef-differs", "nan-coef", "huge-int-coef", "bool-coef", "letter-not-in-gens",
+         "huge-sum-level-0", "huge-sum-level-3"],
 )
 def test_element_usage_errors_exit_two(argv, terms, message, tmp_path, capsys):
     # rejected while the arguments are parsed: the command never starts, so --out is never made
@@ -387,10 +391,33 @@ def test_element_at_the_size_guards_is_accepted(tmp_path):
 
 
 def test_self_adjoint_element_needs_the_word_problem(tmp_path):
-    # (ad)^4 = 1 makes adad its own inverse, although its reversal dada is another reduced word
+    # (ad)^4 = 1 makes adad its own inverse, although its reversal dada is another reduced word,
+    # and badadadada the inverse ba of ab, although it is not the reversal of ab
     path = tmp_path / "elem.json"
-    path.write_text(json.dumps({"terms": [{"word": "adad", "coef": 1.0}]}))
-    assert cli.main(["spectrum", "--element", str(path), "--level", "3", "--out", str(tmp_path / "o")]) == 0
+    for terms in ([{"word": "adad", "coef": 1.0}], [{"word": "ab", "coef": 1.0}, {"word": "badadadada", "coef": 1.0}]):
+        path.write_text(json.dumps({"terms": terms}))
+        assert cli.main(["spectrum", "--element", str(path), "--level", "3", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_element_parse_holds_no_word_cache(tmp_path):
+    # 128 random reduced 15-letter words, each next to its reversal with the same coefficient
+    rng = np.random.default_rng(1)
+    terms = []
+    for _ in range(128):
+        start = int(rng.integers(2))  # a and one of b, c, d alternate in a reduced word
+        word = "".join("a" if i % 2 == start else str(rng.choice(list("bcd"))) for i in range(15))
+        coef = float(rng.integers(1, 5)) / 4
+        terms += [{"word": word, "coef": coef}, {"word": word[::-1], "coef": coef}]
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps({"terms": terms}))
+    tracemalloc.start()
+    try:
+        _, _, element = cli._element(str(path))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(element.terms) > 128  # palindromes and equal elements merge
+    assert held < 0.5 * 2**20, held
 
 
 def test_internal_fault_exits_three(tmp_path, monkeypatch, capsys):

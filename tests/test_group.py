@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from selfsim.group import (
     GENERATORS,
     BoundaryPoint,
+    _element_key,
     act_vertex,
     boundary_image,
     is_identity,
@@ -13,7 +14,7 @@ from selfsim.group import (
     rigidity_depth,
     wreath_decompose,
 )
-from suites import fold_decompose
+from suites import fold_decompose, reference_is_identity
 
 words = st.text(alphabet="abcd", max_size=12)
 bits = st.text(alphabet="01", max_size=10)
@@ -122,6 +123,30 @@ def test_boundary_image_examples():
     assert str(boundary_image("a", ones)) == "0(1)"
     moved = boundary_image("c", BoundaryPoint.parse("01(1)"))
     assert str(moved) == "00(1)"
+
+
+def test_element_key_decides_equality_like_the_reference():
+    rng = np.random.default_rng(1)
+    equal = 0
+    for _ in range(20000):
+        u, v = ("".join(rng.choice(list("abcd"), int(rng.integers(0, 14)))) for _ in range(2))
+        same = reference_is_identity(u + v[::-1])  # involutive letters make the inverse of v its reversal
+        assert (_element_key(u) == _element_key(v)) == same, (u, v)
+        equal += same
+    assert equal > 0
+
+
+@pytest.mark.parametrize("word", ["adadadad", "adacac" * 4])
+def test_element_key_of_every_split_of_a_relator(word):
+    assert is_identity(word)
+    for i in range(len(word) + 1):
+        assert _element_key(word[:i]) == _element_key(word[i:][::-1]), i
+
+
+def test_element_key_reads_the_nucleus():
+    # (ad)^4 = 1, so adadada is d
+    assert _element_key("adadada") == "d"
+    assert _element_key("adadadad") == ""
 
 
 def test_is_identity_relators():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selfsim import group
+from selfsim import group, hecke
 from selfsim.group import BoundaryPoint, boundary_image, is_identity
 from selfsim.hecke import (
     AlgebraElement,
@@ -96,6 +96,20 @@ def test_algebra_element_merges_and_serializes():
     [(word, coef)] = merged.terms
     assert is_identity(word) and coef == 4.0
     assert AlgebraElement.from_json(_to_json(e)) == e
+
+
+def test_from_terms_keys_each_term_once(monkeypatch):
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return group._element_key(word)
+
+    monkeypatch.setattr(hecke, "_element_key", counted)
+    terms = [("adadada", 1.0), ("d", 1.0), ("adadadad", 2.0), ("", -1.0), ("ab", 1.0), ("badadadada", 1.0)]
+    element = AlgebraElement.from_terms(terms)
+    assert len(calls) == len(terms)  # no pairwise comparison of the terms
+    assert element.terms == (("ab", 1.0), ("adadada", 2.0), ("adadadad", 1.0), ("badadadada", 1.0))
 
 
 @given(st.lists(st.tuples(st.text(alphabet="abcd", max_size=4),
