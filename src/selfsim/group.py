@@ -234,7 +234,7 @@ def boundary_image(word: str, x: BoundaryPoint) -> BoundaryPoint:
     return x
 
 
-def _element_key(word: str):
+def _element_key(word: str) -> str | tuple:
     """Canonical key of the word's group element: two words get equal keys exactly when they are equal.
 
     A reduced word of at most one letter is its own key, a longer one the
