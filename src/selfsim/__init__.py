@@ -11,7 +11,6 @@ command line drives batch reproductions.
 from .group import (
     GENERATORS,
     BoundaryPoint,
-    act_vertex,
     is_identity,
     reduce_word,
     rigidity_depth,
@@ -51,7 +50,6 @@ __all__ = [
     "BoundaryPoint",
     "reduce_word",
     "wreath_decompose",
-    "act_vertex",
     "is_identity",
     "rigidity_depth",
     "orbital_ball",

@@ -12,16 +12,17 @@ needed.  Words compose with the rightmost letter acting first.
 Every section of a generator is again a generator or the identity, and the
 recursions unfold into one rule, _moves: a flips coordinate 0, and b, c and d
 flip the coordinate f just after the first 0 (their flip position) unless
-they are the loop letter _LOOP[(f - 1) % 3] there.  The vertex and boundary
-actions, the level permutations (hecke), the orbital lines (schreier) and the
-rigidity depths all read it.
+they are the loop letter _LOOP[(f - 1) % 3] there.  The boundary action,
+the level permutations that act on vertices (hecke), the orbital lines
+(schreier) and the rigidity depths all read it.
 
 Provides:
-    - wreath_decompose / act_vertex: the one-pass level-1 decomposition and
-      the vertex action of an arbitrary word,
+    - wreath_decompose: the one-pass level-1 decomposition of an arbitrary
+      word into (root swap, section at 0, section at 1),
     - BoundaryPoint: eventually periodic boundary sequences with an exact
       group action (boundary_image),
-    - is_identity: the word problem, read off the canonical _element_key,
+    - is_identity: the word problem, read off the canonical _element_key
+      unless the root swap already says no,
     - rigidity_depth: first level at which a generator's section dies, along
       every ray of a 0/1 array at once.
 
@@ -68,7 +69,7 @@ def _check_word(word: str) -> None:
 _NOT_BITS = str.maketrans("", "", "01")
 
 
-def _check_bits(bits: str, what: str = "vertex") -> None:
+def _check_bits(bits: str, what: str) -> None:
     bad = bits.translate(_NOT_BITS)  # every character but 0 and 1, in order, in one pass
     if bad:
         raise ValueError(f"bad bit {bad[0]!r} in {what} {bits!r}")
@@ -97,24 +98,12 @@ def reduce_word(word: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class WreathDecomposition:
-    """Level-1 view of a group element: root swap plus the two sections.
-
-    ``swap`` False means the identity root permutation.  Sections are
-    unreduced letter-by-letter concatenations, kept syntactic on purpose.
-    """
-
-    swap: bool
-    section0: str
-    section1: str
-
-
-def wreath_decompose(word: str) -> WreathDecomposition:
-    """Decompose the product of the letters of ``word`` at the root, in one pass.
+def wreath_decompose(word: str) -> tuple[bool, str, str]:
+    """(root swap, section at 0, section at 1) of the product of the letters of ``word``, in one pass.
 
     A root swap sends the letters before it to the other subtree, so it swaps
     the two section lists; each letter then appends its own two sections.
+    The sections are unreduced letter-by-letter concatenations.
     """
     _check_word(word)
     swap, first, second = False, [], []
@@ -124,7 +113,7 @@ def wreath_decompose(word: str) -> WreathDecomposition:
             swap, first, second = not swap, second, first
         first.append(own0)
         second.append(own1)
-    return WreathDecomposition(swap, "".join(first), "".join(second))
+    return swap, "".join(first), "".join(second)
 
 
 def _moves(letter: str, f):
@@ -138,17 +127,6 @@ def _letter_flip(letter: str, bits: str) -> int | None:
     """Position of the one bit that the generator flips, or None."""
     f = 0 if letter == "a" else bits.find("0") + 1  # 0 for b, c and d when there is no 0, which never moves
     return f if f < len(bits) and _moves(letter, f) else None
-
-
-def act_vertex(word: str, vertex: str) -> str:
-    """Image of a vertex (bit string) under the word, rightmost letter first."""
-    _check_word(word)
-    _check_bits(vertex)
-    for ch in reversed(word):
-        i = _letter_flip(ch, vertex)
-        if i is not None:
-            vertex = vertex[:i] + _FLIP[vertex[i]] + vertex[i + 1 :]
-    return vertex
 
 
 def _minimal_period(period: str) -> str:
@@ -246,14 +224,17 @@ def _element_key(word: str) -> str | tuple:
     word = reduce_word(word)
     if len(word) <= 1:
         return word
-    dec = wreath_decompose(word)
-    key = (dec.swap, _element_key(dec.section0), _element_key(dec.section1))
+    swap, section0, section1 = wreath_decompose(word)
+    key = (swap, _element_key(section0), _element_key(section1))
     return _NUCLEUS.get(key, key)
 
 
 def is_identity(word: str) -> bool:
-    """Whether the word acts trivially on the whole tree."""
-    return _element_key(word) == ""
+    """Whether the word acts trivially on the whole tree.
+
+    The root swap, the parity of the a letters, which reduction keeps, says no before any section is keyed.
+    """
+    return not wreath_decompose(word)[0] and _element_key(word) == ""
 
 
 def rigidity_depth(rays, letter: str) -> np.ndarray:

@@ -108,16 +108,6 @@ class IntervalUnion:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def distance(self, x: float) -> float:
-        if not self.intervals:
-            raise ValueError("empty union has no distances")
-        best = math.inf
-        for lo, hi in self.intervals:
-            if lo <= x <= hi:
-                return 0.0
-            best = min(best, abs(x - lo), abs(x - hi))
-        return best
-
     def to_pairs(self) -> list[list[float]]:
         return [[lo, hi] for lo, hi in self.intervals]
 

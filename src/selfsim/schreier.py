@@ -5,8 +5,8 @@ integer image table per generator label: images[g][i] is the index of the
 image of vertex i under g, or -1 where that image lies outside the ball.  The
 labels are generator letters, which act as involutions, so each table is a
 partial permutation that is its own inverse, and the graph is undirected; a
-fixed point of g is a loop.  The edge list and the CSV are views of the
-tables.  Vertex names are canonical BoundaryPoint strings (minimal period,
+fixed point of g is a loop.  The CSV, one row per image inside, is the one
+view of the tables.  Vertex names are canonical BoundaryPoint strings (minimal period,
 then shortest preperiod), so two vertices are equal exactly when they are the
 same boundary sequence.  No name is parsed back into a point.
 
@@ -51,7 +51,8 @@ class MarkedGraph:
 
     vertices[0] is the root.  images[g] is an int64 array over the vertices:
     images[g][i] is the index of the image of vertex i, -1 where it leaves
-    the graph (truncated balls lose edges that point outside).
+    the graph (truncated balls lose edges that point outside).  to_csv writes
+    the edges inside, sorted as (source, target, label) strings.
     """
 
     vertices: tuple[str, ...]
@@ -69,12 +70,6 @@ class MarkedGraph:
             table[:, k] = self.images[g]
         src, lab = np.nonzero(table >= 0)
         return src, table[src, lab], lab
-
-    @property
-    def edges(self) -> list[tuple[str, str, str]]:
-        """(source, target, label) for every image inside, by source index, then label."""
-        names, labels = self.vertices, self.labels
-        return [(names[s], names[t], labels[g]) for s, t, g in zip(*(a.tolist() for a in self._edge_index()))]
 
     def to_csv(self) -> str:
         names, labels = self.vertices, self.labels

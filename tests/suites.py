@@ -10,7 +10,6 @@ from scipy.stats import qmc
 from selfsim.group import (
     GENERATORS,
     BoundaryPoint,
-    act_vertex,
     boundary_image,
     is_identity,
     reduce_word,
@@ -68,9 +67,9 @@ def reference_is_identity(word):
     word = reduce_word(word)
     if len(word) <= 1:
         return word == ""
-    dec = wreath_decompose(word)
+    swap, section0, section1 = wreath_decompose(word)
     # reduced length >= 2 makes both sections strictly shorter, so this recursion terminates
-    return not dec.swap and reference_is_identity(dec.section0) and reference_is_identity(dec.section1)
+    return not swap and reference_is_identity(section0) and reference_is_identity(section1)
 
 
 def _perm_from_decomposition(word, n, cache):
@@ -81,14 +80,14 @@ def _perm_from_decomposition(word, n, cache):
         if n == 0:
             res = np.zeros(1, dtype=np.int64)
         else:
-            dec = wreath_decompose(word)
+            swap, section0, section1 = wreath_decompose(word)
             half = 1 << (n - 1)
-            p0 = _perm_from_decomposition(dec.section0, n - 1, cache)
-            p1 = _perm_from_decomposition(dec.section1, n - 1, cache)
+            p0 = _perm_from_decomposition(section0, n - 1, cache)
+            p1 = _perm_from_decomposition(section1, n - 1, cache)
             res = np.empty(1 << n, dtype=np.int64)
             # the section acting below is selected by the input bit, the
             # output bit is the root permutation applied to it
-            if dec.swap:
+            if swap:
                 res[:half] = half + p0
                 res[half:] = p1
             else:
@@ -101,10 +100,10 @@ def _perm_from_decomposition(word, n, cache):
 def _act_via_decomposition(word, v):
     if not v:
         return v
-    dec = wreath_decompose(word)
-    section = dec.section0 if v[0] == "0" else dec.section1
+    swap, section0, section1 = wreath_decompose(word)
+    section = section0 if v[0] == "0" else section1
     head = v[0]
-    if dec.swap:
+    if swap:
         head = "1" if head == "0" else "0"
     return head + _act_via_decomposition(section, v[1:])
 
@@ -112,21 +111,24 @@ def _act_via_decomposition(word, v):
 def suite_decomposition():
     """Wreath decomposition reproduces the action of every word of length <= 8.
 
-    Exhaustively at level 6 through permutation arrays, and against the
-    letter-by-letter act_vertex oracle on a fixed word sample over every
-    vertex of level <= 6.
+    Exhaustively at level 6 through permutation arrays, and, on a fixed word
+    sample, vertex by vertex on every level <= 6 against the rows of the
+    level-6 permutation that word_perm letters compose: vertex v of length l
+    is row int(v, 2) << (6 - l), and its image is that row's value >> (6 - l).
     """
     cache = {}
     count = 0
     sampled = 0
-    vertices = [format(i, f"0{lvl}b") for lvl in range(7) for i in range(1 << lvl)]
-    vertices[0] = ""
+    vertices = [(lvl, i) for lvl in range(7) for i in range(1 << lvl)]
     for word, perm in _all_words_with_perms(6):
         rebuilt = _perm_from_decomposition(word, 6, cache)
         assert np.array_equal(perm, rebuilt), f"decomposition mismatch for {word!r}"
         if count % 441 == 0 or len(word) <= 2:
-            for v in vertices:
-                assert act_vertex(word, v) == _act_via_decomposition(word, v), (word, v)
+            for lvl, i in vertices:
+                image = int(perm[i << (6 - lvl)]) >> (6 - lvl)
+                # format gives "0" at width 0, so the slice keeps level 0 the empty vertex
+                v, expected = (format(j, f"0{lvl}b")[:lvl] for j in (i, image))
+                assert _act_via_decomposition(word, v) == expected, (word, v)
             sampled += 1
         count += 1
     return f"{count} words at level 6, {sampled} cross-checked on all vertices of level <= 6"

@@ -68,9 +68,8 @@ def test_c03_slice_spectra_match_formula():
         union = lambda_slice(t)
         assert union.to_pairs() == pairs
         samples = slice_spectrum_samples(t, 10)
-        worst = max(union.distance(v) for v in samples)
+        worst, backward = hausdorff_to_set(samples, union)
         assert worst <= 1e-9, (t, worst)
-        _, backward = hausdorff_to_set(samples, union)
         assert backward <= 0.02, (t, backward)
     print("C03 PASS slice endpoints exact, samples inside to 1e-9, fill to 0.02")
 
@@ -163,7 +162,7 @@ def test_c10_large_ball_spectrum_concentrates():
     matrix, _ = assemble_orbital(delta_element(), BoundaryPoint.parse("(1)"), GENERATORS, 256)
     values = sym_eigvals(matrix)
     assert values.min() >= -0.6 and values.max() <= 1.1
-    near = sum(1 for v in values if DELTA_TARGET.distance(float(v)) <= 0.05)
+    near = sum(1 for v in values if hausdorff_to_set([v], DELTA_TARGET)[0] <= 0.05)
     fraction = near / len(values)
     assert fraction >= 0.9
     print(f"C10 PASS dim={len(values)} range=[{values.min():.3f},{values.max():.3f}] near={fraction:.2%}")

@@ -541,6 +541,17 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_public_names_are_used_by_the_cli_or_an_acceptance_claim():
+    import selfsim
+    import suites
+    import test_acceptance
+
+    users = [vars(module).values() for module in (cli, suites, test_acceptance)]
+    unused = [name for name in selfsim.__all__
+              if not any(value is getattr(selfsim, name) for values in users for value in values)]
+    assert unused == []
+
+
 _DELTA_TERMS = [("a", 0.25), ("b", 0.25), ("c", 0.25), ("d", 0.25)]
 
 

@@ -3,17 +3,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from selfsim import group
 from selfsim.group import (
     GENERATORS,
     BoundaryPoint,
     _element_key,
-    act_vertex,
     boundary_image,
     is_identity,
     reduce_word,
     rigidity_depth,
     wreath_decompose,
 )
+from selfsim.hecke import word_perm
 from suites import fold_decompose, reference_is_identity
 
 words = st.text(alphabet="abcd", max_size=12)
@@ -24,9 +25,9 @@ def _reference_boundary_image(word, x):
     """Section walk down the ray with cycle detection on the periodic tail."""
 
     def step(section, bit):
-        dec = wreath_decompose(section)
-        out = ("1" if bit == "0" else "0") if dec.swap else bit
-        return out, reduce_word(dec.section0 if bit == "0" else dec.section1)
+        swap, section0, section1 = wreath_decompose(section)
+        out = ("1" if bit == "0" else "0") if swap else bit
+        return out, reduce_word(section0 if bit == "0" else section1)
 
     section = reduce_word(word)
     out_bits = []
@@ -48,8 +49,8 @@ def _reference_rigidity_depth(x, word, max_depth):
     section = reduce_word(word)
     prefix = x.prefix(max_depth)
     for n in range(1, max_depth + 1):
-        dec = wreath_decompose(section)
-        section = reduce_word(dec.section0 if prefix[n - 1] == "0" else dec.section1)
+        swap, section0, section1 = wreath_decompose(section)
+        section = reduce_word(section0 if prefix[n - 1] == "0" else section1)
         if is_identity(section):
             return n
     return None
@@ -62,24 +63,22 @@ def _ray(x, max_depth):
 
 def test_wreath_decompose_generators():
     expected = {"a": (True, "", ""), "b": (False, "a", "c"), "c": (False, "a", "d"), "d": (False, "", "b")}
-    for letter, (swap, s0, s1) in expected.items():
-        dec = wreath_decompose(letter)
-        assert (dec.swap, dec.section0, dec.section1) == (swap, s0, s1)
+    for letter, triple in expected.items():
+        assert wreath_decompose(letter) == triple
 
 
 def test_wreath_decompose_product():
-    dec = wreath_decompose("ad")
-    assert dec.swap
-    assert reduce_word(dec.section0) == ""
-    assert reduce_word(dec.section1) == "b"
+    swap, section0, section1 = wreath_decompose("ad")
+    assert swap
+    assert reduce_word(section0) == ""
+    assert reduce_word(section1) == "b"
 
 
 def test_wreath_decompose_matches_fold():
     rng = np.random.default_rng(19)
     for _ in range(2000):
         word = "".join(rng.choice(list("abcd"), int(rng.integers(0, 65))))
-        dec = wreath_decompose(word)
-        assert (dec.swap, dec.section0, dec.section1) == fold_decompose(word), word
+        assert wreath_decompose(word) == fold_decompose(word), word
 
 
 def test_is_identity_long_words():
@@ -88,33 +87,49 @@ def test_is_identity_long_words():
     assert is_identity("ab" * 100001) is False
 
 
+def test_is_identity_reads_the_root_swap_first(monkeypatch):
+    key, calls = group._element_key, []
+
+    def counted(word):
+        calls.append(word)
+        return key(word)
+
+    monkeypatch.setattr(group, "_element_key", counted)
+    # an odd number of a letters swaps the root, so no section is keyed
+    assert is_identity("ab" * 100001) is False
+    assert calls == []
+    assert is_identity("adadadad") is True
+    assert calls
+
+
 def test_act_vertex_examples():
-    assert act_vertex("a", "01") == "11"
-    assert act_vertex("", "01101") == "01101"
-    assert act_vertex("d", "101") == "100"
+    # vertex v of level n is row int(v, 2) of the level-n permutation, its first bit the highest
+    assert word_perm("a", 2)[0b01] == 0b11
+    assert word_perm("", 5)[0b01101] == 0b01101
+    assert word_perm("d", 3)[0b101] == 0b100
 
 
 def test_act_vertex_level_preserved_and_bijective():
     for word in ("a", "b", "ad", "abcd", "dacab"):
         for n in range(5):
-            images = {act_vertex(word, format(i, f"0{n}b") if n else "") for i in range(1 << n)}
-            assert len(images) == 1 << n
+            assert sorted(word_perm(word, n).tolist()) == list(range(1 << n))
 
 
 def test_act_boundary_prefix_examples():
-    zeros = BoundaryPoint.parse("(0)")
-    ones = BoundaryPoint.parse("(1)")
-    assert act_vertex("a", zeros.prefix(3)) == "100"
-    assert act_vertex("", ones.prefix(5)) == "11111"
+    # the level-n prefixes of (0) and (1) are rows 0 and 2^n - 1
+    assert word_perm("a", 3)[0b000] == 0b100
+    assert word_perm("", 5)[0b11111] == 0b11111
     # b fixes 1^inf: its sections along 1s cycle through c and d without a swap
-    assert act_vertex("b", ones.prefix(3)) == "111"
+    assert word_perm("b", 3)[0b111] == 0b111
 
 
 def test_act_boundary_prefix_truncation_consistent():
-    x = BoundaryPoint.parse("01(10)")
+    # the image of a level-(n + 1) vertex, cut to its first n bits, is the image of its cut
     for word in ("a", "db", "cad"):
         for n in range(6):
-            assert act_vertex(word, x.prefix(n + 1))[:n] == act_vertex(word, x.prefix(n))
+            perm, parent = word_perm(word, n + 1), word_perm(word, n)
+            for j in range(1 << (n + 1)):
+                assert perm[j] >> 1 == parent[j >> 1], (word, n, j)
 
 
 def test_boundary_image_examples():
@@ -279,8 +294,6 @@ def test_bad_bits_name_the_first_bad_character():
         BoundaryPoint.parse("01x2(1)")
     with pytest.raises(ValueError, match=r"^bad bit '2' in period '12\u00e9'$"):
         BoundaryPoint.parse("(12\u00e9)")
-    with pytest.raises(ValueError, match=r"^bad bit '\u00e9' in vertex '0\u00e91'$"):
-        act_vertex("a", "0\u00e91")
 
 
 @given(words)
@@ -292,25 +305,25 @@ def test_word_times_reverse_is_identity(word):
 def test_reduce_word_idempotent_and_faithful(word):
     reduced = reduce_word(word)
     assert reduce_word(reduced) == reduced
-    assert act_vertex(word, "0110") == act_vertex(reduced, "0110")
+    assert np.array_equal(word_perm(word, 4), word_perm(reduced, 4))
     assert is_identity(word) == is_identity(reduced)
 
 
 @given(words.filter(lambda w: len(reduce_word(w)) >= 2))
 def test_sections_contract(word):
     reduced = reduce_word(word)
-    dec = wreath_decompose(reduced)
+    _, section0, section1 = wreath_decompose(reduced)
     bound = (len(reduced) + 1) // 2
-    assert len(reduce_word(dec.section0)) <= bound
-    assert len(reduce_word(dec.section1)) <= bound
+    assert len(reduce_word(section0)) <= bound
+    assert len(reduce_word(section1)) <= bound
 
 
 def test_boundary_image_matches_prefix_action():
     x = BoundaryPoint.parse("011(01)")
     for word in ("a", "b", "cd", "abab", "dcba"):
         image = boundary_image(word, x)
-        for n in range(12):
-            assert image.prefix(n) == act_vertex(word, x.prefix(n))
+        for n in range(1, 12):
+            assert int(image.prefix(n), 2) == word_perm(word, n)[int(x.prefix(n), 2)], (word, n)
 
 
 @given(
@@ -328,11 +341,12 @@ def test_boundary_image_matches_section_walk(word, preperiod, period):
 
 def test_action_deep_in_the_tree():
     # the walk is iterative: one letter reads thousands of bits without recursion
-    assert act_vertex("b", "1" * 5000) == "1" * 5000
-    assert act_vertex("c", "1" * 4999 + "0") == "1" * 4999 + "0"
-    assert act_vertex("b", "1" * 4998 + "00") == "1" * 4998 + "01"
-    x = BoundaryPoint.parse("(1)")
-    assert act_vertex("b", x.prefix(5000)) == "1" * 5000
+    for word, x, image in (
+        ("b", BoundaryPoint("", "1"), BoundaryPoint("", "1")),
+        # c loops at the flip position 5000, and b moves at 4999
+        ("c", BoundaryPoint("1" * 4999 + "0", "1"), BoundaryPoint("1" * 4999 + "0", "1")),
+        ("b", BoundaryPoint("1" * 4998 + "00", "0"), BoundaryPoint("1" * 4998 + "01", "0")),
+    ):
+        assert boundary_image(word, x) == image == _reference_boundary_image(word, x), word
     y = BoundaryPoint("1" * 4000, "0")
-    image = boundary_image("dcb", y)
-    assert act_vertex("dcb", y.prefix(5000)) == image.prefix(5000)
+    assert boundary_image("dcb", y) == _reference_boundary_image("dcb", y)

@@ -1,8 +1,9 @@
-"""The benchmark's per-layer tracer still finds and counts what it wraps.
+"""The benchmark's per-layer tracer and probe still find and count what they reach.
 
 perfbench/layers.py wraps public selfsim functions by name and reads work
-counts off their results; a refactor that renames one of them or changes
-what it returns would otherwise only show up as a broken traced benchmark.
+counts off their results, and perfbench/run.py calls group.boundary_image in
+every traced round; a refactor that renames one of them or changes what it
+returns would otherwise only show up as a broken traced benchmark.
 """
 
 import importlib.util
@@ -14,8 +15,8 @@ from selfsim import group, hecke, renorm, schreier, spectra
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", os.path.join(ROOT, "perfbench", "layers.py"))
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,7 +25,7 @@ def _load_layers():
 def test_layer_tracer_counts_assembly(tmp_path):
     modules = {"group": group, "schreier": schreier, "hecke": hecke, "renorm": renorm, "spectra": spectra, "cli": cli}
     original = cli.assemble_level
-    tracer = _load_layers().Layers()
+    tracer = _load("layers").Layers()
     tracer.install(modules)
     try:
         assert cli.main(["spectrum", "--level", "3", "--out", str(tmp_path / "s")]) == 0
@@ -46,3 +47,11 @@ def test_layer_tracer_counts_assembly(tmp_path):
     for span in ("hecke.assemble_level", "hecke.assemble_orbital", "spectra.sym_eigs", "renorm.omega_svg", "cli.write",
                  "group.rigidity_depth"):
         assert tracer.seconds[span] > 0.0, span
+
+
+def test_boundary_image_probe_reads_the_ball(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))  # run.py imports layers by its bare name
+    out = str(tmp_path / "o")
+    assert cli.main(["orbital", "--radius", "4", "--out", out]) == 0
+    # the radius-4 ball around 1^inf has 5 vertices, each probed with the 4 generators
+    assert _load("run").boundary_image_probe(group, [out])[0] == 20

@@ -173,7 +173,7 @@ def test_slice_samples_stay_in_slice():
     for t in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0):
         union = lambda_slice(t)
         for n in range(9):
-            worst = max(union.distance(v) for v in slice_spectrum_samples(t, n))
+            worst = hausdorff_to_set(slice_spectrum_samples(t, n), union)[0]
             assert worst <= 1e-9, (t, n, worst)
 
 
@@ -195,10 +195,8 @@ def test_interval_union_merging():
 
 def test_interval_union_distance_and_contains():
     union = IntervalUnion(((0.0, 1.0), (3.0, 4.0)))
-    assert union.distance(0.5) == 0.0
-    assert union.distance(2.0) == 1.0
-    assert union.distance(-1.0) == 1.0
-    assert union.distance(5.5) == 1.5
+    for x, distance in ((0.5, 0.0), (2.0, 1.0), (-1.0, 1.0), (5.5, 1.5)):
+        assert hausdorff_to_set([x], union)[0] == distance, x
 
 
 def test_interval_union_empty():
@@ -206,7 +204,7 @@ def test_interval_union_empty():
     assert empty.is_empty()
     assert empty.to_pairs() == []
     with pytest.raises(ValueError):
-        empty.distance(0.0)
+        hausdorff_to_set([0.0], empty)
 
 
 _lo = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -222,10 +220,9 @@ def test_interval_union_properties(raw):
         assert lo <= hi
     for (_, prev_hi), (next_lo, _) in zip(merged, merged[1:]):
         assert next_lo > prev_hi
-    for lo, hi in pairs:
-        assert union.distance(lo) == 0.0
-        assert union.distance(hi) == 0.0
-        assert union.distance(lo + (hi - lo) / 2.0) == 0.0
+    if pairs:
+        inside = [v for lo, hi in pairs for v in (lo, hi, lo + (hi - lo) / 2.0)]
+        assert hausdorff_to_set(inside, union)[0] == 0.0
     assert IntervalUnion.from_pairs(union.to_pairs()) == union
 
 

@@ -392,3 +392,16 @@ def test_hausdorff_matches_brute_force(points, pairs):
     merged = [tuple(p) for p in union]
     assert hausdorff_to_set(points, union) == _hausdorff_brute_force(points, merged)
     assert hausdorff_to_set(np.array(points), union) == _hausdorff_brute_force(points, merged)
+
+
+_lo = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+_width = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_lo, _width), min_size=1, max_size=8), st.floats(allow_nan=False, allow_infinity=False))
+@example([(0.0, 1.0), (3.0, 1.0)], 2.0)
+@example([(-1.0, 0.0)], -1.0)
+def test_point_distance_to_union(raw, x):
+    # one point's forward distance is its gap to the nearest interval, bit for bit
+    union = IntervalUnion.from_pairs([(lo, lo + w) for lo, w in raw])
+    assert hausdorff_to_set([x], union)[0] == min(max(lo - x, x - hi, 0.0) for lo, hi in union)
