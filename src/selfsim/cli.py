@@ -201,7 +201,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
         lines.extend(f"{n},{v!r}" for v in values)
         forward, backward = hausdorff_to_set(values, union)
         per_level[str(n)] = {"forward": forward, "backward": backward}
-    outputs.append(_write(outdir, "samples.csv", "\n".join(lines) + "\n"))
+    outputs.append(_write(outdir, "samples.csv", "\n".join([*lines, ""])))
     outputs.append(_write_json(outdir, "report.json", {"t": t, "hausdorff": per_level}))
     outputs.append(_write(outdir, "omega-slice.svg", omega_svg(curve_levels=3, slice_alphas=(t,))))
     _manifest(args, outputs)
@@ -254,7 +254,7 @@ def cmd_orbital(args: argparse.Namespace) -> int:
     outputs.append(_write(outdir, "spectrum.csv", rep.to_csv()))
     flag_lines = ["vertex,flagged"]
     flag_lines.extend(f"{v},{int(f)}" for v, f in zip(ball.vertices, flags))
-    outputs.append(_write(outdir, "flags.csv", "\n".join(flag_lines) + "\n"))
+    outputs.append(_write(outdir, "flags.csv", "\n".join([*flag_lines, ""])))
     report = {
         "point": str(x),
         "gens": "".join(letters),

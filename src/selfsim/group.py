@@ -24,7 +24,7 @@ Provides:
     - is_identity: the word problem, read off the canonical _element_key
       unless the root swap already says no,
     - rigidity_depth: first level at which a generator's section dies, along
-      every ray of a 0/1 array at once.
+      every ray of a boolean array at once, read off each ray's first 0.
 
 All functions are pure; values are immutable after construction.
 """
@@ -58,6 +58,7 @@ _KLEIN = {
 }
 
 _FLIP = {"0": "1", "1": "0"}
+_ROW_BLOCK = 1 << 16  # rays whose int64 flip positions rigidity_depth holds at once (512 KB)
 
 
 def _check_word(word: str) -> None:
@@ -240,31 +241,21 @@ def is_identity(word: str) -> bool:
 def rigidity_depth(rays, letter: str) -> np.ndarray:
     """Level at which a generator's section along each ray dies, 0 if it survives.
 
-    ``rays`` is a 2-D 0/1 array (bool or integer) holding one ray prefix per
-    row; its width is the deepest level read.  ``letter`` is one generator or
-    the empty word.  Entry i is the first level n at which the section at the
-    first n coordinates of row i is the identity, or 0 if that does not happen
-    within the row: 1 for a and the identity, and for b, c and d the flip
-    position f after the row's first 0, or f + 1 (through a) where they move.
-    The columns are walked until every row has met its first 0.
+    ``rays`` is a 2-D bool array holding one ray prefix per row; its width is
+    the deepest level read.  Entry i is the letter's flip position f on row i
+    (0 for a; for b, c and d one past the row's first 0, or width + 1 without
+    one), plus 1 (through a) where the letter moves there; 0 past the width.
     """
-    if letter not in ("",) + GENERATORS:
-        raise ValueError(f"rigidity_depth takes one generator letter or the empty word, got {letter!r}")
+    if letter not in GENERATORS:
+        raise ValueError(f"rigidity_depth takes one generator letter, got {letter!r}")
     rays = np.asarray(rays)
-    if rays.ndim != 2 or rays.shape[1] == 0:
-        raise ValueError(f"rays must be a 2-D array with at least one level, got shape {rays.shape}")
-    if rays.dtype != bool and np.any((rays != 0) & (rays != 1)):  # a bool array holds nothing else
-        raise ValueError("rays must hold only 0 and 1")
-    if letter in ("", "a"):
-        return np.ones(rays.shape[0], dtype=np.int32)
-    # depths as int32 and one flag per row: the sample may hold 2^24 rows
-    depth = np.zeros(rays.shape[0], dtype=np.int32)
-    open_rows = np.ones(rays.shape[0], dtype=bool)  # rows that have not met a 0 yet
-    for f, column in enumerate(rays.T, start=1):
-        hit = (column == 0) & open_rows
-        level = f + int(_moves(letter, f))
-        depth[hit] = level if level <= rays.shape[1] else 0  # else the section a outlives the row
-        open_rows ^= hit
-        if not open_rows.any():
-            break
+    if rays.dtype != bool or rays.ndim != 2 or rays.shape[1] == 0:
+        raise ValueError(f"rays must be a 2-D bool array with at least one level, got {rays.dtype} {rays.shape}")
+    width = rays.shape[1]
+    depth = np.empty(rays.shape[0], dtype=np.int32)  # the sample may hold 2^24 rows
+    for start in range(0, rays.shape[0], _ROW_BLOCK):
+        block = rays[start : start + _ROW_BLOCK]
+        f = 0 if letter == "a" else np.where(block.all(axis=1), width, block.argmin(axis=1)) + 1
+        level = f + _moves(letter, f)
+        depth[start : start + _ROW_BLOCK] = np.where(level <= width, level, 0)  # else the section a outlives the row
     return depth

@@ -82,7 +82,7 @@ class MarkedGraph:
         lines = [f"# root={self.root}", "source,target,label"]
         lines.extend(f"{names[s]},{names[t]},{labels[g]}"
                      for s, t, g in zip(src[order].tolist(), tgt[order].tolist(), lab[order].tolist()))
-        return "\n".join(lines) + "\n"
+        return "\n".join([*lines, ""])
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:

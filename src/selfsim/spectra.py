@@ -232,7 +232,7 @@ class EigReport:
     def to_csv(self) -> str:
         lines = [f"# dim={self.dim} residual_bound={self.residual_bound!r}", "value"]
         lines.extend(repr(v) for v in self.eigenvalues)
-        return "\n".join(lines) + "\n"
+        return "\n".join([*lines, ""])
 
 
 def sym_eigs(M) -> EigReport:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -57,8 +59,8 @@ def _reference_rigidity_depth(x, word, max_depth):
 
 
 def _ray(x, max_depth):
-    """The prefix of x of length max_depth as a one-row 0/1 array."""
-    return np.array([[int(bit) for bit in x.prefix(max_depth)]])
+    """The prefix of x of length max_depth as a one-row bool array."""
+    return np.array([[bit == "1" for bit in x.prefix(max_depth)]])
 
 
 def test_wreath_decompose_generators():
@@ -199,20 +201,21 @@ def test_rigidity_depth_examples():
     ones = BoundaryPoint.parse("(1)")
     assert rigidity_depth(_ray(zeros, 8), "d") == [1]
     assert rigidity_depth(_ray(ones, 64), "d") == [0]
-    assert rigidity_depth(_ray(BoundaryPoint.parse("01(10)"), 1), "") == [1]
     # a has trivial sections immediately
     for x in (zeros, ones):
         assert rigidity_depth(_ray(x, 4), "a") == [1]
-    for word in ("ab", "aa", "x"):
+    # the empty word is not a generator letter
+    for word in ("", "ab", "aa", "x"):
         with pytest.raises(ValueError):
             rigidity_depth(_ray(zeros, 4), word)
-    for rays in (np.zeros((3, 0)), np.zeros(4), [[0, 2]], [[0, -1]]):
+    # rays are 2-D bool arrays with at least one level: 0/1 integers are refused as well
+    for rays in (np.zeros((3, 0), bool), np.zeros(4, bool), np.array([[0, 1]]), [[0, 1]], [[0, 2]], [[0, -1]]):
         with pytest.raises(ValueError):
             rigidity_depth(rays, "b")
 
 
 @given(
-    st.sampled_from(["", "a", "b", "c", "d"]),
+    st.sampled_from(GENERATORS),
     bits,
     st.text(alphabet="01", min_size=1, max_size=6),
     st.integers(min_value=1, max_value=70),
@@ -227,13 +230,46 @@ def test_rigidity_depth_matches_section_walk(letter, preperiod, period, max_dept
 
 @pytest.mark.parametrize("letter", ["", "a", "b", "c", "d"])
 def test_rigidity_depth_batch_matches_reference(letter):
-    # every ray prefix of each width 1..8 in one array, as 0/1 integers and as booleans
+    # every ray prefix of each width 1..8 in one bool array
     for width in range(1, 9):
         rays = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+        if not letter:  # the empty word is not a generator letter
+            with pytest.raises(ValueError):
+                rigidity_depth(rays.astype(bool), letter)
+            continue
         expected = [_reference_rigidity_depth(BoundaryPoint("".join(map(str, row)), "0"), letter, width) or 0
                     for row in rays]
-        assert rigidity_depth(rays, letter).tolist() == expected
         assert rigidity_depth(rays.astype(bool), letter).tolist() == expected
+        with pytest.raises(ValueError):  # the same prefixes as 0/1 integers
+            rigidity_depth(rays, letter)
+
+
+@given(
+    st.sampled_from(GENERATORS),
+    st.integers(min_value=1, max_value=70),
+    st.lists(st.text(alphabet="01", min_size=70, max_size=70), min_size=1, max_size=6),
+    st.sampled_from([1, 7, group._ROW_BLOCK + 3]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example("b", 1, ["0"], group._ROW_BLOCK + 3, 0)
+@example("d", 5, ["0" * 70], 7, 1)
+def test_rigidity_depth_matches_section_walk_on_samples(letter, width, prefixes, rows, seed):
+    # a few distinct rows and a row of ones (no 0), drawn into a sample that may span more than one row block
+    distinct = [p[:width] for p in prefixes] + ["1" * width]
+    expected = np.array([_reference_rigidity_depth(BoundaryPoint(p, "0"), letter, width) or 0 for p in distinct])
+    table = np.array([[bit == "1" for bit in p] for p in distinct])
+    pick = np.random.default_rng(seed).integers(len(distinct), size=rows)
+    depth = rigidity_depth(table[pick], letter)
+    assert depth.dtype == np.int32
+    assert depth.tolist() == expected[pick].tolist()
+
+
+def test_rigidity_depth_reads_a_wide_row_at_once():
+    # one row of 2^20 ones has no 0, so no section dies; a walk over its columns takes seconds
+    for letter in "bcd":
+        start = time.perf_counter()
+        assert rigidity_depth(np.ones((1, 1 << 20), bool), letter).tolist() == [0]
+        assert time.perf_counter() - start < 1.0
 
 
 def test_boundary_point_canonical():

@@ -314,7 +314,10 @@ def test_omega_svg_slice_line_position():
 
 
 def _reference_omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800) -> str:
-    """The per-point writer omega_svg replaced, kept verbatim as the byte-for-byte reference."""
+    """The per-point writer omega_svg replaced, kept as the byte-for-byte reference.
+
+    Each curve is read as Python floats, which format exactly as the numpy scalars did.
+    """
     span = 12.0
 
     def sx(alpha: float) -> float:
@@ -352,7 +355,7 @@ def _reference_omega_svg(curve_levels: int = 0, slice_alphas=(), size: int = 800
         betas = np.sqrt(alphas * alphas - 4.0 * alphas * cos + 4.0)
         color = palette[(curve_levels + j) % len(palette)]
         for sign in (1.0, -1.0):
-            coords = " ".join(pt(a, sign * b) for a, b in zip(alphas, betas) if abs(sign * b) <= 6.0)
+            coords = " ".join(pt(a, sign * b) for a, b in zip(alphas.tolist(), betas.tolist()) if abs(sign * b) <= 6.0)
             if coords:
                 parts.append(
                     f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1"/>'
