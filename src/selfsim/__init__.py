@@ -25,7 +25,6 @@ from .hecke import (
     generator_sum_element,
     groupoid_block,
     schur_step_check,
-    word_perm,
 )
 from .renorm import (
     IntervalUnion,
@@ -54,7 +53,6 @@ __all__ = [
     "rigidity_depth",
     "orbital_ball",
     "AlgebraElement",
-    "word_perm",
     "delta_element",
     "generator_sum_element",
     "assemble_level",

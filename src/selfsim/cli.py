@@ -23,11 +23,12 @@ from .hecke import (
     ASSEMBLY_GUARD,
     LEVEL_GUARD,
     AlgebraElement,
+    _level_perms,
+    _word_map,
     assemble_level,
     assemble_orbital,
     delta_element,
     generator_sum_element,
-    word_perm,
 )
 from .renorm import IntervalUnion, curve_residuals, lambda_slice, omega_svg, slice_spectrum_samples
 from .schreier import orbital_ball
@@ -118,18 +119,19 @@ def _tau(word: str) -> str:
     return "".join(_TAU[ch] for ch in word)
 
 
-def _relator_ok(word: str, n: int) -> bool:
-    return bool(np.array_equal(word_perm(word, n), np.arange(1 << n)))
+def _relator_ok(word: str, perms: dict[str, np.ndarray]) -> bool:
+    identity = np.arange(perms["a"].size)
+    return bool(np.array_equal(_word_map(perms, word, identity.size), identity))
 
 
-def _bcd_square_ok(n: int) -> bool:
-    """(B + C + D - I)^2 == 4 I in exact integer arithmetic."""
+def _bcd_square_ok(perms: dict[str, np.ndarray]) -> bool:
+    """(B + C + D - I)^2 == 4 I in exact integer arithmetic, on the level whose permutations are perms."""
     import scipy.sparse as sparse
-    dim = 1 << n
+    dim = perms["a"].size
     cols = np.arange(dim)
     acc = sparse.csr_matrix((dim, dim), dtype=np.int64)
     for letter in ("b", "c", "d"):
-        rows = word_perm(letter, n)
+        rows = perms[letter]
         acc += sparse.csr_matrix((np.ones(dim, dtype=np.int64), (rows, cols)), shape=(dim, dim))
     acc -= sparse.identity(dim, dtype=np.int64, format="csr")
     gap = (acc @ acc) - 4 * sparse.identity(dim, dtype=np.int64, format="csr")
@@ -148,9 +150,10 @@ def _verify_checks(level: int):
         relators.append(word)
         word = _tau(word)
     for n in range(level + 1):
+        perms = _level_perms(n)
         for rel in relators:
-            yield f"relator {rel} at n={n}", _relator_ok(rel, n)
-        yield f"(B+C+D-I)^2=4I at n={n}", _bcd_square_ok(n)
+            yield f"relator {rel} at n={n}", _relator_ok(rel, perms)
+        yield f"(B+C+D-I)^2=4I at n={n}", _bcd_square_ok(perms)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -9,8 +9,8 @@ group._moves, one whole-array XOR of the level indices per generator.  These
 matrices are the Koopman representation at the uniform Bernoulli measure
 (q = 1/2) compressed to the level-n cylinder functions; at any other q a
 Radon-Nikodym factor enters and they no longer describe it.
-Internally each generator is held as a permutation index array (exact integer
-data).
+Each call that reads the level action builds the generator permutations
+(exact integer index arrays) once, composes every word on them, keeps none.
 
 Operator assembly U(m) = sum of m(w) times the word permutation composes the
 permutations exactly and converts to floating point at the final accumulation.
@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +50,6 @@ def _check_level(n: int, guard: int) -> None:
         raise ValueError(f"level {n} exceeds the guard {guard}")
 
 
-@lru_cache(maxsize=None)
 def _level_perms(n: int) -> dict[str, np.ndarray]:
     """Permutation index arrays of a, b, c, d on the 2^n level vertices.
 
@@ -66,10 +64,7 @@ def _level_perms(n: int) -> dict[str, np.ndarray]:
     length = _bit_length(j ^ ((1 << n) - 1))
     f = (n + 1 - length).astype(np.int8)  # one byte each keeps the % in _moves cheap at 2^20 vertices
     bit = (1 << length) >> 2  # 0 where f >= n: no 0, or the first 0 in the last coordinate
-    out = {"a": j ^ (1 << n >> 1), **{g: j ^ bit * _moves(g, f) for g in GENERATORS[1:]}}
-    for arr in out.values():
-        arr.setflags(write=False)
-    return out
+    return {"a": j ^ (1 << n >> 1), **{g: j ^ bit * _moves(g, f) for g in GENERATORS[1:]}}
 
 
 def _word_map(tables, word: str, size: int) -> np.ndarray:
@@ -81,11 +76,6 @@ def _word_map(tables, word: str, size: int) -> np.ndarray:
         except KeyError:
             raise ValueError(f"bad generator letter {ch!r} in word {word!r}") from None
     return image
-
-
-def word_perm(word: str, n: int) -> np.ndarray:
-    """Permutation array of an arbitrary word at level n, rightmost letter first."""
-    return _word_map(_level_perms(n), word, 1 << n)
 
 
 @dataclass(frozen=True)
@@ -197,7 +187,8 @@ def _triplets(m: AlgebraElement, maps, dim: int) -> OperatorMatrix:
 def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Level-n matrix of U(m): coefficients against exact word permutations."""
     _check_level(n, ASSEMBLY_GUARD)
-    return _triplets(m, [word_perm(word, n) for word, _ in m.terms], 1 << n)
+    perms = _level_perms(n)
+    return _triplets(m, [_word_map(perms, word, 1 << n) for word, _ in m.terms], 1 << n)
 
 
 def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorMatrix, np.ndarray]:
@@ -226,8 +217,8 @@ def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorM
 def groupoid_block(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Block-diagonal doubling of the level-n matrix, as the orbit-pair form."""
     _check_level(n, ASSEMBLY_GUARD)
-    dim = 1 << n
-    maps = [np.concatenate([p, p + dim]) for p in (word_perm(word, n) for word, _ in m.terms)]
+    dim, perms = 1 << n, _level_perms(n)
+    maps = [np.concatenate([p, p + dim]) for p in (_word_map(perms, word, dim) for word, _ in m.terms)]
     return _triplets(m, maps, 2 * dim)
 
 

@@ -288,8 +288,8 @@ def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:
     return forward, backward
 
 
-def spectral_shift_check(M, alpha: float, R: float, tol: float) -> tuple[bool, bool]:
-    """Whether alpha is in sigma(M), tested directly and through the shifted operator.
+def spectral_shift_check(M, alphas, R: float, tol: float) -> tuple[list[bool], list[bool]]:
+    """Whether each probe alpha is in sigma(M), tested directly and through the shifted operator.
 
     For symmetric M the shifted operator S = I - (M - alpha I)^2 / R^2 has
     eigenvalues 1 - (lambda - alpha)^2 / R^2, so membership of alpha in the
@@ -297,7 +297,8 @@ def spectral_shift_check(M, alpha: float, R: float, tol: float) -> tuple[bool, b
     |lambda - alpha| <= tol; the shifted test uses the threshold tol / R^2 on
     |mu - 1|, i.e. it accepts |lambda - alpha| up to sqrt(tol).  Probes should
     stay clear of the band (tol, sqrt(tol)) where the two tests disagree by
-    construction.
+    construction.  M is solved once and each S once per probe; the verdicts
+    come back as two lists, (direct, shifted), in probe order.
     """
     A = np.asarray(M, dtype=float)
     values = sym_eigvals(A)
@@ -306,7 +307,9 @@ def spectral_shift_check(M, alpha: float, R: float, tol: float) -> tuple[bool, b
         raise ValueError(f"need R >= 2 ||M|| = {2.0 * norm}, got {R}")
     if R <= 0.0:
         raise ValueError("need a positive radius")
-    K = A - alpha * np.eye(A.shape[0])
-    S = np.eye(A.shape[0]) - (K @ K) / (R * R)
-    mu = sym_eigvals(S)
-    return bool(np.abs(values - alpha).min() <= tol), bool(np.abs(mu - 1.0).min() <= tol / (R * R))
+    eye, direct, shifted = np.eye(A.shape[0]), [], []
+    for alpha in alphas:
+        K = A - alpha * eye
+        direct.append(bool(np.abs(values - alpha).min() <= tol))
+        shifted.append(bool(np.abs(sym_eigvals(eye - (K @ K) / (R * R)) - 1.0).min() <= tol / (R * R)))
+    return direct, shifted

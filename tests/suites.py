@@ -15,12 +15,17 @@ from selfsim.group import (
     reduce_word,
     wreath_decompose,
 )
-from selfsim.hecke import word_perm
+from selfsim.hecke import _level_perms, _word_map
 from selfsim.renorm import in_omega, renorm_map
 from selfsim.schreier import MarkedGraph, orbital_ball
 from selfsim.spectra import spectral_shift_check, sym_eigvals
 
 LETTERS = "abcd"
+
+
+def word_perm(word, n):
+    """Permutation array of a word at level n, rightmost letter first; builds the level's table on every call."""
+    return _word_map(_level_perms(n), word, 1 << n)
 
 
 def _all_words_with_perms(n):
@@ -29,7 +34,7 @@ def _all_words_with_perms(n):
     The permutation is grown one composed letter at a time, so the whole
     4^0 + ... + 4^8 enumeration costs one fancy-index per word.
     """
-    base = {ch: word_perm(ch, n) for ch in LETTERS}
+    base = _level_perms(n)
     identity = np.arange(1 << n)
 
     def walk(word, perm, budget):
@@ -113,7 +118,7 @@ def suite_decomposition():
 
     Exhaustively at level 6 through permutation arrays, and, on a fixed word
     sample, vertex by vertex on every level <= 6 against the rows of the
-    level-6 permutation that word_perm letters compose: vertex v of length l
+    level-6 permutation that the generator permutations compose: vertex v of length l
     is row int(v, 2) << (6 - l), and its image is that row's value >> (6 - l).
     """
     cache = {}
@@ -132,6 +137,31 @@ def suite_decomposition():
             sampled += 1
         count += 1
     return f"{count} words at level 6, {sampled} cross-checked on all vertices of level <= 6"
+
+
+def tree_count(weights, lam, n):
+    """Eigenvalues below lam of the level-n operator of alpha a + beta b + gamma c + delta d, by the tree recursion.
+
+    In blocks by the first coordinate (b = (a, c), c = (a, d), d = (1, b)),
+    the top-left block of M - lam is x A + s with x = beta + gamma and
+    s = delta - lam; as A^2 = I its inverse is (x A - s) / (x^2 - s^2), and
+    its Schur complement is the level-(n-1) operator with a's weight
+    -alpha^2 x / (x^2 - s^2), lam moved by -alpha^2 s / (x^2 - s^2) and the
+    weights of b, c, d rotated.  Haynsworth additivity adds the negative
+    counts of the blocks: 2^(n-2) eigenvalues each of x + s and s - x (one of
+    x + s at n = 1), then level 0, the scalar alpha + beta + gamma + delta.
+    Python floats and ints throughout: numpy bools add as logical or.
+    """
+    alpha, beta, gamma, delta = (float(w) for w in weights)
+    lam = float(lam)
+    count = 0
+    for k in range(n, 0, -1):
+        x, s = beta + gamma, delta - lam
+        count += int(x + s < 0) if k == 1 else (1 << (k - 2)) * (int(x + s < 0) + int(s - x < 0))
+        pole = x * x - s * s
+        alpha, lam = -alpha * alpha * x / pole, lam - alpha * alpha * s / pole
+        beta, gamma, delta = delta, beta, gamma
+    return count + int(alpha + beta + gamma + delta < lam)
 
 
 def suite_word_action():
@@ -246,8 +276,7 @@ def suite_shift_agreement():
         for _ in range(10):
             off = 0.05 + float(rng.uniform(0.0, 1.0))
             probes.append(top + off if rng.random() < 0.5 else bottom - off)
-        for alpha in probes:
-            direct, shifted = spectral_shift_check(M, float(alpha), R, 1e-8)
-            assert direct == shifted, (dim, alpha, direct, shifted)
-            checks += 1
+        direct, shifted = spectral_shift_check(M, probes, R, 1e-8)
+        assert direct == shifted, (dim, [alpha for alpha, d, s in zip(probes, direct, shifted) if d != s])
+        checks += len(probes)
     return f"{checks} probe agreements over 100 random matrices"

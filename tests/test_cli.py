@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -41,6 +42,24 @@ def test_verify_fault_injection(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_bcd_square_ok", lambda n: False)
     assert cli.main(["verify", "--level", "0", "--out", str(tmp_path / "b")]) == 1
     assert "FAIL (B+C+D-I)^2=4I at n=0" in capsys.readouterr().err
+
+
+def test_verify_builds_one_table_per_level_and_keeps_none(monkeypatch):
+    list(cli._verify_checks(1))  # scipy is imported before tracing starts
+    tracemalloc.start()
+    try:
+        checks = list(cli._verify_checks(17))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(ok for _, ok in checks)
+    assert held < 2**20, held
+
+    built = []
+    monkeypatch.setattr(cli, "_level_perms", lambda n: built.append(n) or hecke._level_perms(0))
+    list(cli._verify_checks(20))
+    assert built == list(range(21))
 
 
 def test_spectrum_delta(tmp_path):

@@ -16,8 +16,7 @@ from selfsim.group import (
     rigidity_depth,
     wreath_decompose,
 )
-from selfsim.hecke import word_perm
-from suites import fold_decompose, reference_is_identity
+from suites import fold_decompose, reference_is_identity, word_perm
 
 words = st.text(alphabet="abcd", max_size=12)
 bits = st.text(alphabet="01", max_size=10)

@@ -17,11 +17,10 @@ from selfsim.hecke import (
     generator_sum_element,
     groupoid_block,
     schur_step_check,
-    word_perm,
 )
 from selfsim.schreier import orbital_ball
 from selfsim.spectra import sym_eigvals
-from suites import _act_via_decomposition
+from suites import _act_via_decomposition, tree_count, word_perm
 
 ABCD = ("a", "b", "c", "d")
 NON_DYADIC = AlgebraElement.from_terms(
@@ -77,6 +76,23 @@ def test_word_perm_relations():
     assert np.array_equal(word_perm("bd", n), word_perm("c", n))
     assert np.array_equal(word_perm("cd", n), word_perm("b", n))
     assert np.array_equal(word_perm("adadadad", n), identity)
+
+
+def test_level_counts_match_the_tree_recursion():
+    # delta, sum, two anisotropic weight vectors and seeded random ones: the four-weight level operators
+    rng = np.random.default_rng(23)
+    weight_sets = [(0.25,) * 4, (1.0,) * 4, (1.0, 2.0, 1.0, 1.0), (1.0, 1.0, 0.5, 1.5)]
+    weight_sets += [tuple(rng.uniform(-2.0, 2.0, 4).tolist()) for _ in range(8)]
+    draws = 0
+    for weights in weight_sets:
+        element = AlgebraElement.from_terms(zip("abcd", weights))
+        for n in range(12):
+            eigs = np.sort(sym_eigvals(assemble_level(element, n)))
+            lams = rng.uniform(eigs[0] - 0.5, eigs[-1] + 0.5, 16)
+            for lam in lams[np.abs(lams[:, None] - eigs).min(axis=1) > 1e-9].tolist():
+                assert tree_count(weights, lam, n) == int(np.searchsorted(eigs, lam)), (weights, n, lam)
+                draws += 1
+    assert draws > 1000
 
 
 def test_level_guard():

@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
+from selfsim import spectra
 from selfsim.group import GENERATORS, BoundaryPoint
 from selfsim.hecke import AlgebraElement, assemble_level, assemble_orbital, delta_element, generator_sum_element
 from selfsim.renorm import IntervalUnion, lambda_slice
@@ -113,23 +114,29 @@ def test_hausdorff_slice_level_eight():
 
 
 def test_shift_check_examples():
-    assert spectral_shift_check(np.eye(2), 1.0, 2.0, 1e-8) == (True, True)
+    assert spectral_shift_check(np.eye(2), [1.0], 2.0, 1e-8) == ([True], [True])
     level1 = assemble_level(delta_element(), 1).csr().toarray()
-    assert spectral_shift_check(level1, 0.5, 2.0, 1e-8) == (True, True)
-    assert spectral_shift_check(level1, 0.0, 2.0, 1e-8) == (False, False)
+    assert spectral_shift_check(level1, [0.5, 0.0], 2.0, 1e-8) == ([True, False], [True, False])
+    assert spectral_shift_check(level1, [], 2.0, 1e-8) == ([], [])
 
 
 def test_shift_check_tolerance_scaling():
     # the shifted test accepts |lambda - alpha| up to sqrt(tol) = 1e-4 whatever R is; the direct one up to tol
-    assert spectral_shift_check(np.eye(2), 1 + 5e-5, 4.0, 1e-8) == (False, True)
-    assert spectral_shift_check(np.eye(2), 1 + 2e-4, 4.0, 1e-8) == (False, False)
+    assert spectral_shift_check(np.eye(2), [1 + 5e-5, 1 + 2e-4], 4.0, 1e-8) == ([False, False], [True, False])
+
+
+def test_shift_check_solves_each_matrix_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectra, "sym_eigvals", lambda A: calls.append(A.shape) or sym_eigvals(A))
+    spectral_shift_check(np.eye(3), [0.0, 1.0, 2.0, 3.0], 2.0, 1e-8)
+    assert calls == [(3, 3)] * 5  # M once, then one shifted operator per probe
 
 
 def test_shift_check_radius_guard():
     with pytest.raises(ValueError, match="need R >= 2"):
-        spectral_shift_check(np.eye(2), 1.0, 1.5, 1e-8)
+        spectral_shift_check(np.eye(2), [1.0], 1.5, 1e-8)
     with pytest.raises(ValueError, match="need a positive radius"):
-        spectral_shift_check(np.zeros((2, 2)), 0.0, 0.0, 1e-8)
+        spectral_shift_check(np.zeros((2, 2)), [0.0], 0.0, 1e-8)
 
 
 _sym_dims = st.integers(min_value=1, max_value=8)
