@@ -265,7 +265,7 @@ def cmd_orbital(args: argparse.Namespace) -> int:
         "element": name,
         "dim": rep.dim,
         "flagged_rows": int(np.count_nonzero(flags)),
-        "histogram": _histogram(np.asarray(rep.eigenvalues)),
+        "histogram": _histogram(rep.eigenvalues),
     }
     outputs.append(_write_json(outdir, "report.json", report))
     _manifest(args, outputs, solver=rep.solver)

@@ -20,7 +20,7 @@ Provides:
     - wreath_decompose: the one-pass level-1 decomposition of an arbitrary
       word into (root swap, section at 0, section at 1),
     - BoundaryPoint: eventually periodic boundary sequences with an exact
-      group action (boundary_image),
+      group action (boundary_image: one walk over one bit prefix),
     - is_identity: the word problem, read off the canonical _element_key
       unless the root swap already says no,
     - rigidity_depth: first level at which a generator's section dies, along
@@ -57,7 +57,6 @@ _KLEIN = {
     "cd": "b", "dc": "b",
 }
 
-_FLIP = {"0": "1", "1": "0"}
 _ROW_BLOCK = 1 << 16  # rays whose int64 flip positions rigidity_depth holds at once (512 KB)
 
 
@@ -124,23 +123,17 @@ def _moves(letter: str, f):
     return (f >= 1) & ((f - 1) % 3 != _LOOP.index(letter))
 
 
-def _letter_flip(letter: str, bits: str) -> int | None:
-    """Position of the one bit that the generator flips, or None."""
-    f = 0 if letter == "a" else bits.find("0") + 1  # 0 for b, c and d when there is no 0, which never moves
-    return f if f < len(bits) and _moves(letter, f) else None
-
-
 def _minimal_period(period: str) -> str:
     # the least shift that maps a nonempty period onto itself divides its length and is its least period
     return period[: (period + period).find(period, 1)]
 
 
-def _periodic_suffix(pre: str, period: str) -> int:
-    """Length of the longest suffix of pre that is also a suffix of ...period period."""
-    tail = period * (len(pre) // len(period) + 1)
-    # read as binary numbers, the strings differ first at the lowest set bit of their xor
-    diff = int(pre, 2) ^ int(tail[len(tail) - len(pre) :], 2)
-    return (diff & -diff).bit_length() - 1 if diff else len(pre)
+def _tail_xor(pre: str, period: str) -> int:
+    """pre XOR the periodic sequence that pre precedes, coordinate i as bit i; its bit length is the least preperiod."""
+    if not pre:
+        return 0
+    tail = period * (len(pre) // len(period) + 1)  # ends where coordinate len(pre) starts a period
+    return int(pre[::-1], 2) ^ int(tail[::-1][: len(pre)], 2)
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ class BoundaryPoint:
         pre, per = self.preperiod, _minimal_period(self.period)
         if pre and pre[-1] == per[-1]:
             # the preperiod's last k bits continue the period backwards: drop them and rotate the period by k
-            k = _periodic_suffix(pre, per)
+            k = len(pre) - _tail_xor(pre, per).bit_length()
             cut = len(per) - k % len(per)
             pre, per = pre[: len(pre) - k], per[cut:] + per[:cut]
         object.__setattr__(self, "preperiod", pre)
@@ -188,29 +181,35 @@ class BoundaryPoint:
         reps = k // len(self.period) + 1
         return (self.preperiod + self.period * reps)[:n]
 
-    def with_flip(self, i: int) -> "BoundaryPoint":
-        """Copy of the point with coordinate i flipped."""
-        pre_len = max(len(self.preperiod), i + 1)
-        bits = self.prefix(pre_len)
-        shift = (pre_len - len(self.preperiod)) % len(self.period)
-        return BoundaryPoint(bits[:i] + _FLIP[bits[i]] + bits[i + 1 :], self.period[shift:] + self.period[:shift])
-
 
 def boundary_image(word: str, x: BoundaryPoint) -> BoundaryPoint:
-    """Exact image of an eventually periodic point under a group word.
+    """Exact image of an eventually periodic point under a group word; x itself if no letter moves it.
 
-    Applies the letters of the reduced word one at a time.  A generator
-    changes at most one coordinate: a the first one, and b, c or d at most the
-    one after the first 0, so nothing along an all-ones tail (b, c and d fix
-    1^inf).  So the prefix of length
-    len(preperiod) + len(period) + 1 of the current point decides each letter
-    and the image is again eventually periodic.
+    Walks the reduced word w, rightmost letter first, over one byte array of
+    the first n = len(preperiod) + len(period) * |w| + 1 bits of x and builds
+    one point, its preperiod reaching the furthest flip.  a flips coordinate
+    0, and b, c and d the one just after the first 0, or none, so each letter
+    removes at most one 0 from any stretch.  Before the k-th letter a 0
+    therefore lies at or before the k-th 0 of x, before len(preperiod) +
+    len(period) * k when the period holds a 0; when it does not, every 0
+    lies in the preperiod or at an earlier flip, so the flips reach at most
+    one place further per letter.  Either way every flip lies before n.
     """
-    for ch in reversed(reduce_word(word)):
-        i = _letter_flip(ch, x.prefix(len(x.preperiod) + len(x.period) + 1))
-        if i is not None:
-            x = x.with_flip(i)
-    return x
+    word = reduce_word(word)
+    pre, per = x.preperiod, x.period
+    n = len(pre) + len(per) * len(word) + 1
+    bits = bytearray(x.prefix(n), "ascii")
+    top = 0  # one past the furthest flip
+    for ch in reversed(word):
+        f = 0 if ch == "a" else bits.find(b"0") + 1  # 0 for b, c and d when there is no 0, which never moves
+        if _moves(ch, f):
+            bits[f] ^= 1  # "0" and "1" differ in their lowest bit
+            top = max(top, f + 1)
+    if not top:
+        return x
+    top = max(top, len(pre))  # the bits from top on are those of x
+    shift = (top - len(pre)) % len(per)
+    return BoundaryPoint(bits[:top].decode(), per[shift:] + per[:shift])
 
 
 def _element_key(word: str) -> str | tuple:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GENERATORS, BoundaryPoint, _moves
+from .group import GENERATORS, BoundaryPoint, _moves, _tail_xor
 
 _FOLD = -1  # step flip of the one-ended line's end, where b, c and d all loop
 
@@ -127,10 +127,9 @@ def _names(x: BoundaryPoint, offsets: np.ndarray, low: int, lo: int, carry_flip:
     coordinates flipped from x are gray of the change in m, whose part
     at and above low is one carry or borrow run: that part flips one far
     coordinate, carry_flip or borrow_flip, and coordinate low - 1.  The
-    preperiod of a point is as long as the bit length of its XOR with the
-    purely periodic sequence that x ends in, and its period is that
-    sequence's period read from there.  All names are written into one byte
-    array, a row each, padded with NUL bytes.
+    preperiod of a point is as long as _tail_xor of x, with these flips
+    applied, is in bits, and its period is that of x read from there.  All
+    names are written into one byte array, a row each, padded with NUL bytes.
     """
     u = lo + offsets
     carry, borrow = u >= 1 << low, u < 0
@@ -140,7 +139,7 @@ def _names(x: BoundaryPoint, offsets: np.ndarray, low: int, lo: int, carry_flip:
     pre, per, p = x.preperiod, x.period, len(x.period)
     start = -len(pre) % p
     rotated = per[start:] + per[:start]  # coordinate i of the periodic sequence is rotated[i % p]
-    diff = int(pre[::-1], 2) ^ int((rotated * (len(pre) // p + 1))[len(pre) - 1 :: -1], 2) if pre else 0
+    diff = _tail_xor(pre, per)
     ell = np.array([((diff >> low << low) ^ (0 if f is None else 1 << f)).bit_length() for f in far_bits])[far]
     short = ell == 0
     ell[short] = _bit_length((diff & ((1 << low) - 1)) ^ low_flips[short])

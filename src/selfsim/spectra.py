@@ -208,9 +208,9 @@ def sym_eigvals(M) -> np.ndarray:
     return _solve_band(_band(M)[1], vectors=False)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value, so reports compare by identity
 class EigReport:
-    eigenvalues: tuple[float, ...]
+    eigenvalues: np.ndarray  # float64, ascending
     residual_bound: float
     bandwidth: int
     lapack_driver: str
@@ -231,7 +231,7 @@ class EigReport:
 
     def to_csv(self) -> str:
         lines = [f"# dim={self.dim} residual_bound={self.residual_bound!r}", "value"]
-        lines.extend(repr(v) for v in self.eigenvalues)
+        lines.extend(repr(v) for v in self.eigenvalues.tolist())
         return "\n".join([*lines, ""])
 
 
@@ -258,7 +258,7 @@ def sym_eigs(M) -> EigReport:
             gap = P @ block - block * values[j : j + _RESIDUAL_COLUMNS]
             worst = max(worst, float(np.sqrt((gap * gap).sum(axis=0)).max()))
         residual = worst / norm
-    return EigReport(tuple(float(v) for v in values), residual, band.shape[0] - 1, driver, halvings)
+    return EigReport(values, residual, band.shape[0] - 1, driver, halvings)
 
 
 def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:

@@ -257,6 +257,11 @@ def test_rigidity_shallow_fractions(tmp_path):
     ids=lambda argv: argv[0],
 )
 def test_reruns_are_byte_identical(argv, tmp_path):
+    _assert_reruns_identical(argv, tmp_path)
+
+
+def _assert_reruns_identical(argv, tmp_path):
+    """Runs argv twice into fresh directories and compares every file written, byte for byte."""
     dirs = (tmp_path / "one", tmp_path / "two")
     for d in dirs:
         assert cli.main(argv + ["--out", str(d)]) == 0
@@ -265,6 +270,16 @@ def test_reruns_are_byte_identical(argv, tmp_path):
     assert "manifest.json" in names
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+    return dirs[0]
+
+
+def test_banded_eigenpairs_rerun_byte_identically(tmp_path):
+    # multi-letter terms widen the band, and below the vector cutoff its eigenpairs come from the threaded ?sbevd
+    terms = [("ab", 1), ("ba", 1), ("aca", 0.5), ("c", -0.3), ("", 0.2)]
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in terms]}))
+    out = _assert_reruns_identical(["spectrum", "--element", str(path), "--level", "8"], tmp_path)
+    assert _read_json(out / "manifest.json")["solver"]["lapack_driver"] == "sbevd"
 
 
 @pytest.mark.parametrize(

@@ -307,21 +307,14 @@ def test_long_points_canonicalize():
     assert BoundaryPoint("", "01" * (1 << 19)) == BoundaryPoint("", "01")
 
 
-def _reference_with_flip(x, i):
-    """BoundaryPoint.with_flip as a one-character list of the prefix, flipped in place and joined."""
-    pre_len = max(len(x.preperiod), i + 1)
-    chars = list(x.prefix(pre_len))
-    chars[i] = "1" if chars[i] == "0" else "0"
-    shift = (pre_len - len(x.preperiod)) % len(x.period)
-    return BoundaryPoint("".join(chars), x.period[shift:] + x.period[:shift])
-
-
-@given(bits, st.text(alphabet="01", min_size=1, max_size=6), st.integers(min_value=0, max_value=24))
-@example("01", "1", 3)
-@example("", "10", 5)
-def test_with_flips_matches_joined_list(preperiod, period, i):
-    x = BoundaryPoint(preperiod, period)
-    assert x.with_flip(i) == _reference_with_flip(x, i)
+@given(bits, st.text(alphabet="01", min_size=1, max_size=6))
+@example("0110", "10")
+@example("", "1")
+def test_tail_xor_matches_each_coordinate(preperiod, period):
+    # coordinate i of the periodic sequence that preperiod precedes is period[(i - len(preperiod)) % len(period)]
+    expected = sum(1 << i for i, bit in enumerate(preperiod)
+                   if bit != period[(i - len(preperiod)) % len(period)])
+    assert group._tail_xor(preperiod, period) == expected
 
 
 def test_bad_bits_name_the_first_bad_character():
@@ -385,3 +378,42 @@ def test_action_deep_in_the_tree():
         assert boundary_image(word, x) == image == _reference_boundary_image(word, x), word
     y = BoundaryPoint("1" * 4000, "0")
     assert boundary_image("dcb", y) == _reference_boundary_image("dcb", y)
+    # a reduced 4,096-letter word on a 5,000-bit point: one walk over one prefix, not one point per letter
+    rng = np.random.default_rng(29)
+    x = BoundaryPoint("".join(rng.choice(list("01"), 4998)) + "1", "01")
+    word = "".join(f"{g}a" for g in rng.choice(list("bcd"), 2048))
+    assert len(reduce_word(word)) == 4096
+    assert boundary_image(word, x) == _reference_boundary_image(word, x)
+
+
+@pytest.mark.parametrize(
+    "point", ["(0)", "(1)", "0(1)", "(01)", "1(001)", "(0001)", "01(10)", "110010(011)", "1111(0)"]
+)
+def test_boundary_image_of_every_short_word(point):
+    # shorter prefixes miss flips here: one bit fewer misses b on (0), two periods past the preperiod cabababa on (1)
+    x = BoundaryPoint.parse(point)
+    words, last = [""], [""]
+    for _ in range(9):
+        last = [w + g for w in last for g in GENERATORS if reduce_word(w + g) == w + g]
+        words += last
+    assert len(words) == 725
+    for word in words:
+        assert boundary_image(word, x) == _reference_boundary_image(word, x), word
+
+
+def test_boundary_image_builds_one_point(monkeypatch):
+    x, ones = BoundaryPoint.parse("(01)"), BoundaryPoint.parse("(1)")
+    expected = _reference_boundary_image("dabacaba", x)
+    minimal_period, calls = group._minimal_period, []
+
+    def counted(period):
+        calls.append(period)
+        return minimal_period(period)
+
+    monkeypatch.setattr(group, "_minimal_period", counted)
+    # six letters of dabacaba move (01), and the one point built is canonicalized once
+    assert boundary_image("dabacaba", x) == expected
+    assert len(calls) == 1
+    # b fixes 1^inf, so nothing is built and x itself comes back
+    assert boundary_image("b", ones) is ones
+    assert len(calls) == 1
