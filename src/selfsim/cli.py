@@ -4,7 +4,9 @@ Every command writes its artifacts plus a manifest.json into --out; outputs
 are deterministic given an identical configuration (including seeds), so
 reruns are byte-identical.  Exit codes: 0 success, 1 invariant failure,
 2 usage error (every argument is checked before a command starts) or an
-unwritable --out, 3 internal fault.
+unwritable --out, 3 internal fault.  Artifacts are written as they are
+formatted, a bounded chunk at a time, under a temporary name that is renamed
+to the artifact's once its last chunk is written.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import os
 import sys
 import traceback
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .hecke import (
     generator_sum_element,
 )
 from .renorm import IntervalUnion, curve_residuals, lambda_slice, omega_svg, slice_spectrum_samples
-from .schreier import orbital_ball
+from .schreier import _CHUNK_CHARS, orbital_ball
 from .spectra import hausdorff_to_set, sym_eigs
 
 _TARGETS = {
@@ -43,7 +46,13 @@ _TARGETS = {
 # omega checks 2^(level+1) - 2 curves and draws 2^(level-1) + 1 distinct ones; the level-12 SVG is 24 MB
 OMEGA_LEVEL_GUARD = 12
 _CURVE_CHUNK = 64  # curves omega checks at once
-_WRITE_CHUNK = 1 << 20  # characters of an artifact encoded at once
+_SAMPLE_CHUNK = 1 << 16  # slice samples formatted at once
+# Artifacts are written through a 2 MB buffer, larger than the bounded chunks.  glibc hands the free top of its
+# heap back to the system once it exceeds twice the largest block it has unmapped; this buffer, unmapped at the
+# first close, raises that mark, so the 0.1-1 MB temporaries of the chunk producers and curve checks are not
+# handed back and faulted in again at every block (about 7,500 page faults a round of slice --level 14 and
+# omega --level 10 in one process without it, none with it).
+_WRITE_BUFFER = 1 << 21
 RIGIDITY_CELL_GUARD = 1 << 24  # samples x depth boundary coordinates drawn by rigidity
 _DRAW_BLOCK = 1 << 16  # uniform draws rigidity holds as float64 at once (512 KB)
 # a two-ended radius-4096 ball has dimension 8193, the size of the level-13 spectrum
@@ -55,18 +64,29 @@ POINT_CELL_GUARD = 1 << 24
 COEF_SUM_GUARD = 2.0**500
 
 
-def _write(outdir: str, name: str, text: str) -> str:
+def _write(outdir: str, name: str, chunks: Iterable[str]) -> str:
+    """Writes the text chunks in turn to name in outdir, returning name.
+
+    The chunks go to a temporary name in outdir that is renamed to name once
+    the last one is written, so a fault on the way leaves no file of that name.
+    """
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        # encoded a slice at a time: writing the whole text at once holds an encoded copy of it
-        for start in range(0, len(text), _WRITE_CHUNK):
-            fh.write(text[start : start + _WRITE_CHUNK])
+    partial = f"{path}.part"
+    try:
+        with open(partial, "w", encoding="utf-8", buffering=_WRITE_BUFFER) as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
     return name
 
 
 def _write_json(outdir: str, name: str, data, indent: int | None = 2) -> str:
-    return _write(outdir, name, json.dumps(data, sort_keys=True, indent=indent, allow_nan=False) + "\n")
+    return _write(outdir, name, [json.dumps(data, sort_keys=True, indent=indent, allow_nan=False) + "\n"])
 
 
 def _manifest(args: argparse.Namespace, outputs: list[str], **extra) -> None:
@@ -171,7 +191,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     spec, name, element = args.element
     level, tol, outdir = args.level, args.tol, args.out
     rep = sym_eigs(assemble_level(element, level))
-    outputs = [_write(outdir, "eigenvalues.csv", rep.to_csv())]
+    outputs = [_write(outdir, "eigenvalues.csv", [rep.to_csv()])]
     target_pairs = _TARGETS.get(spec)  # a named element's own; a file named delta has none
     report: dict = {"element": name, "level": level, "dim": rep.dim, "target": None}
     failed = False
@@ -197,14 +217,18 @@ def cmd_slice(args: argparse.Namespace) -> int:
     t, n_max, outdir = args.t, args.level, args.out
     union = lambda_slice(t)
     outputs = [_write_json(outdir, "lambda.json", {"t": t, "intervals": union.to_pairs()}, indent=None)]
-    lines = ["n,value"]
     per_level = {}
-    for n in range(n_max + 1):
-        values = slice_spectrum_samples(t, n)
-        lines.extend(f"{n},{v!r}" for v in values)
-        forward, backward = hausdorff_to_set(values, union)
-        per_level[str(n)] = {"forward": forward, "backward": backward}
-    outputs.append(_write(outdir, "samples.csv", "\n".join([*lines, ""])))
+
+    def samples():
+        yield "n,value\n"
+        for n in range(n_max + 1):
+            values = slice_spectrum_samples(t, n)
+            for start in range(0, len(values), _SAMPLE_CHUNK):
+                yield "".join(f"{n},{v!r}\n" for v in values[start : start + _SAMPLE_CHUNK])
+            forward, backward = hausdorff_to_set(values, union)
+            per_level[str(n)] = {"forward": forward, "backward": backward}
+
+    outputs.append(_write(outdir, "samples.csv", samples()))
     outputs.append(_write_json(outdir, "report.json", {"t": t, "hausdorff": per_level}))
     outputs.append(_write(outdir, "omega-slice.svg", omega_svg(curve_levels=3, slice_alphas=(t,))))
     _manifest(args, outputs)
@@ -245,6 +269,15 @@ def _histogram(values: np.ndarray) -> dict:
             "underflow": int(np.count_nonzero(values < lo)), "overflow": int(np.count_nonzero(values > hi))}
 
 
+def _flag_rows(vertices: tuple[str, ...], flags: np.ndarray) -> Iterator[str]:
+    """flags.csv as text chunks: the header, then rows, _CHUNK_CHARS characters or one row at a time."""
+    yield "vertex,flagged\n"
+    step = max(1, _CHUNK_CHARS // (max(map(len, vertices)) + 3))
+    for start in range(0, len(vertices), step):
+        rows = zip(vertices[start : start + step], flags[start : start + step].tolist())
+        yield "".join(f"{v},{int(f)}\n" for v, f in rows)
+
+
 def cmd_orbital(args: argparse.Namespace) -> int:
     x = args.point[1]
     letters = tuple(dict.fromkeys(args.gens))
@@ -254,10 +287,8 @@ def cmd_orbital(args: argparse.Namespace) -> int:
     outputs = [_write(outdir, "graph.csv", ball.to_csv())]
     matrix, flags = assemble_orbital(element, x, letters, radius)
     rep = sym_eigs(matrix)
-    outputs.append(_write(outdir, "spectrum.csv", rep.to_csv()))
-    flag_lines = ["vertex,flagged"]
-    flag_lines.extend(f"{v},{int(f)}" for v, f in zip(ball.vertices, flags))
-    outputs.append(_write(outdir, "flags.csv", "\n".join([*flag_lines, ""])))
+    outputs.append(_write(outdir, "spectrum.csv", [rep.to_csv()]))
+    outputs.append(_write(outdir, "flags.csv", _flag_rows(ball.vertices, flags)))
     report = {
         "point": str(x),
         "gens": "".join(letters),

@@ -21,6 +21,7 @@ operator -t a + b + c + d.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,8 +181,8 @@ def _two_decimals(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, shown
 
 
-def omega_svg(curve_levels: int = 0, slice_alphas=()) -> str:
-    """Static _SVG_SIZE-pixel plot of Omega in [-6, 6]^2 with optional curves and slice lines.
+def omega_svg(curve_levels: int = 0, slice_alphas=()) -> Iterator[str]:
+    """Static _SVG_SIZE-pixel plot of Omega in [-6, 6]^2 with optional curves and slice lines, as text chunks.
 
     Fixed viewport, axis-aligned, deterministic output; curve overlays show
     gamma_{n,j} for n <= curve_levels and slice lines are vertical alpha = t.
@@ -198,6 +199,10 @@ def omega_svg(curve_levels: int = 0, slice_alphas=()) -> str:
     rounds the exact binary value of x to two decimals, ties to even; the
     array formatter computes that rounding in integers, so the two agree on
     every finite value below 2^52 in magnitude (the bound it accepts).
+
+    The chunks are the header, the curves of each block of _SVG_BLOCK, and
+    the slice lines with the closing tag; each ends in a newline, and their
+    join is the whole text.  No chunk is kept once yielded.
     """
     span, size = 12.0, _SVG_SIZE
 
@@ -210,7 +215,7 @@ def omega_svg(curve_levels: int = 0, slice_alphas=()) -> str:
     def pt(alpha: float, beta: float) -> str:
         return f"{sx(alpha):.2f},{sy(beta):.2f}"
 
-    parts = [
+    header = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
@@ -221,13 +226,14 @@ def omega_svg(curve_levels: int = 0, slice_alphas=()) -> str:
     quadrant = [(2.0, 0.0), (6.0, 4.0), (6.0, 6.0), (4.0, 6.0), (0.0, 2.0)]
     for fx, fy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
         points = " ".join(pt(fx * a, fy * b) for a, b in quadrant)
-        parts.append(f'<polygon points="{points}" fill="#d0d8e8" stroke="none"/>')
-    parts.append(
+        header.append(f'<polygon points="{points}" fill="#d0d8e8" stroke="none"/>')
+    header.append(
         f'<line x1="0" y1="{sy(0):.2f}" x2="{size}" y2="{sy(0):.2f}" stroke="#888" stroke-width="1"/>'
     )
-    parts.append(
+    header.append(
         f'<line x1="{sx(0):.2f}" y1="0" x2="{sx(0):.2f}" y2="{size}" stroke="#888" stroke-width="1"/>'
     )
+    yield "".join(f"{line}\n" for line in header)
     palette = ("#b03030", "#3060b0", "#308050", "#a07020", "#703090", "#207878")
     top = 1 << curve_levels
     alphas = np.linspace(-6.0, 6.0, 481)
@@ -251,16 +257,16 @@ def omega_svg(curve_levels: int = 0, slice_alphas=()) -> str:
         ends = np.cumsum(shown.sum(axis=(2, 3)).ravel()).tolist()
         # freed before the polylines are cut, so the arrays do not lie between the strings on the heap
         del b, keep, kept, y_codes, y_shown, codes, shown
+        lines = []
         for k, (begin, end) in enumerate(zip([0] + ends, ends)):
             if end > begin:
                 color = palette[(curve_levels + block[k // 2]) % len(palette)]
-                parts.append(
-                    f'<polyline points="{text[begin:end - 1]}" fill="none" stroke="{color}" stroke-width="1"/>'
+                lines.append(
+                    f'<polyline points="{text[begin:end - 1]}" fill="none" stroke="{color}" stroke-width="1"/>\n'
                 )
-    for t in slice_alphas:
-        parts.append(
-            f'<line x1="{sx(t):.2f}" y1="0" x2="{sx(t):.2f}" y2="{size}" '
-            f'stroke="#c02020" stroke-width="1.5" stroke-dasharray="6,3"/>'
-        )
-    parts.append("</svg>\n")  # the final newline inside the join: one copy of the text, not two
-    return "\n".join(parts)
+        yield "".join(lines)
+    yield "".join(
+        f'<line x1="{sx(t):.2f}" y1="0" x2="{sx(t):.2f}" y2="{size}" '
+        f'stroke="#c02020" stroke-width="1.5" stroke-dasharray="6,3"/>\n'
+        for t in slice_alphas
+    ) + "</svg>\n"

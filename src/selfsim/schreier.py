@@ -36,6 +36,7 @@ step.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ import numpy as np
 from .group import GENERATORS, BoundaryPoint, _moves, _tail_xor
 
 _FOLD = -1  # step flip of the one-ended line's end, where b, c and d all loop
+_CHUNK_CHARS = 1 << 20  # characters of CSV rows formatted at once, at most
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value, so graphs compare by identity
@@ -52,7 +54,8 @@ class MarkedGraph:
     vertices[0] is the root.  images[g] is an int64 array over the vertices:
     images[g][i] is the index of the image of vertex i, -1 where it leaves
     the graph (truncated balls lose edges that point outside).  to_csv writes
-    the edges inside, sorted as (source, target, label) strings.
+    the edges inside, sorted as (source, target, label) strings, a chunk of
+    rows at a time.
     """
 
     vertices: tuple[str, ...]
@@ -71,7 +74,8 @@ class MarkedGraph:
         src, lab = np.nonzero(table >= 0)
         return src, table[src, lab], lab
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> Iterator[str]:
+        """The CSV as text chunks: root and column header, then rows, _CHUNK_CHARS characters or one row at a time."""
         names, labels = self.vertices, self.labels
         # names are distinct, so sorting rows by name ranks sorts them as (source, target, label) strings
         rank = np.empty(len(names), dtype=np.int64)
@@ -79,10 +83,13 @@ class MarkedGraph:
         label_rank = np.argsort(np.argsort(labels))
         src, tgt, lab = self._edge_index()
         order = np.lexsort((label_rank[lab], rank[tgt], rank[src]))
-        lines = [f"# root={self.root}", "source,target,label"]
-        lines.extend(f"{names[s]},{names[t]},{labels[g]}"
-                     for s, t, g in zip(src[order].tolist(), tgt[order].tolist(), lab[order].tolist()))
-        return "\n".join([*lines, ""])
+        src, tgt, lab = src[order], tgt[order], lab[order]
+        yield f"# root={self.root}\nsource,target,label\n"
+        step = max(1, _CHUNK_CHARS // (2 * max(map(len, names)) + 4))  # a row: two names, a letter, 3 separators
+        for start in range(0, src.size, step):
+            rows = zip(src[start : start + step].tolist(), tgt[start : start + step].tolist(),
+                       lab[start : start + step].tolist())
+            yield "".join(f"{names[s]},{names[t]},{labels[g]}\n" for s, t, g in rows)
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:

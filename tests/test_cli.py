@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -463,6 +464,33 @@ def test_internal_fault_exits_three(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert err.splitlines()[-1] == "error: internal fault: ValueError: injected fault"
+
+
+def test_fault_while_streaming_leaves_no_artifact(tmp_path, monkeypatch, capsys):
+    def broken(curve_levels, slice_alphas):
+        yield "<svg>\n"
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(cli, "omega_svg", broken)
+    out = tmp_path / "om"
+    assert cli.main(["omega", "--level", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "error: internal fault: ValueError: injected fault"
+    assert os.listdir(out) == []  # neither omega.svg nor the partial file it was written to
+
+
+def test_orbital_streams_a_large_ball_in_bounded_memory(tmp_path):
+    # a 2,046-character point (the one the size-guard extreme uses): graph.csv is 33 MB, a row about 4 KB
+    point = format(random.Random(1).getrandbits(2042), "02042b") + "(01)"
+    assert cli.main(["orbital", "--radius", "2", "--out", str(tmp_path / "warm")]) == 0  # scipy is imported untraced
+    tracemalloc.start()
+    try:
+        assert cli.main(["orbital", "--point", point, "--radius", "1024", "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "o" / "graph.csv").stat().st_size > 32 * 10**6
+    # the ball's 2,049 names take 4 MB and the write buffer 2 MB; formatting graph.csv whole peaked at 72 MB
+    assert peak < 16 * 2**20, peak
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):

@@ -227,21 +227,28 @@ def test_interval_union_properties(raw):
 
 
 def test_omega_svg_deterministic():
-    a = omega_svg(curve_levels=2, slice_alphas=(-1.0, 1.5))
-    b = omega_svg(curve_levels=2, slice_alphas=(-1.0, 1.5))
+    a = "".join(omega_svg(curve_levels=2, slice_alphas=(-1.0, 1.5)))
+    b = "".join(omega_svg(curve_levels=2, slice_alphas=(-1.0, 1.5)))
     assert a == b
     assert a.startswith("<svg ")
     assert a.rstrip().endswith("</svg>")
 
 
 def test_omega_svg_contents():
-    plain = omega_svg()
+    plain = "".join(omega_svg())
     assert plain.count("<polygon") == 4
     # curve overlays: two signed branches per distinct gamma_{n,j}, n <= levels
     assert plain.count("<polyline") == 2
-    assert omega_svg(curve_levels=2).count("<polyline") == 6
-    assert omega_svg(slice_alphas=(-1.0,)).count("stroke-dasharray") == 1
+    assert "".join(omega_svg(curve_levels=2)).count("<polyline") == 6
+    assert "".join(omega_svg(slice_alphas=(-1.0,))).count("stroke-dasharray") == 1
     assert "stroke-dasharray" not in plain
+
+
+def test_omega_svg_yields_bounded_chunks():
+    # the level-10 plot is 6 MB: 8 curves to a chunk keep each one near 100 KB
+    chunks = list(omega_svg(curve_levels=10))
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert max(map(len, chunks)) < 256 * 2**10
 
 
 _POLYLINE = re.compile(r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"')
@@ -275,7 +282,7 @@ def test_omega_svg_draws_the_top_layer_once(levels):
     for k, (coords, stroke) in enumerate(_all_curve_polylines(levels)):
         last[coords] = (k, stroke)
     top = [(coords, stroke) for coords, (k, stroke) in sorted(last.items(), key=lambda item: item[1][0])]
-    assert _POLYLINE.findall(omega_svg(curve_levels=levels)) == top
+    assert _POLYLINE.findall("".join(omega_svg(curve_levels=levels))) == top
 
 
 def _formatted(values):
@@ -308,7 +315,7 @@ def test_two_decimals_refuse_values_out_of_range(bad):
 
 
 def test_omega_svg_slice_line_position():
-    svg = omega_svg(slice_alphas=(0.0,))
+    svg = "".join(omega_svg(slice_alphas=(0.0,)))
     # alpha = 0 slice sits on the vertical axis midline
     assert svg.count('x1="400.00"') >= 1
 
@@ -387,7 +394,7 @@ _GOLDEN_CASES = [(n, *combo) for n in range(5) for combo in _COMBOS] + [
 def test_omega_svg_matches_per_point_reference(levels, slice_alphas, size, monkeypatch):
     # the plot is always 800 pixels wide; at 1200 other values go through the two-decimal formatter
     monkeypatch.setattr(renorm, "_SVG_SIZE", size)
-    got, want = omega_svg(levels, slice_alphas), _reference_omega_svg(levels, slice_alphas, size)
+    got, want = "".join(omega_svg(levels, slice_alphas)), _reference_omega_svg(levels, slice_alphas, size)
     if got != want:
         # pytest's own diff of two multi-megabyte strings takes minutes
         at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))

@@ -14,12 +14,12 @@ ABCD = ("a", "b", "c", "d")
 
 def _csv_rows(ball):
     """The (source, target, label) rows of the ball's graph.csv."""
-    return [tuple(line.split(",")) for line in ball.to_csv().splitlines()[2:]]
+    return [tuple(line.split(",")) for line in "".join(ball.to_csv()).splitlines()[2:]]
 
 
 def test_csv_roundtrip():
     g = orbital_ball(BoundaryPoint.parse("01(10)"), ("a", "d"), 3)
-    assert g.to_csv().splitlines()[:2] == ["# root=01(10)", "source,target,label"]
+    assert "".join(g.to_csv()).splitlines()[:2] == ["# root=01(10)", "source,target,label"]
     names = g.vertices
     images = [(names[i], names[j], label) for label in g.labels for i, j in enumerate(g.images[label]) if j >= 0]
     assert _csv_rows(g) == sorted(images)
@@ -112,7 +112,7 @@ def test_orbital_ball_matches_breadth_first_search_property(pre, per, gens, radi
 def test_orbital_ball_without_labels_is_its_root():
     ball = orbital_ball(BoundaryPoint.parse("01(10)"), (), 5)
     assert ball.vertices == ("01(10)",) and ball.images == {}
-    assert ball.to_csv() == "# root=01(10)\nsource,target,label\n"
+    assert "".join(ball.to_csv()) == "# root=01(10)\nsource,target,label\n"
 
 
 def test_ray_of_ones_is_complemented_gray_code():
