@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="selfsim",
         description="Spectral computations for the self-similar action on the binary tree.",
         epilog="Linear algebra runs in the BLAS/LAPACK of numpy and scipy, which read "
-        "OMP_NUM_THREADS and OPENBLAS_NUM_THREADS at start-up; set them to cap the thread count.",
+        "OMP_NUM_THREADS and OPENBLAS_NUM_THREADS at start-up; set them to cap the thread count. The blocks "
+        "of an eigenvalue-only tridiagonal solve run on at most two threads, or on one under OMP_NUM_THREADS=1.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     coef = _in(-COEF_SUM_GUARD, COEF_SUM_GUARD, float)

@@ -21,14 +21,19 @@ exactly (the orbital balls that miss 1^inf, where delta is 1/4 plus a
 zero-diagonal Jacobi matrix) is bipartite about c: its eigenvalues are
 c -/+ the singular values of a half-size bidiagonal, which LAPACK ?lasq1
 (dqds, Fernando-Parlett 1994) computes to high relative accuracy, so that
-bound holds there too.  Graded input (entries near 1e-160 beside entries near
-1/4) can cost ?sterf its accuracy and stop ?stemr short of convergence, so
-every entry of the prescaled band below eps / (2 dim) is set to 0 before any
-LAPACK call: its top entry is at least 1/2 and a row holds fewer than 2 dim
-entries, so this moves the matrix by less than 2 eps ||M||, inside the
-dim * eps bound.  The solver contract adds two guarantees on top of LAPACK:
+bound holds there too.  ?sterf and ?lasq1 are called through the ctypes
+pointers of scipy's Cython LAPACK capsules, which release the GIL, so the
+blocks of a split run on at most two threads: the main thread solves the
+first (largest) block and one helper thread the rest, or one thread solves
+them all where one CPU is usable or OMP_NUM_THREADS is 1.  Graded input
+(entries near 1e-160 beside entries near 1/4) can cost ?sterf its accuracy
+and stop ?stemr short of convergence, so every entry of the prescaled band
+below eps / (2 dim) is set to 0 before any LAPACK call: its top entry is at
+least 1/2 and a row holds fewer than 2 dim entries, so this moves the matrix
+by less than 2 eps ||M||, inside the dim * eps bound.  The solver contract adds two guarantees on top of LAPACK:
 
-* determinism: identical input bytes give identical output bytes;
+* determinism: identical input bytes give identical output bytes, on one
+  thread or two;
 * exact scale equivariance under powers of two: the band is divided by a
   power-of-two prescale factor before the flush and the LAPACK call (an exact
   float operation, which commutes with the sums and differences of the split), so
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -96,38 +102,67 @@ def _prescale(M: np.ndarray) -> tuple[np.ndarray, float]:
     return M / p, p
 
 
+# the C signature of each LAPACK routine taken from scipy's Cython capsules, and the least size of each of its
+# double array arguments at dimension n
+_CAPSULE_ROUTINES = {
+    "dsterf": ("void (int *, d *, d *, int *)", lambda n: (n, n - 1)),
+    "dlasq1": ("void (int *, d *, d *, d *, int *)", lambda n: (n, n, 4 * n)),
+}
+
+
 @functools.cache
-def _dlasq1():
-    """LAPACK dlasq1 from scipy's Cython LAPACK capsules (loaded once, on first use), as dlasq1(d, e, work) -> info."""
+def _lapack(name: str):
+    """LAPACK routine name from scipy's Cython LAPACK capsules (loaded once, on first use), as routine(*arrays).
+
+    The arrays are the routine's double arguments in order, and its n is the
+    size of the first; a nonzero info raises.  ctypes releases the GIL for the
+    call, which scipy's own wrappers hold, so two threads can run two calls at once.
+    """
     import ctypes
 
     from scipy.linalg import cython_lapack
 
-    capsule = cython_lapack.__pyx_capi__["dlasq1"]
+    expected, sizes = _CAPSULE_ROUTINES[name]
+    capsule = cython_lapack.__pyx_capi__[name]
     capsule_name = ctypes.pythonapi.PyCapsule_GetName
     capsule_name.argtypes, capsule_name.restype = [ctypes.py_object], ctypes.c_char_p
     capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
     capsule_pointer.argtypes, capsule_pointer.restype = [ctypes.py_object, ctypes.c_char_p], ctypes.c_void_p
-    name = capsule_name(capsule)
+    capsule_label = capsule_name(capsule)
     # the capsule name is the C signature, with Cython's mangled name for the typedef d of double
-    signature = re.sub(r"__pyx_t_\w*?cython_lapack_", "", name.decode())
-    expected = "void (int *, d *, d *, d *, int *)"
+    signature = re.sub(r"__pyx_t_\w*?cython_lapack_", "", capsule_label.decode())
     if signature != expected:
-        raise RuntimeError(f"dlasq1 has signature {signature!r}, expected {expected!r}")
+        raise RuntimeError(f"{name} has signature {signature!r}, expected {expected!r}")
     int_p = ctypes.POINTER(ctypes.c_int)
-    routine = ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, int_p)(
-        capsule_pointer(capsule, name)
+    routine = ctypes.CFUNCTYPE(None, int_p, *[ctypes.c_void_p] * len(sizes(0)), int_p)(
+        capsule_pointer(capsule, capsule_label)
     )
 
-    def dlasq1(d: np.ndarray, e: np.ndarray, work: np.ndarray) -> int:
-        bad = any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (d, e, work))
-        if bad or e.size < d.size or work.size < 4 * d.size:
-            raise ValueError("dlasq1 needs contiguous float64 arrays d, e and work of sizes n, n and 4n")
+    def call(*arrays: np.ndarray) -> None:
+        n = arrays[0].size
+        least = sizes(n)
+        fits = len(arrays) == len(least) and all(
+            a.dtype == np.float64 and a.flags.c_contiguous and a.size >= k for a, k in zip(arrays, least)
+        )
+        if not fits:
+            raise ValueError(f"{name} needs {len(least)} contiguous float64 arrays of sizes at least {least}")
         info = ctypes.c_int(0)
-        routine(ctypes.byref(ctypes.c_int(d.size)), d.ctypes.data, e.ctypes.data, work.ctypes.data, ctypes.byref(info))
-        return info.value
+        routine(ctypes.byref(ctypes.c_int(n)), *(a.ctypes.data for a in arrays), ctypes.byref(info))
+        if info.value != 0:
+            raise RuntimeError(f"{name} failed with info={info.value}")
 
-    return dlasq1
+    return call
+
+
+def _sterf_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of the tridiagonal with diagonal d and off-diagonal e, by LAPACK dsterf.
+
+    The routine and bytes of eigvalsh_tridiagonal(d, e, lapack_driver="sterf"),
+    without holding the GIL.  It works on copies, as dsterf overwrites both arrays.
+    """
+    w = np.array(d, dtype=np.float64)
+    _lapack("dsterf")(w, np.array(e, dtype=np.float64))
+    return w
 
 
 def _bipartite_eigvals(c: float, e: np.ndarray) -> np.ndarray:
@@ -145,22 +180,43 @@ def _bipartite_eigvals(c: float, e: np.ndarray) -> np.ndarray:
     n = sigma.size
     sup = np.zeros(n)  # dlasq1 reads n - 1 entries and uses all n as workspace
     sup[: n - 1] = e[1::2]
-    info = _dlasq1()(sigma, sup, np.empty(4 * n))
-    if info != 0:
-        raise RuntimeError(f"dlasq1 failed with info={info}")
+    _lapack("dlasq1")(sigma, sup, np.empty(4 * n))
     if odd and sigma[-1] != 0.0:
         raise RuntimeError(f"dlasq1 returned {sigma[-1]!r} for the exact zero singular value")
     return np.concatenate([c + sigma, c - sigma[: n - odd]])
 
 
+def _solve_blocks(blocks: list) -> list[tuple[np.ndarray, str]]:
+    """Eigenvalues and LAPACK driver of each block (diagonal, off-diagonal), in order.
+
+    A block goes to ?lasq1 if it has a constant diagonal and size at least 2,
+    and to ?sterf otherwise.
+    """
+    return [
+        (_bipartite_eigvals(diag[0], off), "lasq1") if diag.size >= 2 and np.all(diag == diag[0])
+        else (_sterf_eigvals(diag, off), "sterf")
+        for diag, off in blocks
+    ]
+
+
+def _two_threads() -> bool:
+    """Whether the blocks of a split may use a helper thread: two usable CPUs, and OMP_NUM_THREADS is not 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus > 1 and os.environ.get("OMP_NUM_THREADS", "").strip() != "1"
+
+
 def _split_solve(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, str, int]:
     """Eigenvalues (ascending) of a tridiagonal after persymmetric halvings, the LAPACK drivers and the halvings.
 
-    Each block left by the halvings goes to ?lasq1 if it has a constant
-    diagonal and size at least 2, and to ?sterf otherwise.
+    The blocks are independent, and their LAPACK calls release the GIL.  With
+    two threads (see _two_threads) the main thread solves the first block,
+    the largest, while one helper thread solves the others in order: sizes
+    halve and ?sterf costs O(n^2), so the first costs about three times the
+    rest together and more threads could not help.  Each block gets the same
+    routine on the same bytes either way, and the parts are joined in block order.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
     blocks = []
     while d.size % 2 == 0 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
         m = d.size // 2
@@ -171,16 +227,17 @@ def _split_solve(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, str, int]:
         blocks.append((anti, e))
         d[-1] += c
     blocks.append((d, e))
-    parts, drivers = [], set()
-    for diag, off in blocks:
-        if diag.size >= 2 and np.all(diag == diag[0]):
-            parts.append(_bipartite_eigvals(diag[0], off))
-            drivers.add("lasq1")
-        else:
-            parts.append(eigvalsh_tridiagonal(diag, off, lapack_driver="sterf"))
-            drivers.add("sterf")
+    if len(blocks) > 1 and _two_threads():
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            rest = helper.submit(_solve_blocks, blocks[1:])
+            parts = _solve_blocks(blocks[:1]) + rest.result()
+    else:
+        parts = _solve_blocks(blocks)
+    drivers = {driver for _, driver in parts}
     driver = "+".join(name for name in ("sterf", "lasq1") if name in drivers)
-    return np.sort(np.concatenate(parts)), driver, len(blocks) - 1
+    return np.sort(np.concatenate([values for values, _ in parts])), driver, len(blocks) - 1
 
 
 def _solve_band(band: np.ndarray, vectors: bool):
@@ -264,7 +321,10 @@ def sym_eigs(M) -> EigReport:
 def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:
     """Directed distances between a finite point set and an interval union.
 
-    Forward: how far points stray from the target.  Backward: how much of the
+    Forward: how far points stray from the target.  The sorted points
+    outside it fall into the gaps between its intervals, one slice each, and
+    a point's distance is that to the ends of its gap: rounding is monotone,
+    so no farther end gives a smaller float.  Backward: how much of the
     target the points fail to cover; the supremum over the continuum is exact
     because the distance-to-points function is piecewise linear with local
     maxima only at interval endpoints and midpoints of consecutive points.
@@ -274,8 +334,18 @@ def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:
         raise ValueError("need at least one point")
     if target.is_empty():
         raise ValueError("target union is empty")
-    gaps = [np.where((lo <= pts) & (pts <= hi), 0.0, np.minimum(abs(pts - lo), abs(pts - hi))) for lo, hi in target]
-    forward = float(np.min(gaps, axis=0).max())
+    los, his = (np.array(ends) for ends in zip(*target))
+    # gap j lies between interval j - 1 and interval j, with no interval past either end
+    starts = np.concatenate([[0], np.searchsorted(pts, his, side="right")])
+    stops = np.concatenate([np.searchsorted(pts, los, side="left"), [pts.size]])
+    reach = [0.0]
+    for j, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+        if start < stop:
+            gap = pts[start:stop]
+            left = gap - his[j - 1] if j else math.inf
+            right = los[j] - gap if j < los.size else math.inf
+            reach.append(np.minimum(left, right).max())
+    forward = float(np.max(reach))  # not max(): a NaN point sorts last and must come out as NaN
 
     backward = 0.0
     mids = (pts[:-1] + pts[1:]) / 2.0

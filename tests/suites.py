@@ -4,6 +4,8 @@ Each suite function raises AssertionError on failure and returns a short
 summary string on success, so callers can assert and report uniformly.
 """
 
+import math
+
 import numpy as np
 from scipy.stats import qmc
 
@@ -140,7 +142,7 @@ def suite_decomposition():
 
 
 def tree_count(weights, lam, n):
-    """Eigenvalues below lam of the level-n operator of alpha a + beta b + gamma c + delta d, by the tree recursion.
+    """Eigenvalues strictly below lam of the level-n operator alpha a + beta b + gamma c + delta d, by tree recursion.
 
     In blocks by the first coordinate (b = (a, c), c = (a, d), d = (1, b)),
     the top-left block of M - lam is x A + s with x = beta + gamma and
@@ -148,20 +150,74 @@ def tree_count(weights, lam, n):
     its Schur complement is the level-(n-1) operator with a's weight
     -alpha^2 x / (x^2 - s^2), lam moved by -alpha^2 s / (x^2 - s^2) and the
     weights of b, c, d rotated.  Haynsworth additivity adds the negative
-    counts of the blocks: 2^(n-2) eigenvalues each of x + s and s - x (one of
-    x + s at n = 1), then level 0, the scalar alpha + beta + gamma + delta.
-    Python floats and ints throughout: numpy bools add as logical or.
+    counts of the blocks: 2^(n-2) eigenvalues each of x + s and s - x, down
+    to level 1, whose operator alpha a + (beta + gamma + delta) has the
+    eigenvalues beta + gamma + delta -/+ alpha (level 0 is the scalar
+    alpha + beta + gamma + delta).
+
+    Poles.  Where x^2 = s^2 exactly and alpha != 0 the block x A + s is
+    singular, and the count is still that of the eigenvalues strictly below
+    lam (so the left limit of the count), through another congruence.  At
+    x = s = 0 the block is 0, and each of its rows pairs with a bottom row
+    into one negative and one positive eigenvalue: 2^(n-1) in all.  Otherwise
+    x A + s is 0 on the 2^(n-2)-dimensional eigenspace of A where s -/+ x
+    vanishes and 2 s on the other one; the zero part pairs off with the bottom
+    rows of the same eigenspace (2^(n-2) negatives), and the rest is the
+    compression of the bottom block, less alpha^2 / (2 s), to the other
+    eigenspace of a.  There b, c, d act as (a, c), (a, d), (1, b), so that
+    compression is half the level-(n-2) operator (beta + delta) a + gamma b
+    + delta c + beta d at 2 lam + alpha^2 / s - gamma.  At alpha = 0 the
+    blocks do not couple.  Python floats and ints throughout: numpy bools
+    add as logical or.
     """
     alpha, beta, gamma, delta = (float(w) for w in weights)
     lam = float(lam)
     count = 0
-    for k in range(n, 0, -1):
+    while n >= 2:
         x, s = beta + gamma, delta - lam
-        count += int(x + s < 0) if k == 1 else (1 << (k - 2)) * (int(x + s < 0) + int(s - x < 0))
-        pole = x * x - s * s
-        alpha, lam = -alpha * alpha * x / pole, lam - alpha * alpha * s / pole
+        half = 1 << (n - 2)
+        count += half * (int(x + s < 0) + int(s - x < 0))
+        if abs(x) != abs(s):
+            pole = x * x - s * s
+            alpha, lam = -alpha * alpha * x / pole, lam - alpha * alpha * s / pole
+        elif x == 0.0 and alpha != 0.0:
+            return count + 2 * half
+        elif alpha != 0.0:
+            alpha, beta, gamma, delta, lam = beta + delta, gamma, delta, beta, 2.0 * lam + alpha * alpha / s - gamma
+            count += half
+            n -= 2
+            continue
         beta, gamma, delta = delta, beta, gamma
+        n -= 1
+    if n == 1:
+        rest = beta + gamma + delta
+        return count + int(rest - abs(alpha) < lam) + int(rest + abs(alpha) < lam)
     return count + int(alpha + beta + gamma + delta < lam)
+
+
+def reference_hausdorff_to_set(points, target):
+    """Reference directed distances (forward, backward) between points and an interval union.
+
+    The forward distance keeps one full-length gap array per interval and
+    takes their pointwise minimum; the backward one is that of hausdorff_to_set.
+    """
+    pts = np.sort(np.asarray(points, dtype=float))
+    if not pts.size:
+        raise ValueError("need at least one point")
+    if target.is_empty():
+        raise ValueError("target union is empty")
+    gaps = [np.where((lo <= pts) & (pts <= hi), 0.0, np.minimum(abs(pts - lo), abs(pts - hi))) for lo, hi in target]
+    forward = float(np.min(gaps, axis=0).max())
+
+    backward = 0.0
+    mids = (pts[:-1] + pts[1:]) / 2.0
+    for lo, hi in target:
+        candidates = np.concatenate([[lo, hi], mids[(lo < mids) & (mids < hi)]])
+        i = np.searchsorted(pts, candidates)
+        right = np.where(i < pts.size, pts[np.minimum(i, pts.size - 1)] - candidates, math.inf)
+        left = np.where(i > 0, candidates - pts[np.maximum(i - 1, 0)], math.inf)
+        backward = max(backward, float(np.minimum(left, right).max()))
+    return forward, backward
 
 
 def suite_word_action():

@@ -95,6 +95,23 @@ def test_level_counts_match_the_tree_recursion():
     assert draws > 1000
 
 
+def test_tree_count_on_poles():
+    # 3/4 and -1/4 are poles of delta (x^2 = s^2) at every level, where the float recursion divided by 0; the other
+    # weights put lam on a pole at the first step and reach the other branches: x = s = 0, and alpha = 0
+    cases = [((0.25,) * 4, 0.75), ((0.25,) * 4, -0.25), ((1.0, 2.0, 1.0, 1.0), 4.0), ((1.0, 2.0, 1.0, 1.0), -2.0),
+             ((1.0, 0.5, -0.5, 0.3), 0.3), ((0.0, 1.0, 1.0, 1.0), 3.0), ((0.7, 1.0, 0.5, 1.5), 0.0)]
+    for weights, lam in cases:
+        element = AlgebraElement.from_terms(zip("abcd", weights))
+        for n in range(1, 12):
+            eigs = sym_eigvals(assemble_level(element, n))
+            gaps = np.abs(eigs - lam)
+            # an eigenvalue is lam itself to solver accuracy or clearly apart, so the count below lam is unambiguous
+            assert np.all((gaps < 1e-12) | (gaps > 1e-7)), (weights, lam, n)
+            if weights == (0.25,) * 4:
+                assert gaps.min() > 1e-7
+            assert tree_count(weights, lam, n) == int(np.count_nonzero(eigs < lam - 1e-12)), (weights, lam, n)
+
+
 def test_level_guard():
     with pytest.raises(ValueError, match="level 14 exceeds the guard 13"):
         assemble_level(delta_element(), 14)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -8,16 +10,19 @@ from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 from selfsim import spectra
 from selfsim.group import GENERATORS, BoundaryPoint
 from selfsim.hecke import AlgebraElement, assemble_level, assemble_orbital, delta_element, generator_sum_element
-from selfsim.renorm import IntervalUnion, lambda_slice
+from selfsim.renorm import IntervalUnion, lambda_slice, slice_spectrum_samples
 from selfsim.spectra import (
     _band,
     _prescale,
     _solve_band,
+    _split_solve,
+    _sterf_eigvals,
     hausdorff_to_set,
     spectral_shift_check,
     sym_eigs,
     sym_eigvals,
 )
+from suites import reference_hausdorff_to_set
 
 
 def test_sym_eigvals_examples():
@@ -205,18 +210,23 @@ def _tridiagonal(d, e):
     return sparse.diags([e, d, e], [-1, 0, 1], format="csr")
 
 
-def _documented_driver(M):
-    """The driver record the split should give: the blocks Cantoni-Butler halving leaves, and which route each takes."""
+def _documented_blocks(M):
+    """The blocks (diagonal, off-diagonal) that Cantoni-Butler halving leaves, in the order the split makes them."""
     band = _prescale(_band(M)[1])[0]  # the split sees the prescaled band, where tiny entries may have lost bits
     band[np.abs(band) < np.finfo(float).eps / (2 * band.shape[1])] = 0.0  # and the graded-input flush
     d, e = band[0], band[1, :-1]
     blocks = []
     while d.size % 2 == 0 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
         m = d.size // 2
-        blocks.append(np.append(d[: m - 1], d[m - 1] - e[m - 1]))
+        blocks.append((np.append(d[: m - 1], d[m - 1] - e[m - 1]), e[: m - 1]))
         d, e = np.append(d[: m - 1], d[m - 1] + e[m - 1]), e[: m - 1]
-    blocks.append(d)
-    bipartite = [b.size >= 2 and np.all(b == b[0]) for b in blocks]
+    blocks.append((d, e))
+    return blocks
+
+
+def _documented_driver(M):
+    """The driver record the split should give: which route each block of the halving takes."""
+    bipartite = [d.size >= 2 and np.all(d == d[0]) for d, _ in _documented_blocks(M)]
     return "+".join(name for name, ran in (("sterf", not all(bipartite)), ("lasq1", any(bipartite))) if ran)
 
 
@@ -401,6 +411,31 @@ def test_hausdorff_matches_brute_force(points, pairs):
     assert hausdorff_to_set(np.array(points), union) == _hausdorff_brute_force(points, merged)
 
 
+_point = st.one_of(_finite, st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 8.0, np.nan, np.inf, -np.inf]))
+_end = st.one_of(_finite, st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))
+
+
+@given(
+    st.lists(_point, min_size=1, max_size=40),
+    st.lists(st.tuples(_end, _end).map(sorted), min_size=1, max_size=6),
+)
+@example([-0.0, 2.0], [(0.0, 1.0)])
+@example([np.nan, 0.5, 3.0], [(0.0, 1.0)])
+def test_hausdorff_matches_reference_bitwise(points, pairs):
+    # the per-interval gap arrays of the reference against one slice per gap; repr tells -0.0 and NaN apart
+    union = IntervalUnion(tuple(tuple(p) for p in pairs))
+    assert repr(hausdorff_to_set(points, union)) == repr(reference_hausdorff_to_set(points, union))
+
+
+def test_hausdorff_matches_reference_on_spectra(delta_levels):
+    for values, union in (
+        (slice_spectrum_samples(-0.5, 14), lambda_slice(-0.5)),
+        (delta_levels[0][12], IntervalUnion.from_pairs([(-0.5, 0.0), (0.5, 1.0)])),
+        (delta_levels[0][12], IntervalUnion.from_pairs([(-0.4, -0.1), (0.3, 0.5), (0.9, 0.95)])),
+    ):
+        assert repr(hausdorff_to_set(values, union)) == repr(reference_hausdorff_to_set(values, union))
+
+
 _lo = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 _width = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -412,3 +447,85 @@ def test_point_distance_to_union(raw, x):
     # one point's forward distance is its gap to the nearest interval, bit for bit
     union = IntervalUnion.from_pairs([(lo, lo + w) for lo, w in raw])
     assert hausdorff_to_set([x], union)[0] == min(max(lo - x, x - hi, 0.0) for lo, hi in union)
+
+
+def test_capsule_sterf_matches_scipy_bitwise():
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3, 4, 17, 256, 1000):
+        for d, e in (
+            (rng.standard_normal(n), rng.standard_normal(n - 1)),
+            (rng.integers(-4, 5, n) / 4.0, rng.integers(-4, 5, n - 1) / 4.0),  # repeated and zero entries
+            (rng.standard_normal(n) * 1e-150, rng.standard_normal(n - 1)),  # graded
+        ):
+            before = d.tobytes(), e.tobytes()
+            values = _sterf_eigvals(d, e)
+            assert values.tobytes() == eigvalsh_tridiagonal(d, e, lapack_driver="sterf").tobytes(), n
+            assert (d.tobytes(), e.tobytes()) == before  # dsterf ran on copies
+
+
+def test_non_finite_input_raises():
+    for d, e in (([1.0, np.nan], [0.5]), ([np.inf, np.inf], [1.0]), ([1.0, 1.0], [np.nan]), ([-np.inf], [])):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _split_solve(np.array(d), np.array(e))
+    # a constant diagonal goes to ?lasq1, which returned [nan, nan] here before the input was checked
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sym_eigvals(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sym_eigvals(_tridiagonal(np.array([1.0, np.inf, np.inf, 1.0]), np.array([0.5, 0.25, 0.5])))
+    # arrays LAPACK would read past the end of are refused before the call
+    with pytest.raises(ValueError, match="dsterf needs 2 contiguous float64 arrays"):
+        spectra._lapack("dsterf")(np.zeros(4), np.zeros(2))
+    with pytest.raises(ValueError, match="dlasq1 needs 3 contiguous float64 arrays"):
+        spectra._lapack("dlasq1")(np.zeros(4), np.zeros(4), np.zeros(15))
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(spectra.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _count_thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    return started
+
+
+def _level_tridiagonal(element, n):
+    band = _prescale(_band(assemble_level(element, n))[1])[0]
+    return band[0].copy(), band[1, :-1].copy()
+
+
+def test_concurrent_split_is_bitwise_serial(monkeypatch):
+    _two_cpus(monkeypatch)
+    started = _count_thread_starts(monkeypatch)
+    four = AlgebraElement.from_terms(zip("abcd", (-0.7, 1.0, 1.3, 0.2)))
+    for element in (delta_element(), generator_sum_element(), four):
+        M = assemble_level(element, 12)
+        blocks = _documented_blocks(M)
+        assert len(blocks) == 13 and _documented_driver(M) == "sterf"
+        # the serial reference: scipy's ?sterf on each block in block order
+        serial = np.sort(np.concatenate([eigvalsh_tridiagonal(d, e, lapack_driver="sterf") for d, e in blocks]))
+        d, e = _level_tridiagonal(element, 12)
+        for _ in range(50):
+            values, driver, halvings = _split_solve(d, e)
+            assert values.tobytes() == serial.tobytes() and driver == "sterf" and halvings == 12
+    assert len(started) == 150  # one helper thread per solve
+
+
+def test_one_thread_under_omp_num_threads_one(monkeypatch):
+    started = _count_thread_starts(monkeypatch)
+    d, e = _level_tridiagonal(delta_element(), 10)
+    _two_cpus(monkeypatch)
+    threaded = _split_solve(d, e)
+    assert len(started) == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    serial = _split_solve(d, e)
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    monkeypatch.setattr(spectra.os, "sched_getaffinity", lambda pid: {0})
+    assert _split_solve(d, e)[0].tobytes() == serial[0].tobytes() == threaded[0].tobytes()
+    assert serial[1:] == threaded[1:] == ("sterf", 10)
+    # a single block (odd dimension) never starts a thread either
+    _two_cpus(monkeypatch)
+    assert _split_solve(d[1:], e[1:])[2] == 0
+    assert len(started) == 1
