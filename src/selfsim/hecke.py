@@ -17,11 +17,11 @@ permutations exactly and converts to floating point at the final accumulation.
 Level, groupoid and orbital operators alike are coefficients times partial
 permutations given as index maps, which one builder turns into an
 OperatorMatrix of coordinate triplets (about one nonzero per term and row,
-since the Schreier graphs are lines); no assembler forms a dense array.  An
-orbital term's map composes the per-letter image tables of a stretch of the
-orbit line (schreier), the same way a level term composes the generator
-permutations, in the one loop _word_map, once per term; no point is parsed
-or acted on, and the orbital row flags are read off the same maps.
+since the Schreier graphs are lines) and its line order; no assembler forms a
+dense array.  An orbital term's map composes the per-letter image tables of a
+stretch of the orbit line (schreier), the same way a level term composes the
+generator permutations, in the one loop _word_map, once per term; no point is
+parsed or acted on, and the orbital row flags are read off the same maps.
 """
 
 from __future__ import annotations
@@ -137,16 +137,19 @@ class OperatorMatrix:
     """Real dim x dim operator as its nonzeros: entries[k] sits at (rows[k], cols[k]).
 
     Build it with from_triplets, which puts the triplets in canonical form;
-    csr() is the only way to a matrix.
+    csr() is the only way to a matrix.  line, filled by the assemblers, lists
+    the indices (tree or breadth-first numbers) by descending line coordinate
+    (schreier), along which the operator is a band as wide as its longest word.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     entries: np.ndarray
     dim: int
+    line: np.ndarray | None = None
 
     @staticmethod
-    def from_triplets(rows, cols, values, dim: int) -> "OperatorMatrix":
+    def from_triplets(rows, cols, values, dim: int, line=None) -> "OperatorMatrix":
         """Canonical form: sorted by (row, col), duplicates summed, zeros dropped.
 
         The sort is stable and duplicates are summed left to right from zero
@@ -161,7 +164,7 @@ class OperatorMatrix:
         sums = np.zeros(np.count_nonzero(first))
         np.add.at(sums, np.cumsum(first) - 1, np.asarray(values, dtype=float)[order])
         keep = sums != 0.0
-        return OperatorMatrix(rows[first][keep], cols[first][keep], sums[keep], dim)
+        return OperatorMatrix(rows[first][keep], cols[first][keep], sums[keep], dim, line)
 
     def csr(self):
         """The operator as a scipy CSR matrix."""
@@ -170,8 +173,8 @@ class OperatorMatrix:
         return sparse.csr_matrix((self.entries, (self.rows, self.cols)), shape=(self.dim, self.dim))
 
 
-def _triplets(m: AlgebraElement, maps, dim: int) -> OperatorMatrix:
-    """Sum of c times the partial permutation maps[k] over the k-th term (w, c) of m.
+def _triplets(m: AlgebraElement, maps, dim: int, line: np.ndarray) -> OperatorMatrix:
+    """Sum of c times the partial permutation maps[k] over the k-th term (w, c) of m, along line.
 
     Column j of term k goes to row maps[k][j], and -1 drops the entry.  The
     triplets go in term by term, so from_triplets sums a duplicate position
@@ -181,14 +184,21 @@ def _triplets(m: AlgebraElement, maps, dim: int) -> OperatorMatrix:
     cols = np.tile(np.arange(dim), len(maps))
     values = np.repeat([coef for _, coef in m.terms], dim)
     keep = rows >= 0
-    return OperatorMatrix.from_triplets(rows[keep], cols[keep], values[keep], dim)
+    return OperatorMatrix.from_triplets(rows[keep], cols[keep], values[keep], dim, line)
+
+
+def _level_line(n: int) -> np.ndarray:
+    """Level indices along the orbit line: place p holds NOT gray(m), m = 2^n - 1 - p, coordinate i in bit n - 1 - i."""
+    p = np.arange(1 << n, dtype=np.int64)
+    y = p ^ p >> 1 ^ (1 << n >> 1) - 1  # NOT gray(m), coordinate i as bit i
+    return sum(((y >> i & 1) << n - 1 - i for i in range(n)), np.zeros_like(p))
 
 
 def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Level-n matrix of U(m): coefficients against exact word permutations."""
     _check_level(n, ASSEMBLY_GUARD)
     perms = _level_perms(n)
-    return _triplets(m, [_word_map(perms, word, 1 << n) for word, _ in m.terms], 1 << n)
+    return _triplets(m, [_word_map(perms, word, 1 << n) for word, _ in m.terms], 1 << n, _level_line(n))
 
 
 def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorMatrix, np.ndarray]:
@@ -211,15 +221,14 @@ def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorM
     maps = np.array([_word_map(images, word, dim) for word, _ in m.terms], dtype=np.int64).reshape(-1, dim)
     maps[maps >= dim] = -1  # only the last letter can leave the larger ball (-1)
     flags = np.bincount(maps[maps >= 0], minlength=dim) < len(maps)
-    return _triplets(m, maps, dim), flags
+    return _triplets(m, maps, dim, np.argsort(-offsets[:dim])), flags
 
 
 def groupoid_block(m: AlgebraElement, n: int) -> OperatorMatrix:
-    """Block-diagonal doubling of the level-n matrix, as the orbit-pair form."""
-    _check_level(n, ASSEMBLY_GUARD)
-    dim, perms = 1 << n, _level_perms(n)
-    maps = [np.concatenate([p, p + dim]) for p in (_word_map(perms, word, dim) for word, _ in m.terms)]
-    return _triplets(m, maps, 2 * dim)
+    """Block-diagonal doubling of the level-n matrix, as the orbit-pair form, along two copies of the level line."""
+    M = assemble_level(m, n)
+    rows, cols, line = (np.concatenate([v, v + M.dim]) for v in (M.rows, M.cols, M.line))
+    return OperatorMatrix.from_triplets(rows, cols, np.tile(M.entries, 2), 2 * M.dim, line)
 
 
 def _pencil(alpha: float, beta: float) -> AlgebraElement:

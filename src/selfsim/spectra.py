@@ -1,36 +1,37 @@
 """Symmetric eigensolver plumbing and spectral set comparisons.
 
-All operators in scope are real symmetric, so spectra are eigenvalue
-multisets.  Every input (an OperatorMatrix through its csr(), a dense array or
-a scipy sparse matrix) is checked for symmetry in CSR form, reordered by
-reverse Cuthill-McKee (on the off-diagonal pattern) and solved as a band
-matrix.  Level Schreier graphs and orbital balls are paths, so their operators
-come out tridiagonal.  At bandwidth above 1 LAPACK ?sbevd solves the band.
-Eigenpairs of a band of width at most 1 come from LAPACK ?stemr, and its
-eigenvalues alone from LAPACK ?sterf after a persymmetric split
-(Cantoni-Butler 1976): while the dimension 2m is even and
-the diagonal d and off-diagonal e equal their own reversals exactly (no
-tolerance), the matrix is orthogonally similar to the direct sum of two m x m
-tridiagonals with diagonal d[:m], last entry d[m-1] -/+ e[m-1], and
-off-diagonal e[:m-1], and the split goes on with the + block.  In path order
-every level operator is persymmetric, and for delta and sum the + block is the
-level-(n-1) operator again, so a level-n spectrum halves n times.  Each
-halving rounds one entry once, so the backward-stability bound dim * eps
-still holds.  A block left by the halvings whose diagonal is one value c
-exactly (the orbital balls that miss 1^inf, where delta is 1/4 plus a
-zero-diagonal Jacobi matrix) is bipartite about c: its eigenvalues are
-c -/+ the singular values of a half-size bidiagonal, which LAPACK ?lasq1
-(dqds, Fernando-Parlett 1994) computes to high relative accuracy, so that
-bound holds there too.  ?sterf and ?lasq1 are called through the ctypes
-pointers of scipy's Cython LAPACK capsules, which release the GIL, so the
-blocks of a split run on at most two threads: the main thread solves the
-first (largest) block and one helper thread the rest, or one thread solves
-them all where one CPU is usable or OMP_NUM_THREADS is 1.  Graded input
-(entries near 1e-160 beside entries near 1/4) can cost ?sterf its accuracy
-and stop ?stemr short of convergence, so every entry of the prescaled band
-below eps / (2 dim) is set to 0 before any LAPACK call: its top entry is at
-least 1/2 and a row holds fewer than 2 dim entries, so this moves the matrix
-by less than 2 eps ||M||, inside the dim * eps bound.  The solver contract adds two guarantees on top of LAPACK:
+All operators in scope are real symmetric, so spectra are eigenvalue multisets.
+Every input (an OperatorMatrix through its csr(), a dense array or a scipy
+sparse matrix) is checked for symmetry in CSR form and solved as a band matrix,
+in the order of its line where an assembler gave one and in its given order
+otherwise.  Level Schreier graphs and orbital balls are stretches of the orbit
+line, so along it an operator is a band as wide as its longest word.  At
+bandwidth above 1 LAPACK ?sbevd solves the band.  Eigenpairs of a band of
+width at most 1 come from LAPACK ?stemr, and its eigenvalues alone from LAPACK
+?sterf after a persymmetric split (Cantoni-Butler 1976): while the dimension 2m
+is even and the diagonal d and off-diagonal e equal their own reversals exactly
+(no tolerance), the matrix is orthogonally similar to the direct sum of two
+m x m tridiagonals with diagonal d[:m], last entry d[m-1] -/+ e[m-1], and
+off-diagonal e[:m-1], and the split goes on with the + block.  In line order
+the flip of the last tree coordinate is reversal, so every level operator is
+persymmetric, and for delta and sum the + block is the level-(n-1) operator
+again, so a level-n spectrum halves n times.  Each halving rounds one entry
+once, so the backward-stability bound dim * eps still holds.  A block left by
+the halvings whose diagonal is one value c exactly (the orbital balls that miss
+1^inf, where delta is 1/4 plus a zero-diagonal Jacobi matrix) is bipartite
+about c: its eigenvalues are c -/+ the singular values of a half-size
+bidiagonal, which LAPACK ?lasq1 (dqds, Fernando-Parlett 1994) computes to high
+relative accuracy, so that bound holds there too.  ?sterf and ?lasq1 are called
+through the ctypes pointers of scipy's Cython LAPACK capsules, which release
+the GIL, so the blocks of a split run on at most two threads: the main thread
+solves the first (largest) block and one helper thread the rest, or one thread
+solves them all where one CPU is usable or OMP_NUM_THREADS is 1.  Graded input
+(entries near 1e-160 beside entries near 1/4) can cost ?sterf its accuracy and
+stop ?stemr short of convergence, so every entry of the prescaled band below
+eps / (2 dim) is set to 0 before any LAPACK call: its top entry is at least 1/2
+and a row holds fewer than 2 dim entries, so this moves the matrix by less than
+2 eps ||M||, inside the dim * eps bound.  The solver contract adds two
+guarantees on top of LAPACK:
 
 * determinism: identical input bytes give identical output bytes, on one
   thread or two;
@@ -61,9 +62,8 @@ _ASYM_REL_TOL = 1e-12
 
 
 def _band(M):
-    """Symmetry-checked CSR of M in reverse Cuthill-McKee order, and its lower band for eig_banded."""
+    """Symmetry-checked CSR of M along its line (in its given order if it has none), and its lower band for eig_banded."""
     from scipy import sparse
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     S = M.csr() if isinstance(M, OperatorMatrix) else sparse.csr_matrix(M, dtype=float)
     if S.shape[0] != S.shape[1]:
@@ -73,13 +73,7 @@ def _band(M):
     asym = float(np.abs((S - S.T).data).max(initial=0.0))
     if asym > _ASYM_REL_TOL * scale:
         raise ValueError(f"asymmetry {asym:.3e} exceeds {_ASYM_REL_TOL:.0e} * {scale:.3e}")
-    # ordered on the off-diagonal pattern: counted in a node's degree, diagonal entries can make a path's
-    # least-degree node an inner one, and an ordering started there widens the band
-    coo = S.tocoo()
-    off = coo.row != coo.col
-    graph = sparse.csr_matrix((np.ones(np.count_nonzero(off)), (coo.row[off], coo.col[off])), shape=S.shape)
-    perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
-    P = S[perm][:, perm]
+    P = S if getattr(M, "line", None) is None else S[M.line][:, M.line]
     lower = sparse.tril(P, format="coo")
     offset = lower.row - lower.col
     band = np.zeros((int(offset.max(initial=0)) + 1, S.shape[0]))
@@ -272,6 +266,7 @@ class EigReport:
     bandwidth: int
     lapack_driver: str
     halvings: int
+    ordering: str  # "line", or "given" for an input without one
 
     @property
     def dim(self) -> int:
@@ -280,7 +275,7 @@ class EigReport:
     @property
     def solver(self) -> dict:
         return {
-            "ordering": "reverse_cuthill_mckee",
+            "ordering": self.ordering,
             "lapack_driver": self.lapack_driver,
             "bandwidth": self.bandwidth,
             "halvings": self.halvings,
@@ -296,7 +291,7 @@ def sym_eigs(M) -> EigReport:
     """Eigenvalue report with a residual bound on max ||Mv - lambda v|| / ||M||.
 
     Up to the vector cutoff the bound is measured from computed eigenpairs
-    against the reordered sparse matrix; beyond it, forming the full
+    against the sparse matrix in band order; beyond it, forming the full
     eigenvector matrix is not worth the memory and time, and the report falls
     back on the backward-stability bound dim * eps of the underlying solver.
     """
@@ -315,7 +310,8 @@ def sym_eigs(M) -> EigReport:
             gap = P @ block - block * values[j : j + _RESIDUAL_COLUMNS]
             worst = max(worst, float(np.sqrt((gap * gap).sum(axis=0)).max()))
         residual = worst / norm
-    return EigReport(values, residual, band.shape[0] - 1, driver, halvings)
+    ordering = "given" if getattr(M, "line", None) is None else "line"
+    return EigReport(values, residual, band.shape[0] - 1, driver, halvings, ordering)
 
 
 def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:

@@ -18,8 +18,8 @@ from selfsim.hecke import (
     groupoid_block,
     schur_step_check,
 )
-from selfsim.schreier import orbital_ball
-from selfsim.spectra import sym_eigvals
+from selfsim.schreier import _line_tables, orbital_ball
+from selfsim.spectra import _band, sym_eigvals
 from suites import _act_via_decomposition, tree_count, word_perm
 
 ABCD = ("a", "b", "c", "d")
@@ -325,6 +325,72 @@ def test_assemble_orbital_matches_boundary_action(name, gens):
 FIVE_TERMS = AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0), ("aca", 0.5), ("c", -0.3), ("", 0.2)])
 
 
+# the CI headline element whose terms merge: adadada is d and adadadad the identity, since (ad)^4 = 1
+MERGE = AlgebraElement.from_terms(
+    [("adadada", 1.0), ("d", 1.0), ("adadadad", 2.0), ("", -1.0), ("ab", 1.0), ("badadadada", 1.0)]
+)
+
+
+def _random_self_adjoint(seed):
+    """Random words of at most 4 letters, each with its reversal (its inverse) at the same coefficient."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(int(rng.integers(1, 6))):
+        word, coef = "".join(rng.choice(list("abcd"), int(rng.integers(0, 5)))), float(rng.uniform(-2.0, 2.0))
+        terms += [(word, coef), (word[::-1], coef)]
+    return AlgebraElement.from_terms(terms)
+
+
+LINE_ELEMENTS = {
+    "delta": delta_element(),
+    "sum": generator_sum_element(),
+    "five": FIVE_TERMS,
+    "merge": MERGE,
+    "ab+ba": AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0)]),
+    "aca+c": AlgebraElement.from_terms([("aca", 1.0), ("c", 1.0)]),
+    **{f"random-{seed}": _random_self_adjoint(seed) for seed in range(8)},
+}
+LINE_WIDTHS = {"five": 3, "merge": 2}  # band widths along the line at levels 11 and 13
+
+
+def _along_line(M):
+    """M's CSR laid out along its line, which must list every index once."""
+    assert np.array_equal(np.sort(M.line), np.arange(M.dim))
+    return M.csr()[M.line][:, M.line]
+
+
+def _bandwidth(P):
+    coo = P.tocoo()
+    return int(np.abs(coo.row - coo.col).max(initial=0))
+
+
+@pytest.mark.parametrize("name", LINE_ELEMENTS)
+def test_assembled_operators_are_bands_along_their_line(name):
+    element = LINE_ELEMENTS[name]
+    longest = max(len(word) for word, _ in element.terms)  # no letter moves a point more than one step
+    for n in range(14):
+        M = assemble_level(element, n)
+        P = _along_line(M)
+        width = _bandwidth(P)
+        assert width <= longest, (n, width)
+        if name in ("delta", "sum"):
+            assert width == min(n, 1)
+        if name in LINE_WIDTHS and n in (11, 13):
+            assert width == LINE_WIDTHS[name] == _band(M)[1].shape[0] - 1
+        if n <= 11:
+            # flipping the last coordinate commutes with the level action, and along the line it is reversal
+            assert (P != P[::-1][:, ::-1]).nnz == 0, n
+        # the line coordinate descends to 0 at the vertex 1^n, where the one-ended orbit folds
+        assert M.line[-1] == (1 << n) - 1
+    assert _bandwidth(_along_line(groupoid_block(element, 6))) <= longest
+    for point in map(BoundaryPoint.parse, ("(1)", "(0)", "01(10)", "001011(100)", "110010(011)")):
+        for radius in (0, 1, 2, 5, 64, 1024):
+            M, _ = assemble_orbital(element, point, ABCD, radius)
+            assert _bandwidth(_along_line(M)) <= longest, (str(point), radius)
+            # descending offset from the root, as the line coordinate descends at levels
+            assert np.all(np.diff(_line_tables(point, ABCD, radius)[1][M.line]) < 0)
+
+
 def test_assemble_orbital_acts_on_no_point(monkeypatch):
     x = BoundaryPoint.parse("110010(011)")
     expected, expected_flags = _orbital_reference(FIVE_TERMS, orbital_ball(x, ABCD, 1024))
@@ -388,7 +454,8 @@ def _assert_canonical(M):
     # strictly increasing (row, col): sorted, no duplicate positions
     assert np.all(np.diff(M.rows * M.dim + M.cols) > 0)
     assert np.all(M.entries != 0.0)
-    assert np.array_equal(sym_eigvals(M), sym_eigvals(_dense(M)))
+    # the dense array laid out along the line is the band the solver reads
+    assert np.array_equal(sym_eigvals(M), sym_eigvals(_dense(M)[np.ix_(M.line, M.line)]))
 
 
 @pytest.mark.parametrize(

@@ -190,7 +190,9 @@ def test_permuted_tridiagonal_matches_dense_solver():
         perm = rng.permutation(dim)
         shuffled = T[perm][:, perm]
         report = sym_eigs(shuffled)
-        assert report.bandwidth == 1
+        rows, cols = np.nonzero(shuffled)
+        # an array is solved in its given order
+        assert report.bandwidth == np.abs(rows - cols).max() and report.solver["ordering"] == "given"
         assert np.abs(np.array(report.eigenvalues) - np.linalg.eigvalsh(T)).max() <= 1e-12
         assert np.abs(sym_eigvals(sparse.csr_matrix(shuffled)) - np.linalg.eigvalsh(T)).max() <= 1e-12
 
@@ -214,7 +216,8 @@ def _documented_blocks(M):
     """The blocks (diagonal, off-diagonal) that Cantoni-Butler halving leaves, in the order the split makes them."""
     band = _prescale(_band(M)[1])[0]  # the split sees the prescaled band, where tiny entries may have lost bits
     band[np.abs(band) < np.finfo(float).eps / (2 * band.shape[1])] = 0.0  # and the graded-input flush
-    d, e = band[0], band[1, :-1]
+    d = band[0]
+    e = band[1, :-1] if band.shape[0] == 2 else np.zeros(d.size - 1)  # a band of width 0 has no off-diagonal row
     blocks = []
     while d.size % 2 == 0 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
         m = d.size // 2
@@ -255,10 +258,9 @@ def test_persymmetric_split_matches_unsplit_stemr(halves):
     e = np.array(tail + [c] + tail[::-1])
     M = _tridiagonal(d, e)
     values = sym_eigvals(M)
-    # with no zero off-diagonal entry the graph is a path and reverse Cuthill-McKee starts at one of its ends
-    if np.all(e != 0.0):
-        # a block left by the halvings can have a constant diagonal (head [1, 2] with c = 1 leaves [1, 1])
-        assert _eigvals_and_halvings(M, _documented_driver(M))[1] >= 1
+    # solved in its given order, the band stays persymmetric even where an off-diagonal entry is zero; a block
+    # left by the halvings can have a constant diagonal (head [1, 2] with c = 1 leaves [1, 1])
+    assert _eigvals_and_halvings(M, _documented_driver(M))[1] >= 1
     # ?stemr, not ?sterf, which loses digits on graded input (and numpy's eigvalsh reaches ?sterf too)
     unsplit = eigvalsh_tridiagonal(d, e, lapack_driver="stemr")
     top = float(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))
@@ -336,14 +338,15 @@ def test_graded_band_is_flushed():
 
 
 def test_bipartite_solve_is_exactly_equivariant():
-    M = assemble_orbital(delta_element(), BoundaryPoint.parse("(0)"), GENERATORS, 1024)[0].csr()
+    ball = assemble_orbital(delta_element(), BoundaryPoint.parse("(0)"), GENERATORS, 1024)[0]
+    M = ball.csr()[ball.line][:, ball.line]  # a scipy matrix is solved in its given order
     values, halvings = _eigvals_and_halvings(M, "lasq1")
     assert halvings == 0 and values.size == 2049 and 0.25 in values
     assert np.array_equal(sym_eigvals(4.0 * M), 4.0 * values)
 
 
 def test_ordering_ignores_the_diagonal():
-    # counted in the degrees, diagonal entries made an inner node the start of the ordering and widened the band
+    # diagonal entries do not widen the band of a path given in order, nor of a level operator along its line
     M = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 1.0]])
     report = sym_eigs(M)
     assert report.bandwidth == 1 and report.lapack_driver == "stemr"
