@@ -70,6 +70,10 @@ def curve_residuals(n: int, js, samples: int) -> np.ndarray:
 
     Every row is computed by the same floating-point operations, in the same
     order, as one curve on its own, so a row does not depend on the others.
+    A row reads its curve only through the cosines of 2 pi j / 2^n and
+    2 pi j / 2^(n-1), and the doubling identity makes row (n + 1, 2j) equal
+    row (n, j) bit for bit: 2.0 * pi * (2j) / 2^(n+1) is the same float as
+    2.0 * pi * j / 2^n, since scaling by a power of two is exact.
     """
     if n < 1:
         raise ValueError("need n >= 1 to step down one level")
@@ -145,40 +149,43 @@ def slice_spectrum_samples(t: float, n: int) -> list[float]:
     return np.sort(np.concatenate([[3.0 - t, 3.0 + t][: min(n, 1) + 1], 1.0 - root, 1.0 + root])).tolist()
 
 
-def _two_decimals(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII codes of format(x, ".2f") for every x of v, and which of them to keep.
+def _hundredths(v: np.ndarray, size: int) -> np.ndarray:
+    """format(x, ".2f") for every x of v as its number of hundredths, an int64 array of the shape of v.
 
-    Each value gets one row along a new last axis: sign, integer digits,
-    point and two decimals, with the sign kept where the sign bit is set and
-    the leading zeros of the integer part dropped.  The digits are exact:
-    |x| = m 2^(e-53) with an integer m < 2^53, so 100 |x| = 100 m / 2^(53-e)
-    with 100 m < 2^60, and a shift with the remainder rounds it half to even,
-    as CPython's correctly rounded formatting does.  Values must be finite
-    and below 2^52 in magnitude.
+    The rounding is exact: x = m 2^(e-53) with an integer m < 2^53, so
+    100 x = 100 m / 2^(53-e) with 100 m < 2^60, and a shift with the
+    remainder rounds it half to even, as CPython's correctly rounded
+    formatting does.  Values must lie in the size-pixel viewport [0, size],
+    with the sign bit clear (-0.0 formats as "-0.00").
     """
-    if not (np.abs(v) < 2.0**52).all():  # false for NaN and the infinities too
-        raise ValueError("two-decimal formatting takes finite values below 2^52 in magnitude")
-    frac, exp = np.frexp(np.abs(v))
+    if np.signbit(v).any() or not (v <= size).all():  # the comparison is false for NaN too
+        raise ValueError(f"two-decimal formatting takes values in the viewport [0, {size}]")
+    frac, exp = np.frexp(v)
     scaled = np.ldexp(frac, 53).astype(np.int64) * 100
-    # at least 1 below 2^52; capped at 62, where 100 m < 2^60 is below the half and rounds to 0 as it should
+    # at least 1 in the viewport; capped at 62, where 100 m < 2^60 is below the half and rounds to 0 as it should
     shift = np.minimum(53 - exp, 62).astype(np.int64)
     hundredths = scaled >> shift
     rest = scaled - (hundredths << shift)
     half = np.int64(1) << (shift - 1)
     hundredths += (rest > half) | ((rest == half) & (hundredths % 2 == 1))
-    width = max(3, len(str(int(hundredths.max(initial=0)))))
-    codes = np.empty(v.shape + (width + 2,), dtype=np.uint8)
-    shown = np.ones(codes.shape, dtype=bool)
-    codes[..., 0] = ord("-")
-    shown[..., 0] = np.signbit(v)
-    codes[..., width - 1] = ord(".")
-    # digit columns, most significant first: the integer part, then two decimals after the point
-    for k, column in enumerate([*range(1, width - 1), width, width + 1]):
-        power = 10 ** (width - 1 - k)
-        codes[..., column] = hundredths // power % 10 + ord("0")
-        if column < width - 2:  # a leading zero unless it is the units digit
-            shown[..., column] = hundredths >= power
-    return codes, shown
+    return hundredths
+
+
+def _digit_table(size: int) -> np.ndarray:
+    """ASCII rows of f"{h / 100:.2f}" for h = 0 .. 100 size, padded on the left with NUL bytes to one width.
+
+    Its domain is the size-pixel viewport: row h, for h of _hundredths,
+    holds the text of every value that rounds to h hundredths.  The rows are
+    the size + 1 integer parts, each broadcast against the 100 endings
+    ".00" .. ".99", cut after size.00.
+    """
+    width = len(str(size))
+    whole = np.frombuffer("".join(str(i).rjust(width, "\0") for i in range(size + 1)).encode(), dtype=np.uint8)
+    cents = np.frombuffer("".join(f".{c:02d}" for c in range(100)).encode(), dtype=np.uint8)
+    table = np.empty((size + 1, 100, width + 3), dtype=np.uint8)
+    table[..., :width] = whole.reshape(-1, 1, width)
+    table[..., width:] = cents.reshape(100, 3)
+    return table.reshape(-1, width + 3)[: 100 * size + 1]
 
 
 def omega_svg(curve_levels: int = 0, slice_alphas=()) -> Iterator[str]:
@@ -186,19 +193,23 @@ def omega_svg(curve_levels: int = 0, slice_alphas=()) -> Iterator[str]:
 
     Fixed viewport, axis-aligned, deterministic output; curve overlays show
     gamma_{n,j} for n <= curve_levels and slice lines are vertical alpha = t.
-    Each distinct curve is drawn once: gamma_{n,j} is gamma_{L,j 2^(L-n)} for
-    L = curve_levels, and gamma_{L,j} is gamma_{L,2^L-j} (same cosine), so
-    level L at j = 0 and j = 2^(L-1) .. 2^L-1 covers every curve, each in the
-    colour and stacking order of its last copy in the all-(n, j) drawing.
+    Each distinct curve is drawn once.  By the doubling identity
+    gamma_{n,j} is gamma_{L,j 2^(L-n)} for L = curve_levels, with the same
+    cosine as a float (see curve_residuals), and gamma_{L,j} is
+    gamma_{L,2^L-j} (same cosine), so level L at j = 0 and
+    j = 2^(L-1) .. 2^L-1 covers every curve, each in the colour and stacking
+    order of its last copy in the all-(n, j) drawing.
 
     Every coordinate is written with two decimals, and the text is byte for
     byte what formatting each point on its own with f"{x:.2f}" gives: a
     curve's coordinates are computed as whole arrays by the same
     floating-point operations, in the same order, as the scalar mapping of
     one point, and formatted in whole arrays with exact rounding.  CPython
-    rounds the exact binary value of x to two decimals, ties to even; the
-    array formatter computes that rounding in integers, so the two agree on
-    every finite value below 2^52 in magnitude (the bound it accepts).
+    rounds the exact binary value of x to two decimals, ties to even;
+    _hundredths computes that rounding in integers, and the text of the
+    rounded value is its row of _digit_table.  Every curve coordinate lies
+    in the viewport [0, _SVG_SIZE], the table's domain, and one outside it
+    raises.
 
     The chunks are the header, the curves of each block of _SVG_BLOCK, and
     the slice lines with the closing tag; each ends in a newline, and their
@@ -237,7 +248,8 @@ def omega_svg(curve_levels: int = 0, slice_alphas=()) -> Iterator[str]:
     palette = ("#b03030", "#3060b0", "#308050", "#a07020", "#703090", "#207878")
     top = 1 << curve_levels
     alphas = np.linspace(-6.0, 6.0, 481)
-    x_codes, x_shown = _two_decimals(sx(alphas))
+    digits = _digit_table(size)
+    x_codes = digits[_hundredths(sx(alphas), size)]
     js = sorted({0, *range(top // 2, top)})
     for start in range(0, len(js), _SVG_BLOCK):
         block = js[start : start + _SVG_BLOCK]
@@ -246,17 +258,16 @@ def omega_svg(curve_levels: int = 0, slice_alphas=()) -> Iterator[str]:
         b = np.stack([betas, -betas], axis=1)  # (curve, sign, alpha)
         keep = np.abs(b) <= 6.0
         # points off the viewport are not written, and 0 stands in for them
-        y_codes, y_shown = _two_decimals(np.where(keep, sy(b), 0.0))
-        # one row "x,y " per point; a polyline is its points' rows with the last space cut
+        y_codes = digits[_hundredths(np.where(keep, sy(b), 0.0), size)]
+        # one row "x,y " per point, its NUL padding dropped; a polyline is its points' rows with the last space cut
         codes = np.concatenate(
             [np.broadcast_to(x_codes, b.shape + x_codes.shape[1:]), np.full(b.shape + (1,), ord(","), np.uint8),
              y_codes, np.full(b.shape + (1,), ord(" "), np.uint8)], axis=-1)
-        kept = keep[..., None]
-        shown = np.concatenate([x_shown & kept, kept, y_shown & kept, kept], axis=-1)
+        shown = (codes != 0) & keep[..., None]
         text = codes[shown].tobytes().decode("ascii")
         ends = np.cumsum(shown.sum(axis=(2, 3)).ravel()).tolist()
         # freed before the polylines are cut, so the arrays do not lie between the strings on the heap
-        del b, keep, kept, y_codes, y_shown, codes, shown
+        del b, keep, y_codes, codes, shown
         lines = []
         for k, (begin, end) in enumerate(zip([0] + ends, ends)):
             if end > begin:

@@ -57,6 +57,7 @@ from .renorm import IntervalUnion
 
 _VECTOR_MAX_DIM = 2048  # above this residuals use the a priori backward bound
 _RESIDUAL_COLUMNS = 128  # eigenvectors per block of the residual product
+_HAUSDORFF_BLOCK = 1 << 15  # consecutive point pairs whose midpoints hausdorff_to_set measures at once
 
 _ASYM_REL_TOL = 1e-12
 
@@ -325,7 +326,8 @@ def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:
     because the distance-to-points function is piecewise linear with local
     maxima only at interval endpoints and midpoints of consecutive points.
     """
-    pts = np.sort(np.asarray(points, dtype=float))
+    pts = np.array(points, dtype=float)  # a copy, sorted in place
+    pts.sort()
     if not pts.size:
         raise ValueError("need at least one point")
     if target.is_empty():
@@ -344,14 +346,30 @@ def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:
     forward = float(np.max(reach))  # not max(): a NaN point sorts last and must come out as NaN
 
     backward = 0.0
-    mids = (pts[:-1] + pts[1:]) / 2.0
     for lo, hi in target:
-        candidates = np.concatenate([[lo, hi], mids[(lo < mids) & (mids < hi)]])
-        i = np.searchsorted(pts, candidates)
-        right = np.where(i < pts.size, pts[np.minimum(i, pts.size - 1)] - candidates, math.inf)
-        left = np.where(i > 0, candidates - pts[np.maximum(i - 1, 0)], math.inf)
-        backward = max(backward, float(np.minimum(left, right).max()))
+        # the midpoint of pts[k] and pts[k + 1] lies between them (or overflows), so one inside (lo, hi) has
+        # pts[k + 1] > lo and pts[k] < hi: the pairs from first on and before stop, taken a block at a time
+        first = max(int(np.searchsorted(pts, lo, side="right")) - 1, 0)
+        stop = min(int(np.searchsorted(pts, hi, side="left")), pts.size - 1)
+        reach = [_farthest_from_points(pts, np.array([lo, hi]))]
+        for start in range(first, stop, _HAUSDORFF_BLOCK):
+            end = min(start + _HAUSDORFF_BLOCK, stop)
+            mids = (pts[start:end] + pts[start + 1 : end + 1]) / 2.0
+            reach.append(_farthest_from_points(pts, mids[(lo < mids) & (mids < hi)]))
+        backward = max(backward, float(np.max(reach)))  # np.max, as a NaN distance must come out as NaN
     return forward, backward
+
+
+def _farthest_from_points(pts: np.ndarray, candidates: np.ndarray) -> float:
+    """Largest distance from a candidate to the nearest of the sorted pts (-inf for no candidates).
+
+    The nearest point is one of the two searchsorted neighbours of the
+    candidate, and every candidate is measured by this one formula.
+    """
+    i = np.searchsorted(pts, candidates)
+    right = np.where(i < pts.size, pts[np.minimum(i, pts.size - 1)] - candidates, math.inf)
+    left = np.where(i > 0, candidates - pts[np.maximum(i - 1, 0)], math.inf)
+    return np.minimum(left, right).max(initial=-math.inf)
 
 
 def spectral_shift_check(M, alphas, R: float, tol: float) -> tuple[list[bool], list[bool]]:
@@ -364,18 +382,30 @@ def spectral_shift_check(M, alphas, R: float, tol: float) -> tuple[list[bool], l
     |mu - 1|, i.e. it accepts |lambda - alpha| up to sqrt(tol).  Probes should
     stay clear of the band (tol, sqrt(tol)) where the two tests disagree by
     construction.  M is solved once and each S once per probe; the verdicts
-    come back as two lists, (direct, shifted), in probe order.
+    come back as two lists, (direct, shifted), in probe order.  M is a dense
+    array or an OperatorMatrix; the latter and each of its S, a band twice as
+    wide along the same line, are solved along its line.
     """
-    A = np.asarray(M, dtype=float)
-    values = sym_eigvals(A)
+    if isinstance(M, OperatorMatrix):
+        from scipy import sparse
+
+        A, eye = M.csr(), sparse.identity(M.dim, format="csr")
+    else:
+        M = A = np.asarray(M, dtype=float)
+        eye = np.eye(A.shape[0])
+    values = sym_eigvals(M)
     norm = float(np.abs(values).max(initial=0.0))
     if R < 2.0 * norm:
         raise ValueError(f"need R >= 2 ||M|| = {2.0 * norm}, got {R}")
     if R <= 0.0:
         raise ValueError("need a positive radius")
-    eye, direct, shifted = np.eye(A.shape[0]), [], []
+    direct, shifted = [], []
     for alpha in alphas:
         K = A - alpha * eye
+        S = eye - (K @ K) / (R * R)
+        if isinstance(M, OperatorMatrix):
+            S = S.tocoo()
+            S = OperatorMatrix.from_triplets(S.row, S.col, S.data, M.dim, M.line)
         direct.append(bool(np.abs(values - alpha).min() <= tol))
-        shifted.append(bool(np.abs(sym_eigvals(eye - (K @ K) / (R * R)) - 1.0).min() <= tol / (R * R)))
+        shifted.append(bool(np.abs(sym_eigvals(S) - 1.0).min() <= tol / (R * R)))
     return direct, shifted

@@ -12,8 +12,10 @@ import pytest
 
 import selfsim.cli as cli
 import selfsim.hecke as hecke
+import selfsim.schreier as schreier
 from selfsim.group import BoundaryPoint
 from selfsim.hecke import AlgebraElement, assemble_orbital
+from selfsim.renorm import curve_residuals, slice_spectrum_samples
 
 
 def _read_json(path):
@@ -128,6 +130,29 @@ def test_omega_outputs(tmp_path):
     assert report["all_ok"] is True
     assert len(report["curve_checks"]) == 2 + 4
     assert report["worst_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_omega_curves_match_per_curve_reference(level, tmp_path):
+    # every (n, j) row, checked on its own, against the distinct curves omega checks
+    rows = [{"n": n, "j": j, "max_residual": float(curve_residuals(n, (j,), 256)[0])}
+            for n in range(1, level + 1) for j in range(1 << n)]
+    worst = max(row["max_residual"] for row in rows)
+    want = {"curve_checks": rows, "worst_residual": worst, "tol": 1e-9, "all_ok": worst <= 1e-9}
+    out = tmp_path / "om"
+    assert cli.main(["omega", "--level", str(level), "--out", str(out)]) == 0
+    assert (out / "curves.json").read_text() == json.dumps(want, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("t", [-1.0, -0.5, 0.0, 0.3])
+@pytest.mark.parametrize("chunk", [1000, 1 << 16])
+def test_slice_samples_match_per_value_rows(t, chunk, tmp_path, monkeypatch):
+    # samples.csv, chunks joined around repr, against one f-string row per value
+    monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
+    out = tmp_path / "sl"
+    assert cli.main(["slice", "--t", repr(t), "--level", "12", "--out", str(out)]) == 0
+    want = "n,value\n" + "".join(f"{n},{v!r}\n" for n in range(13) for v in slice_spectrum_samples(t, n))
+    assert (out / "samples.csv").read_text() == want
 
 
 # the counts binning without rounding gave, where ?stemr and ?sterf put 1/4 a few ulp above the edge
@@ -661,3 +686,26 @@ def test_orbital_outputs_match_pinned_digests(point, gens, radius, terms, digest
     found = tuple(hashlib.sha256(data).hexdigest()
                   for data in ((out / "graph.csv").read_bytes(), (out / "flags.csv").read_bytes(), triplets))
     assert found == digests
+
+
+@pytest.mark.parametrize(
+    "point, gens, radius, terms",
+    [
+        ("(1)", "abcd", 0, _DELTA_TERMS),
+        ("(1)", "abcd", 64, _DELTA_TERMS),
+        ("110010(011)", "abcd", 24, [("ab", 1.0), ("ba", 1.0), ("aca", 0.5), ("c", -0.3), ("", 0.2)]),
+        ("0(01)", "ad", 1, [("ad", 1.0), ("da", 1.0), ("", 0.1)]),
+        ("1" * 300 + "(0)", "abcd", 9, [("adadada", 1.0), ("b", 0.5)]),
+    ],
+    ids=["ones-r0", "ones-r64", "five-term", "gens-ad", "long-preperiod"],
+)
+def test_orbital_reads_the_line_of_the_point_once(point, gens, radius, terms, tmp_path, monkeypatch):
+    # the ball written and the operator solved are cut from one set of line tables
+    calls = []
+    line_coordinate = schreier._line_coordinate
+    monkeypatch.setattr(schreier, "_line_coordinate", lambda *args: calls.append(args) or line_coordinate(*args))
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in terms]}))
+    argv = ["orbital", "--point", point, "--gens", gens, "--radius", str(radius), "--element", str(path)]
+    assert cli.main(argv + ["--out", str(tmp_path / "orb")]) == 0
+    assert len(calls) == 1

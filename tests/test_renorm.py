@@ -11,7 +11,8 @@ from selfsim.hecke import AlgebraElement, assemble_level
 from selfsim.renorm import (
     IntervalUnion,
     _curve_samples,
-    _two_decimals,
+    _digit_table,
+    _hundredths,
     curve_invariance_check,
     curve_residuals,
     in_omega,
@@ -130,6 +131,18 @@ def test_curve_residuals_match_per_curve_reference(samples):
     for n, j in ((1, 0), (4, 5), (10, 1023)):
         assert curve_invariance_check(n, j, samples) == _reference_curve_invariance_check(n, j, samples)
         assert np.array_equal(_curve_points(n, j, samples), _reference_curve_points(n, j, samples))
+
+
+def test_curve_residuals_doubling_identity():
+    # row (n, 2j) is row (n - 1, j) bit for bit, j = 0 included: the cosines are the same floats
+    previous = curve_residuals(1, range(2), 256)
+    for n in range(2, 13):
+        js = range(1 << n)
+        assert all(math.cos(2.0 * math.pi * (2 * j) / (1 << n)) == math.cos(2.0 * math.pi * j / (1 << (n - 1)))
+                   for j in range(1 << (n - 1)))
+        rows = np.concatenate([curve_residuals(n, js[start : start + 64], 256) for start in range(0, 1 << n, 64)])
+        assert rows[0::2].tobytes() == previous.tobytes(), n
+        previous = rows
 
 
 def test_lambda_slice_endpoints_exact():
@@ -285,33 +298,57 @@ def test_omega_svg_draws_the_top_layer_once(levels):
     assert _POLYLINE.findall("".join(omega_svg(curve_levels=levels))) == top
 
 
-def _formatted(values):
-    codes, shown = _two_decimals(np.asarray(values, dtype=float))
-    space = np.full(codes.shape[:-1] + (1,), ord(" "), dtype=np.uint8)
-    kept = np.concatenate([codes, space], axis=-1)[np.concatenate([shown, np.ones(space.shape, bool)], axis=-1)]
-    return kept.tobytes().decode("ascii").split(" ")[:-1]
+def _formatted(values, size=800):
+    """The text omega_svg writes for each value: the _digit_table row of its _hundredths, NUL padding dropped."""
+    rows = _digit_table(size)[_hundredths(np.asarray(values, dtype=float), size)]
+    return [row.tobytes().lstrip(b"\0").decode("ascii") for row in rows]
+
+
+def _check_formatting(values, size=800):
+    """Each value of the viewport [0, size] (sign bit clear) formats as f"{v:.2f}", and each one outside is refused."""
+    values = np.asarray(values, dtype=float)
+    inside = ~np.signbit(values) & (values <= size)
+    assert _formatted(values[inside], size) == [f"{v:.2f}" for v in values[inside].tolist()]
+    refused = 0
+    for k in np.flatnonzero(~inside).tolist():
+        try:
+            _hundredths(values[k : k + 1], size)
+        except ValueError as exc:
+            refused += "values in the viewport" in str(exc)
+    assert refused == np.count_nonzero(~inside)
 
 
 @given(st.lists(st.floats(min_value=-1300.0, max_value=1300.0), min_size=1, max_size=64))
-@example([-0.0, 0.0, -0.001, 0.005, -0.005, 0.125, -0.375, 799.995, 1e-300, -5e-324])
+@example([-0.0, 0.0, -0.001, 0.005, -0.005, 0.125, -0.375, 799.995, 1e-300, -5e-324, 800.0, 800.004])
 def test_two_decimals_match_python_formatting(values):
-    assert _formatted(values) == [f"{v:.2f}" for v in values]
+    _check_formatting(values)
 
 
 def test_two_decimals_ties_and_neighbours():
     # the odd multiples of 1/8 are the ties that floats hold exactly; the k/200 are the rounding
-    # boundaries, which floats miss by less than an ulp, so their neighbours fall on both sides
+    # boundaries, which floats miss by less than an ulp, so their neighbours fall on both sides;
+    # 0 and 800 are the ends of the viewport, and the values past them are refused one by one
     eighths = np.arange(-1200 * 8, 1200 * 8 + 1) / 8.0
     hundredths = np.arange(-120000, 120001) / 200.0
-    values = np.concatenate([eighths, hundredths, 2.0**51 - np.arange(4), [2.0**-1074, 0.0049999999999999996]])
+    values = np.concatenate([eighths, hundredths, 2.0**51 - np.arange(4), [2.0**-1074, 0.0049999999999999996, 0.0, 800.0]])
     values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
-    assert _formatted(values) == [f"{v:.2f}" for v in values.tolist()]
+    assert {0.0, 800.0, 2.0**-1074, np.nextafter(800.0, 0.0)} <= set(values.tolist())
+    _check_formatting(values)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**52, -1e300])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**52, -1e300, -0.0, -5e-324, 800.0000000000001])
 def test_two_decimals_refuse_values_out_of_range(bad):
-    with pytest.raises(ValueError, match="finite values below 2"):
-        _two_decimals(np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="values in the viewport"):
+        _hundredths(np.array([1.0, bad]), 800)
+
+
+def test_digit_table_rows_are_python_formatting():
+    # every row of the viewport's table, h = 0 .. 80,000, is the text of h / 100
+    table = _digit_table(800)
+    assert table.shape == (80001, 6)
+    assert [row.lstrip(b"\0").decode("ascii") for row in table.view("S6").ravel().tolist()] == [
+        f"{h / 100:.2f}" for h in range(80001)
+    ]
 
 
 def test_omega_svg_slice_line_position():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfsim.group import BoundaryPoint, boundary_image
-from selfsim.schreier import orbital_ball
+from selfsim.schreier import _line_tables, orbital_ball
 from suites import bfs_orbital_ball
 
 ABCD = ("a", "b", "c", "d")
@@ -107,6 +107,19 @@ def test_orbital_ball_matches_breadth_first_search_far_out(point, gens):
 )
 def test_orbital_ball_matches_breadth_first_search_property(pre, per, gens, radius):
     _assert_same_ball(BoundaryPoint(pre, per), gens, radius)
+
+
+@pytest.mark.parametrize("point", ["(1)", "0(1)", "(0)", "110010(011)", "100000000000(00101)"])
+def test_orbital_ball_cut_from_a_larger_ball(point):
+    # the ball is a prefix of every larger ball around the point: cut from its tables, it is the same ball
+    x = BoundaryPoint.parse(point)
+    for gens in _GENS_ORDERS:
+        for radius in (0, 1, 2, 5, 17):
+            want = orbital_ball(x, gens, radius)
+            for beyond in (0, 1, 2, 6, 40):
+                got = orbital_ball(x, gens, radius, _line_tables(x, gens, radius, beyond))
+                assert got.vertices == want.vertices and got.labels == want.labels, (gens, radius, beyond)
+                assert all(np.array_equal(got.images[g], want.images[g]) for g in gens), (gens, radius, beyond)
 
 
 def test_orbital_ball_without_labels_is_its_root():

@@ -1,4 +1,5 @@
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_blocked_residual_matches_one_shot_formula():
     gap = P @ V - V * values
     one_shot = float(np.sqrt((gap * gap).sum(axis=0)).max()) / float(np.abs(values).max())
     assert sym_eigs(M).residual_bound == one_shot
+
+
+def test_spectral_shift_check_takes_an_operator_matrix():
+    # the assembled level-3 delta, solved along its line, gives the verdicts of its dense array
+    M = assemble_level(delta_element(), 3)
+    dense = M.csr().toarray()
+    values = sym_eigvals(dense).tolist()
+    # members, non-members, and one probe on each side of sqrt(tol) = 1e-4, where the two tests disagree
+    probes = [*values, 0.1, -0.3, 0.6, 2.0, 0.25 + 1e-3, values[0] - 5e-5, values[-1] + 2e-4]
+    direct, shifted = spectral_shift_check(M, probes, 2.0, 1e-8)
+    assert (direct, shifted) == spectral_shift_check(dense, probes, 2.0, 1e-8)
+    assert direct == [True] * 8 + [False] * 7
+    assert shifted == [True] * 8 + [False] * 5 + [True, False]
+    with pytest.raises(ValueError, match="need R >= 2"):
+        spectral_shift_check(M, [0.0], 1.0, 1e-8)
 
 
 def test_hausdorff_examples():
@@ -437,6 +453,29 @@ def test_hausdorff_matches_reference_on_spectra(delta_levels):
         (delta_levels[0][12], IntervalUnion.from_pairs([(-0.4, -0.1), (0.3, 0.5), (0.9, 0.95)])),
     ):
         assert repr(hausdorff_to_set(values, union)) == repr(reference_hausdorff_to_set(values, union))
+
+
+@given(
+    st.lists(_point, min_size=1, max_size=40),
+    st.lists(st.tuples(_end, _end).map(sorted), min_size=1, max_size=6),
+    st.integers(1, 5),
+)
+@example([np.nan, 0.5, 0.5, 0.75, 1.0, 3.0], [(0.0, 1.0)], 1)
+@example([0.0, 1.0, 2.0, 2.0], [(0.5, 1.5), (1.75, 3.0)], 2)
+def test_hausdorff_blocks_match_reference_bitwise(points, pairs, block):
+    # the backward half a few point pairs at a time, down to one, against all midpoints at once
+    union = IntervalUnion(tuple(tuple(p) for p in pairs))
+    with mock.patch.object(spectra, "_HAUSDORFF_BLOCK", block):
+        got = hausdorff_to_set(points, union)
+    assert repr(got) == repr(reference_hausdorff_to_set(points, union))
+
+
+@pytest.mark.parametrize("block", [1, 2, 1000, 1 << 15])
+def test_hausdorff_blocks_match_reference_on_slice_samples(block, monkeypatch):
+    monkeypatch.setattr(spectra, "_HAUSDORFF_BLOCK", block)
+    for t in (-1.0, 0.0, 0.3):
+        values = slice_spectrum_samples(t, 12)
+        assert repr(hausdorff_to_set(values, lambda_slice(t))) == repr(reference_hausdorff_to_set(values, lambda_slice(t)))
 
 
 _lo = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
