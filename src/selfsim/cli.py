@@ -12,6 +12,7 @@ to the artifact's once its last chunk is written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -215,6 +216,21 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _kept_rows(values: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """The places of the sorted values that hold the sorted prev, a sub-multiset of them, as a boolean mask.
+
+    The k-th of a run of equal values of prev goes to the k-th place of that
+    run in values.  Raises unless the masked values are prev bit for bit, in
+    order, which is what lets their rows be copied.
+    """
+    places = np.searchsorted(values, prev) + (np.arange(prev.size) - np.searchsorted(prev, prev))
+    kept = np.zeros(values.size, dtype=bool)
+    kept[places[places < values.size]] = True
+    if not np.array_equal(values[kept].view(np.uint64), prev.view(np.uint64)):
+        raise RuntimeError("a level's slice samples do not hold the level before's bit for bit")
+    return kept
+
+
 def cmd_slice(args: argparse.Namespace) -> int:
     t, n_max, outdir = args.t, args.level, args.out
     union = lambda_slice(t)
@@ -222,12 +238,29 @@ def cmd_slice(args: argparse.Namespace) -> int:
     per_level = {}
 
     def samples():
+        # level n holds level n - 1's values bit for bit (see slice_spectrum_samples), and equal floats have equal
+        # repr, so a level copies the rows of the level before, kept as one "\n"-joined string per chunk and split
+        # a chunk at a time, and formats only its other 2^(n-1) values
         yield "n,value\n"
+        prev, prev_text = np.empty(0), []
         for n in range(n_max + 1):
             values = slice_spectrum_samples(t, n)
-            for start in range(0, len(values), _SAMPLE_CHUNK):
+            kept = _kept_rows(values, prev)
+            old_rows = itertools.chain.from_iterable(chunk.split("\n") for chunk in prev_text)
+            text = []
+            for start in range(0, values.size, _SAMPLE_CHUNK):
+                chunk, copied = values[start : start + _SAMPLE_CHUNK], kept[start : start + _SAMPLE_CHUNK]
+                # rebinding rows first frees the previous chunk's strings before this chunk's are made (with a
+                # second name, slice-omega peak_rss_mb read 0.8 MB higher)
+                rows = np.empty(chunk.size, dtype=object)
+                rows[copied] = list(itertools.islice(old_rows, np.count_nonzero(copied)))
+                rows[~copied] = list(map(repr, chunk[~copied].tolist()))
+                rows = rows.tolist()
+                if n < n_max:
+                    text.append("\n".join(rows))
                 # the chunk's rows "n,value\n" as three pieces around one join, which are not copied into one string
-                yield from (f"{n},", f"\n{n},".join(map(repr, values[start : start + _SAMPLE_CHUNK])), "\n")
+                yield from (f"{n},", f"\n{n},".join(rows), "\n")
+            prev, prev_text = values, text
             forward, backward = hausdorff_to_set(values, union)
             per_level[str(n)] = {"forward": forward, "backward": backward}
 
@@ -238,24 +271,37 @@ def cmd_slice(args: argparse.Namespace) -> int:
     return 0
 
 
+def _curve_rows(n: int, residuals: list[str]) -> str:
+    """The curves.json rows of level n, joined as json.dumps(..., sort_keys=True, indent=2) lays them out."""
+    return ",\n".join(f'    {{\n      "j": {j},\n      "max_residual": {r},\n      "n": {n}\n    }}'
+                      for j, r in enumerate(residuals))
+
+
 def cmd_omega(args: argparse.Namespace) -> int:
     level, tol, outdir = args.level, args.tol, args.out
     outputs = [_write(outdir, "omega.svg", omega_svg(curve_levels=level, slice_alphas=tuple(args.t)))]
-    rows = []
+    rows = []  # the text of each level's rows
     worst = 0.0
-    residuals: list[float] = []  # of the level before n, by j
+    residuals: list[str] = []  # the text of the level before n's, by j
     for n in range(1, level + 1):
         # gamma_{n,2j} has the residual of gamma_{n-1,j} (the doubling identity of curve_residuals), so at n >= 2
-        # only the odd j are checked
+        # only the odd j are checked, and row (n, 2j) takes the text of row (n - 1, j)
         js = range(1, 1 << n, 2) if n > 1 else range(2)
-        checked = [r for start in range(0, len(js), _CURVE_CHUNK)
-                   for r in curve_residuals(n, js[start : start + _CURVE_CHUNK], 256).tolist()]
-        residuals = checked if n == 1 else [r for pair in zip(residuals, checked) for r in pair]
-        for j, residual in enumerate(residuals):
-            worst = max(worst, residual)
-            rows.append({"n": n, "j": j, "max_residual": residual})
-    report = {"curve_checks": rows, "worst_residual": worst, "tol": tol, "all_ok": worst <= tol}
-    outputs.append(_write_json(outdir, "curves.json", report))
+        checked = np.concatenate([curve_residuals(n, js[start : start + _CURVE_CHUNK], 256)
+                                  for start in range(0, len(js), _CURVE_CHUNK)])
+        if not np.isfinite(checked).all():
+            raise ValueError(f"a curve residual at n={n} is not finite")
+        worst = max(worst, float(checked.max()))
+        # float.__repr__, as json.dumps writes a float
+        fresh = list(map(float.__repr__, checked.tolist()))
+        residuals = fresh if n == 1 else [r for pair in zip(residuals, fresh) for r in pair]
+        rows.append(_curve_rows(n, residuals))
+    # curves.json is json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n" for the report
+    # {"curve_checks": [{"n": n, "j": j, "max_residual": r}, ...], "worst_residual": worst, "tol": tol,
+    # "all_ok": worst <= tol}, written as its head, the rows of each level and its tail
+    head = f'{{\n  "all_ok": {"true" if worst <= tol else "false"},\n  "curve_checks": [\n'
+    tail = f'\n  ],\n  "tol": {float.__repr__(tol)},\n  "worst_residual": {float.__repr__(worst)}\n}}\n'
+    outputs.append(_write(outdir, "curves.json", [head, ",\n".join(rows), tail]))
     _manifest(args, outputs)
     if worst > tol:
         print(f"FAIL curve residual {worst:.3e} exceeds {tol:.0e}", file=sys.stderr)

@@ -134,19 +134,21 @@ def lambda_slice(t: float) -> IntervalUnion:
     return IntervalUnion(((1.0 - hi, 1.0 - lo), (1.0 + lo, 1.0 + hi)))
 
 
-def slice_spectrum_samples(t: float, n: int) -> list[float]:
-    """Level-n spectrum of -t a + b + c + d with multiplicity: 2^n floats, sorted.
+def slice_spectrum_samples(t: float, n: int) -> np.ndarray:
+    """Level-n spectrum of -t a + b + c + d with multiplicity: a sorted float64 array of 2^n values.
 
     The eigenvalues are 3 - t, 3 + t when n >= 1, and
     1 +- sqrt(t^2 - 4 t cos(2 pi j / 2^k) + 4) for 2 <= k <= n and odd
     j < 2^(k-1).  As i = j 2^(n-k) the angles are 2 pi i / 2^n for
     0 < i < 2^(n-1), the same floats, since scaling by a power of two is
     exact.  The radicand equals (t - 2 cos)^2 + 4 sin^2 and is never negative.
+    So level n >= 1 holds every value of level n - 1 bit for bit (3 - t,
+    3 + t and those of even i) and 2^(n-1) values more.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     root = np.sqrt(t * t - 4.0 * t * np.cos(2.0 * np.pi * np.arange(1, 1 << n >> 1) / (1 << n)) + 4.0)
-    return np.sort(np.concatenate([[3.0 - t, 3.0 + t][: min(n, 1) + 1], 1.0 - root, 1.0 + root])).tolist()
+    return np.sort(np.concatenate([[3.0 - t, 3.0 + t][: min(n, 1) + 1], 1.0 - root, 1.0 + root]))
 
 
 def _hundredths(v: np.ndarray, size: int) -> np.ndarray:

@@ -256,7 +256,11 @@ def _solve_band(band: np.ndarray, vectors: bool):
 
 
 def sym_eigvals(M) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, deterministic."""
+    """All eigenvalues of a symmetric matrix, ascending, deterministic.
+
+    An OperatorMatrix is solved along its line, any other input in its given
+    order (see sym_eigs).
+    """
     return _solve_band(_band(M)[1], vectors=False)[0]
 
 
@@ -295,6 +299,13 @@ def sym_eigs(M) -> EigReport:
     against the sparse matrix in band order; beyond it, forming the full
     eigenvector matrix is not worth the memory and time, and the report falls
     back on the backward-stability bound dim * eps of the underlying solver.
+
+    An OperatorMatrix is solved along its line, where an assembled operator
+    is a band no wider than its longest word.  A dense array or scipy matrix
+    is solved in its given order, with no reordering, so pass the operator
+    itself: the level-10 delta operator's csr() is a width-512 ?sbevd band
+    and takes about 1.3 s, against about 0.1 s (?stemr, width 1) as the
+    OperatorMatrix, on one thread of a 2-vCPU VM.
     """
     P, band = _band(M)
     dim = band.shape[1]

@@ -5,6 +5,7 @@ get one verdict per claim.  The session-scoped fixtures in conftest.py share
 the expensive level-13 solves across criteria.
 """
 
+import json
 import time
 
 import numpy as np
@@ -166,6 +167,26 @@ def test_c10_large_ball_spectrum_concentrates():
     fraction = near / len(values)
     assert fraction >= 0.9
     print(f"C10 PASS dim={len(values)} range=[{values.min():.3f},{values.max():.3f}] near={fraction:.2%}")
+
+
+def test_c10_two_ended_ball_spectrum_is_closed_form(tmp_path):
+    # along its line, delta on a two-ended radius-r ball is 1/4 on the diagonal of a path on 2r + 1 vertices whose
+    # edges weigh 1/4 and 1/2 in turn, so its spectrum is 1/4 and 1/4 +- sqrt(5/16 + cos(pi k / (r + 1)) / 4),
+    # k = 1..r; radii 5 and 64 are solved with vectors by ?stemr, radius 1024 by ?lasq1
+    worst = 0.0
+    for point in ("(0)", "(01)", "001011(100)", "110010(011)"):
+        for radius, driver in ((5, "stemr"), (64, "stemr"), (1024, "lasq1")):
+            out = tmp_path / f"{point}-{radius}"
+            assert cli.main(["orbital", "--point", point, "--radius", str(radius), "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["solver"]["lapack_driver"] == driver
+            values = np.array([float(v) for v in (out / "spectrum.csv").read_text().splitlines()[2:]])
+            k = np.arange(1, radius + 1)
+            root = np.sqrt(5.0 / 16.0 + np.cos(np.pi * k / (radius + 1)) / 4.0)
+            want = np.sort(np.concatenate([[0.25], 0.25 - root, 0.25 + root]))
+            gap = np.abs(np.sort(values) - want).max()
+            assert gap <= values.size * np.finfo(float).eps, (point, radius, gap)
+            worst = max(worst, gap)
+    print(f"C10 PASS two-ended balls of radius 5, 64 and 1024 match the closed form to {worst:.2e}")
 
 
 def test_c11_property_suites():

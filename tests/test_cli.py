@@ -132,27 +132,73 @@ def test_omega_outputs(tmp_path):
     assert report["worst_residual"] <= 1e-9
 
 
-@pytest.mark.parametrize("level", range(1, 9))
-def test_omega_curves_match_per_curve_reference(level, tmp_path):
-    # every (n, j) row, checked on its own, against the distinct curves omega checks
+def _omega_reference(level, tol):
+    """curves.json as json.dumps writes the report of every (n, j) row, checked on its own."""
     rows = [{"n": n, "j": j, "max_residual": float(curve_residuals(n, (j,), 256)[0])}
             for n in range(1, level + 1) for j in range(1 << n)]
     worst = max(row["max_residual"] for row in rows)
-    want = {"curve_checks": rows, "worst_residual": worst, "tol": 1e-9, "all_ok": worst <= 1e-9}
+    report = {"curve_checks": rows, "worst_residual": worst, "tol": tol, "all_ok": worst <= tol}
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("level", range(1, 11))
+def test_omega_curves_match_per_curve_reference(level, tmp_path):
+    # the rows written without the JSON encoder, against the encoder on every (n, j) row checked on its own
     out = tmp_path / "om"
     assert cli.main(["omega", "--level", str(level), "--out", str(out)]) == 0
-    assert (out / "curves.json").read_text() == json.dumps(want, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert (out / "curves.json").read_text() == _omega_reference(level, 1e-9)
 
 
-@pytest.mark.parametrize("t", [-1.0, -0.5, 0.0, 0.3])
-@pytest.mark.parametrize("chunk", [1000, 1 << 16])
+# the worst residual is 1.8474111129762605e-13 up to level 3 and 3.1e-13 at level 10
+@pytest.mark.parametrize("tol", [0.0, 1.8474111129762605e-13, 2e-13, 1e300])
+@pytest.mark.parametrize("level", [3, 10])
+def test_omega_curves_match_reference_at_each_tolerance(level, tol, tmp_path):
+    out = tmp_path / "om"
+    want = _omega_reference(level, tol)
+    code = cli.main(["omega", "--level", str(level), "--tol", repr(tol), "--out", str(out)])
+    assert code == (0 if '"all_ok": true' in want else 1)
+    assert (out / "curves.json").read_text() == want
+
+
+def test_omega_non_finite_residual_writes_no_curves(tmp_path, monkeypatch, capsys):
+    def broken(n, js, samples):
+        residuals = curve_residuals(n, js, samples)
+        if n == 3:
+            residuals[-1] = np.nan
+        return residuals
+
+    monkeypatch.setattr(cli, "curve_residuals", broken)
+    out = tmp_path / "om"
+    assert cli.main(["omega", "--level", "4", "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err.splitlines()[-1]
+    assert os.listdir(out) == ["omega.svg"]  # neither curves.json nor its partial file
+
+
+@pytest.mark.parametrize("t", [-1.0, -0.5, 0.0, 0.3, 1e150])
+@pytest.mark.parametrize("chunk", [1, 3, 1000, 1 << 16])
 def test_slice_samples_match_per_value_rows(t, chunk, tmp_path, monkeypatch):
-    # samples.csv, chunks joined around repr, against one f-string row per value
+    # samples.csv, rows copied from the level before and chunks joined around repr, against one row per value
     monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
     out = tmp_path / "sl"
-    assert cli.main(["slice", "--t", repr(t), "--level", "12", "--out", str(out)]) == 0
-    want = "n,value\n" + "".join(f"{n},{v!r}\n" for n in range(13) for v in slice_spectrum_samples(t, n))
+    level = 12 if chunk > 1 else 10
+    assert cli.main(["slice", "--t", repr(t), "--level", str(level), "--out", str(out)]) == 0
+    want = "n,value\n" + "".join(f"{n},{v!r}\n" for n in range(level + 1)
+                                  for v in slice_spectrum_samples(t, n).tolist())
     assert (out / "samples.csv").read_text() == want
+
+
+def test_slice_rows_are_copied_only_from_equal_values(tmp_path, monkeypatch):
+    # a level whose values do not hold the level before's bit for bit is a fault, and no samples.csv is written
+    def shifted(t, n):
+        values = slice_spectrum_samples(t, n)
+        if n == 5:
+            values[3] = np.nextafter(values[3], np.inf)
+        return values
+
+    monkeypatch.setattr(cli, "slice_spectrum_samples", shifted)
+    out = tmp_path / "sl"
+    assert cli.main(["slice", "--t", "-0.5", "--level", "6", "--out", str(out)]) == 3
+    assert os.listdir(out) == ["lambda.json"]
 
 
 # the counts binning without rounding gave, where ?stemr and ?sterf put 1/4 a few ulp above the edge

@@ -158,20 +158,21 @@ def test_lambda_slice_endpoints_exact():
 
 
 def test_slice_samples_small_levels():
-    assert slice_spectrum_samples(-1.0, 0) == [4.0]
-    assert slice_spectrum_samples(-1.0, 1) == [2.0, 4.0]
-    assert slice_spectrum_samples(0.0, 0) == [3.0]
+    assert slice_spectrum_samples(-1.0, 0).tolist() == [4.0]
+    assert slice_spectrum_samples(-1.0, 1).tolist() == [2.0, 4.0]
+    assert slice_spectrum_samples(0.0, 0).tolist() == [3.0]
     for n in (1, 3, 5):
         # repeats are kept: at t = 0 every radicand is 4
-        assert slice_spectrum_samples(0.0, n) == [-1.0] * ((1 << n - 1) - 1) + [3.0] * ((1 << n - 1) + 1)
-    vals = slice_spectrum_samples(-1.0, 2)
+        assert slice_spectrum_samples(0.0, n).tolist() == [-1.0] * ((1 << n - 1) - 1) + [3.0] * ((1 << n - 1) + 1)
+    vals = slice_spectrum_samples(-1.0, 2).tolist()
     assert len(vals) == 4
     assert min(abs(v - (1.0 + 5**0.5)) for v in vals) < 1e-12
     assert min(abs(v - (1.0 - 5**0.5)) for v in vals) < 1e-12
     # 1 - |t - 2| and 1 - |t + 2| end the lower band of the slice but are eigenvalues at no level
     for n in range(8):
-        assert len(slice_spectrum_samples(-1.0, n)) == 1 << n
-        assert -2.0 not in slice_spectrum_samples(-1.0, n) and 0.0 not in slice_spectrum_samples(-1.0, n)
+        vals = slice_spectrum_samples(-1.0, n).tolist()
+        assert len(vals) == 1 << n
+        assert -2.0 not in vals and 0.0 not in vals
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, -1.0, 2.0, -2.0, -0.5, 2.5])
