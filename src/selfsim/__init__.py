@@ -11,10 +11,8 @@ command line drives batch reproductions.
 from .group import (
     GENERATORS,
     BoundaryPoint,
-    is_identity,
     reduce_word,
     rigidity_depth,
-    wreath_decompose,
 )
 from .schreier import orbital_ball
 from .hecke import (
@@ -29,7 +27,6 @@ from .hecke import (
 from .renorm import (
     IntervalUnion,
     curve_invariance_check,
-    in_omega,
     lambda_slice,
     omega_svg,
     renorm_map,
@@ -37,7 +34,6 @@ from .renorm import (
 )
 from .spectra import (
     hausdorff_to_set,
-    spectral_shift_check,
     sym_eigs,
     sym_eigvals,
 )
@@ -48,8 +44,6 @@ __all__ = [
     "GENERATORS",
     "BoundaryPoint",
     "reduce_word",
-    "wreath_decompose",
-    "is_identity",
     "rigidity_depth",
     "orbital_ball",
     "AlgebraElement",
@@ -60,7 +54,6 @@ __all__ = [
     "groupoid_block",
     "schur_step_check",
     "renorm_map",
-    "in_omega",
     "curve_invariance_check",
     "IntervalUnion",
     "lambda_slice",
@@ -69,5 +62,4 @@ __all__ = [
     "sym_eigvals",
     "sym_eigs",
     "hausdorff_to_set",
-    "spectral_shift_check",
 ]

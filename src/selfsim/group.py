@@ -21,8 +21,6 @@ Provides:
       word into (root swap, section at 0, section at 1),
     - BoundaryPoint: eventually periodic boundary sequences with an exact
       group action (boundary_image: one walk over one bit prefix),
-    - is_identity: the word problem, read off the canonical _element_key
-      unless the root swap already says no,
     - rigidity_depth: first level at which a generator's section dies, along
       every ray of a boolean array at once, read off each ray's first 0.
 
@@ -227,14 +225,6 @@ def _element_key(word: str) -> str | tuple:
     swap, section0, section1 = wreath_decompose(word)
     key = (swap, _element_key(section0), _element_key(section1))
     return _NUCLEUS.get(key, key)
-
-
-def is_identity(word: str) -> bool:
-    """Whether the word acts trivially on the whole tree.
-
-    The root swap, the parity of the a letters, which reduction keeps, says no before any section is keyed.
-    """
-    return not wreath_decompose(word)[0] and _element_key(word) == ""
 
 
 def rigidity_depth(rays, letter: str) -> np.ndarray:

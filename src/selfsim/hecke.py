@@ -15,10 +15,10 @@ Each call that reads the level action builds the generator permutations
 Operator assembly U(m) = sum of m(w) times the word permutation composes the
 permutations exactly and converts to floating point at the final accumulation.
 Level, groupoid and orbital operators alike are coefficients times partial
-permutations given as index maps, which one builder turns into an
-OperatorMatrix of coordinate triplets (about one nonzero per term and row,
-since the Schreier graphs are lines) and its line order; no assembler forms a
-dense array.  An orbital term's map composes the per-letter image tables of a
+permutations given as index maps, which one builder adds, term by term, into
+an OperatorMatrix: band storage along the orbit line, which the Schreier graphs
+are, so its width is that of the longest word; no assembler forms a dense
+array.  An orbital term's map composes the per-letter image tables of a
 stretch of the orbit line (schreier), the same way a level term composes the
 generator permutations, in the one loop _word_map, once per term; no point is
 parsed or acted on, and the orbital row flags are read off the same maps.
@@ -134,57 +134,67 @@ def generator_sum_element() -> AlgebraElement:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Real dim x dim operator as its nonzeros: entries[k] sits at (rows[k], cols[k]).
+    """Real dim x dim operator as band storage along its line.
 
-    Build it with from_triplets, which puts the triplets in canonical form;
-    csr() is the only way to a matrix.  line, filled by the assemblers, lists
-    the indices (tree or breadth-first numbers) by descending line coordinate
-    (schreier), along which the operator is a band as wide as its longest word.
+    line lists the indices (tree or breadth-first numbers) by descending line
+    coordinate (schreier), so place p holds index line[p] and dim is its
+    size; along it an assembled operator is a band as wide as its longest
+    word.  entries has 2w + 1 rows, w the width of the outermost nonzero
+    diagonal, and entries[w + k, p] is the entry at row place p + k and
+    column place p; the corner cells that fall outside the matrix hold 0.
+    csr() is the index-order view.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
     entries: np.ndarray
-    dim: int
-    line: np.ndarray | None = None
+    line: np.ndarray
 
-    @staticmethod
-    def from_triplets(rows, cols, values, dim: int, line=None) -> "OperatorMatrix":
-        """Canonical form: sorted by (row, col), duplicates summed, zeros dropped.
-
-        The sort is stable and duplicates are summed left to right from zero
-        (np.add.at, not the pairwise np.add.reduceat), so each entry is bit
-        for bit the dense array accumulated with += in input order.
-        """
-        order = np.lexsort((cols, rows))
-        rows = np.asarray(rows, dtype=np.int64)[order]
-        cols = np.asarray(cols, dtype=np.int64)[order]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        sums = np.zeros(np.count_nonzero(first))
-        np.add.at(sums, np.cumsum(first) - 1, np.asarray(values, dtype=float)[order])
-        keep = sums != 0.0
-        return OperatorMatrix(rows[first][keep], cols[first][keep], sums[keep], dim, line)
+    @property
+    def dim(self) -> int:
+        return self.line.size
 
     def csr(self):
-        """The operator as a scipy CSR matrix."""
+        """The operator as a scipy CSR matrix in index order, its zeros dropped."""
         from scipy import sparse
 
-        return sparse.csr_matrix((self.entries, (self.rows, self.cols)), shape=(self.dim, self.dim))
+        w = self.entries.shape[0] // 2
+        cols = np.broadcast_to(np.arange(self.dim), self.entries.shape)
+        rows = cols + np.arange(-w, w + 1)[:, None]
+        keep = self.entries != 0.0  # nonzero cells lie inside the matrix
+        return sparse.csr_matrix(
+            (self.entries[keep], (self.line[rows[keep]], self.line[cols[keep]])), shape=(self.dim, self.dim)
+        )
 
 
-def _triplets(m: AlgebraElement, maps, dim: int, line: np.ndarray) -> OperatorMatrix:
+def _along_line(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, line: np.ndarray) -> OperatorMatrix:
+    """Sum of values[k] at row place rows[k] and column place cols[k], as band storage along line.
+
+    np.add.at adds left to right from zero, so each entry is bit for bit the
+    dense array accumulated with += in input order; the band is then cut to
+    its outermost nonzero diagonal.
+    """
+    offsets = rows - cols
+    w = int(np.abs(offsets).max(initial=0))
+    entries = np.zeros((2 * w + 1, line.size))
+    np.add.at(entries, (offsets + w, cols), values)
+    k = int(np.abs(np.flatnonzero(entries.any(axis=1)) - w).max(initial=0))
+    return OperatorMatrix(entries[w - k : w + k + 1], line)
+
+
+def _operator(m: AlgebraElement, maps, line: np.ndarray) -> OperatorMatrix:
     """Sum of c times the partial permutation maps[k] over the k-th term (w, c) of m, along line.
 
     Column j of term k goes to row maps[k][j], and -1 drops the entry.  The
-    triplets go in term by term, so from_triplets sums a duplicate position
+    entries go in term by term, so a cell shared by several terms sums them
     in term order.
     """
-    rows = np.array(maps, dtype=np.int64).reshape(-1)
-    cols = np.tile(np.arange(dim), len(maps))
-    values = np.repeat([coef for _, coef in m.terms], dim)
+    dim = line.size
+    place = np.empty(dim, dtype=np.int64)
+    place[line] = np.arange(dim)
+    rows = np.array(maps, dtype=np.int64).reshape(-1, dim)[:, line]  # the row index of each column place
     keep = rows >= 0
-    return OperatorMatrix.from_triplets(rows[keep], cols[keep], values[keep], dim, line)
+    cols = np.broadcast_to(np.arange(dim), rows.shape)[keep]
+    values = np.broadcast_to(np.array([coef for _, coef in m.terms])[:, None], rows.shape)[keep]
+    return _along_line(place[rows[keep]], cols, values, line)
 
 
 def _level_line(n: int) -> np.ndarray:
@@ -198,7 +208,7 @@ def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Level-n matrix of U(m): coefficients against exact word permutations."""
     _check_level(n, ASSEMBLY_GUARD)
     perms = _level_perms(n)
-    return _triplets(m, [_word_map(perms, word, 1 << n) for word, _ in m.terms], 1 << n, _level_line(n))
+    return _operator(m, [_word_map(perms, word, 1 << n) for word, _ in m.terms], _level_line(n))
 
 
 def _orbital_tables(m: AlgebraElement, x, gens, radius: int):
@@ -228,14 +238,13 @@ def assemble_orbital(m: AlgebraElement, x, gens, radius: int, tables=None) -> tu
     maps = np.array([_word_map(images, word, dim) for word, _ in m.terms], dtype=np.int64).reshape(-1, dim)
     maps[maps >= dim] = -1  # only the last letter can leave the larger ball (-1)
     flags = np.bincount(maps[maps >= 0], minlength=dim) < len(maps)
-    return _triplets(m, maps, dim, np.argsort(-offsets[:dim])), flags
+    return _operator(m, maps, np.argsort(-offsets[:dim])), flags
 
 
 def groupoid_block(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Block-diagonal doubling of the level-n matrix, as the orbit-pair form, along two copies of the level line."""
     M = assemble_level(m, n)
-    rows, cols, line = (np.concatenate([v, v + M.dim]) for v in (M.rows, M.cols, M.line))
-    return OperatorMatrix.from_triplets(rows, cols, np.tile(M.entries, 2), 2 * M.dim, line)
+    return OperatorMatrix(np.hstack([M.entries, M.entries]), np.concatenate([M.line, M.line + M.dim]))
 
 
 def _pencil(alpha: float, beta: float) -> AlgebraElement:

@@ -40,11 +40,6 @@ def renorm_map(p: tuple) -> tuple:
     return (2.0 * alpha * alpha / denom, beta + alpha * alpha * beta / denom)
 
 
-def in_omega(p: tuple[float, float]) -> bool:
-    alpha, beta = p
-    return abs(abs(alpha) - abs(beta)) <= 2.0 and abs(alpha) + abs(beta) >= 2.0
-
-
 def _curve_samples(n: int, js, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Alphas and betas of count sample points on gamma_{n,j} for every j of js, one row per j.
 

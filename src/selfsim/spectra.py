@@ -1,14 +1,15 @@
 """Symmetric eigensolver plumbing and spectral set comparisons.
 
 All operators in scope are real symmetric, so spectra are eigenvalue multisets.
-Every input (an OperatorMatrix through its csr(), a dense array or a scipy
-sparse matrix) is checked for symmetry in CSR form and solved as a band matrix,
-in the order of its line where an assembler gave one and in its given order
-otherwise.  Level Schreier graphs and orbital balls are stretches of the orbit
-line, so along it an operator is a band as wide as its longest word.  At
-bandwidth above 1 LAPACK ?sbevd solves the band.  Eigenpairs of a band of
-width at most 1 come from LAPACK ?stemr, and its eigenvalues alone from LAPACK
-?sterf after a persymmetric split (Cantoni-Butler 1976): while the dimension 2m
+Every input is solved as the band storage of an OperatorMatrix (hecke): an
+assembled operator along its line, a dense array or scipy sparse matrix after
+one conversion in its given order.  Its symmetry is checked on the band itself,
+diagonal k against diagonal -k, and its lower half goes to LAPACK.  Level
+Schreier graphs and orbital balls are stretches of the orbit line, so along it
+an operator is a band as wide as its longest word.  At bandwidth above 1
+LAPACK ?sbevd solves the band.  Eigenpairs of a band of width at most 1 come
+from LAPACK ?stemr, and its eigenvalues alone from LAPACK ?sterf after a
+persymmetric split (Cantoni-Butler 1976): while the dimension 2m
 is even and the diagonal d and off-diagonal e equal their own reversals exactly
 (no tolerance), the matrix is orthogonally similar to the direct sum of two
 m x m tridiagonals with diagonal d[:m], last entry d[m-1] -/+ e[m-1], and
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hecke import OperatorMatrix
+from .hecke import OperatorMatrix, _along_line
 from .renorm import IntervalUnion
 
 _VECTOR_MAX_DIM = 2048  # above this residuals use the a priori backward bound
@@ -62,24 +63,33 @@ _HAUSDORFF_BLOCK = 1 << 15  # consecutive point pairs whose midpoints hausdorff_
 _ASYM_REL_TOL = 1e-12
 
 
-def _band(M):
-    """Symmetry-checked CSR of M along its line (in its given order if it has none), and its lower band for eig_banded."""
+def _as_operator(M) -> OperatorMatrix:
+    """M itself if it is an OperatorMatrix, else a dense array or scipy matrix as band storage in its given order."""
+    if isinstance(M, OperatorMatrix):
+        return M
     from scipy import sparse
 
-    S = M.csr() if isinstance(M, OperatorMatrix) else sparse.csr_matrix(M, dtype=float)
+    S = sparse.coo_matrix(M, dtype=float)
     if S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    S.sum_duplicates()
-    scale = 1.0 + float(np.abs(S.data).max(initial=0.0))
-    asym = float(np.abs((S - S.T).data).max(initial=0.0))
+    return _along_line(S.row, S.col, S.data, np.arange(S.shape[0]))
+
+
+def _band(M: OperatorMatrix) -> np.ndarray:
+    """The lower half of M's band storage for eig_banded, cut to its outermost nonzero diagonal.
+
+    M is checked for symmetry first: diagonal k against diagonal -k.
+    """
+    entries = M.entries
+    w = entries.shape[0] // 2
+    scale = 1.0 + max(float(entries.max()), -float(entries.min()))  # the largest |entry|, with no temporary
+    # np.max, so that a NaN difference comes out as NaN and is left to the non-finite check
+    asym = float(np.max([np.abs(entries[w + k, : M.dim - k] - entries[w - k, k:]).max() for k in range(1, w + 1)],
+                        initial=0.0))
     if asym > _ASYM_REL_TOL * scale:
         raise ValueError(f"asymmetry {asym:.3e} exceeds {_ASYM_REL_TOL:.0e} * {scale:.3e}")
-    P = S if getattr(M, "line", None) is None else S[M.line][:, M.line]
-    lower = sparse.tril(P, format="coo")
-    offset = lower.row - lower.col
-    band = np.zeros((int(offset.max(initial=0)) + 1, S.shape[0]))
-    band[offset, lower.col] = lower.data
-    return P, band
+    lower = entries[w:]
+    return lower[: int(np.flatnonzero(lower.any(axis=1)).max(initial=0)) + 1]
 
 
 def _prescale(M: np.ndarray) -> tuple[np.ndarray, float]:
@@ -90,11 +100,8 @@ def _prescale(M: np.ndarray) -> tuple[np.ndarray, float]:
     makes the solver exactly equivariant under such factors.
     """
     top = float(np.abs(M).max(initial=0.0))
-    if top == 0.0 or not math.isfinite(top):
-        return M, 1.0
-    _, e = math.frexp(top)
-    p = math.ldexp(1.0, e)
-    return M / p, p
+    p = math.ldexp(1.0, math.frexp(top)[1]) if top != 0.0 and math.isfinite(top) else 1.0
+    return M / p, p  # a new array even where p is 1, as the flush writes into it
 
 
 # the C signature of each LAPACK routine taken from scipy's Cython capsules, and the least size of each of its
@@ -261,7 +268,7 @@ def sym_eigvals(M) -> np.ndarray:
     An OperatorMatrix is solved along its line, any other input in its given
     order (see sym_eigs).
     """
-    return _solve_band(_band(M)[1], vectors=False)[0]
+    return _solve_band(_band(_as_operator(M)), vectors=False)[0]
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value, so reports compare by identity
@@ -271,7 +278,7 @@ class EigReport:
     bandwidth: int
     lapack_driver: str
     halvings: int
-    ordering: str  # "line", or "given" for an input without one
+    ordering: str  # "line", or "given" for a dense array or scipy matrix
 
     @property
     def dim(self) -> int:
@@ -296,19 +303,23 @@ def sym_eigs(M) -> EigReport:
     """Eigenvalue report with a residual bound on max ||Mv - lambda v|| / ||M||.
 
     Up to the vector cutoff the bound is measured from computed eigenpairs
-    against the sparse matrix in band order; beyond it, forming the full
-    eigenvector matrix is not worth the memory and time, and the report falls
-    back on the backward-stability bound dim * eps of the underlying solver.
+    against csr() laid out along the line, each row summed in index order;
+    beyond it, forming the full eigenvector matrix is not worth the memory and
+    time, and the report falls back on the backward-stability bound dim * eps
+    of the underlying solver.
 
     An OperatorMatrix is solved along its line, where an assembled operator
     is a band no wider than its longest word.  A dense array or scipy matrix
-    is solved in its given order, with no reordering, so pass the operator
-    itself: the level-10 delta operator's csr() is a width-512 ?sbevd band
-    and takes about 1.3 s, against about 0.1 s (?stemr, width 1) as the
-    OperatorMatrix, on one thread of a 2-vCPU VM.
+    is converted once to band storage in its given order (ordering "given"),
+    with no reordering, so pass the operator itself: the level-10 delta
+    operator's csr() is a width-512 ?sbevd band and takes about 1.3 s, against
+    about 0.1 s (?stemr, width 1) as the OperatorMatrix, on one thread of a
+    2-vCPU VM.
     """
-    P, band = _band(M)
-    dim = band.shape[1]
+    ordering = "line" if isinstance(M, OperatorMatrix) else "given"
+    M = _as_operator(M)
+    band = _band(M)
+    dim = M.dim
     values, V, driver, halvings = _solve_band(band, vectors=dim <= _VECTOR_MAX_DIM)
     norm = float(np.abs(values).max(initial=0.0))
     if V is None:
@@ -316,13 +327,13 @@ def sym_eigs(M) -> EigReport:
     elif norm == 0.0:
         residual = 0.0
     else:
+        P = M.csr()[M.line][:, M.line]  # each row summed in index order
         worst = 0.0
         for j in range(0, dim, _RESIDUAL_COLUMNS):
             block = V[:, j : j + _RESIDUAL_COLUMNS]
             gap = P @ block - block * values[j : j + _RESIDUAL_COLUMNS]
             worst = max(worst, float(np.sqrt((gap * gap).sum(axis=0)).max()))
         residual = worst / norm
-    ordering = "given" if getattr(M, "line", None) is None else "line"
     return EigReport(values, residual, band.shape[0] - 1, driver, halvings, ordering)
 
 
@@ -337,8 +348,9 @@ def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:
     because the distance-to-points function is piecewise linear with local
     maxima only at interval endpoints and midpoints of consecutive points.
     """
-    pts = np.array(points, dtype=float)  # a copy, sorted in place
-    pts.sort()
+    pts = np.asarray(points, dtype=float)
+    if not (pts[:-1] <= pts[1:]).all():  # a NaN fails the test too, and np.sort puts it last
+        pts = np.sort(pts)  # a sorted copy: the caller's array stays as it is
     if not pts.size:
         raise ValueError("need at least one point")
     if target.is_empty():
@@ -381,42 +393,3 @@ def _farthest_from_points(pts: np.ndarray, candidates: np.ndarray) -> float:
     right = np.where(i < pts.size, pts[np.minimum(i, pts.size - 1)] - candidates, math.inf)
     left = np.where(i > 0, candidates - pts[np.maximum(i - 1, 0)], math.inf)
     return np.minimum(left, right).max(initial=-math.inf)
-
-
-def spectral_shift_check(M, alphas, R: float, tol: float) -> tuple[list[bool], list[bool]]:
-    """Whether each probe alpha is in sigma(M), tested directly and through the shifted operator.
-
-    For symmetric M the shifted operator S = I - (M - alpha I)^2 / R^2 has
-    eigenvalues 1 - (lambda - alpha)^2 / R^2, so membership of alpha in the
-    spectrum maps to membership of 1 in sigma(S).  The direct test accepts
-    |lambda - alpha| <= tol; the shifted test uses the threshold tol / R^2 on
-    |mu - 1|, i.e. it accepts |lambda - alpha| up to sqrt(tol).  Probes should
-    stay clear of the band (tol, sqrt(tol)) where the two tests disagree by
-    construction.  M is solved once and each S once per probe; the verdicts
-    come back as two lists, (direct, shifted), in probe order.  M is a dense
-    array or an OperatorMatrix; the latter and each of its S, a band twice as
-    wide along the same line, are solved along its line.
-    """
-    if isinstance(M, OperatorMatrix):
-        from scipy import sparse
-
-        A, eye = M.csr(), sparse.identity(M.dim, format="csr")
-    else:
-        M = A = np.asarray(M, dtype=float)
-        eye = np.eye(A.shape[0])
-    values = sym_eigvals(M)
-    norm = float(np.abs(values).max(initial=0.0))
-    if R < 2.0 * norm:
-        raise ValueError(f"need R >= 2 ||M|| = {2.0 * norm}, got {R}")
-    if R <= 0.0:
-        raise ValueError("need a positive radius")
-    direct, shifted = [], []
-    for alpha in alphas:
-        K = A - alpha * eye
-        S = eye - (K @ K) / (R * R)
-        if isinstance(M, OperatorMatrix):
-            S = S.tocoo()
-            S = OperatorMatrix.from_triplets(S.row, S.col, S.data, M.dim, M.line)
-        direct.append(bool(np.abs(values - alpha).min() <= tol))
-        shifted.append(bool(np.abs(sym_eigvals(S) - 1.0).min() <= tol / (R * R)))
-    return direct, shifted

@@ -7,20 +7,21 @@ summary string on success, so callers can assert and report uniformly.
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.stats import qmc
 
+from selfsim import group
 from selfsim.group import (
     GENERATORS,
     BoundaryPoint,
     boundary_image,
-    is_identity,
     reduce_word,
     wreath_decompose,
 )
-from selfsim.hecke import _level_perms, _word_map
-from selfsim.renorm import in_omega, renorm_map
+from selfsim.hecke import OperatorMatrix, _level_perms, _word_map
+from selfsim.renorm import renorm_map
 from selfsim.schreier import MarkedGraph, orbital_ball
-from selfsim.spectra import spectral_shift_check, sym_eigvals
+from selfsim.spectra import sym_eigvals
 
 LETTERS = "abcd"
 
@@ -67,6 +68,14 @@ def fold_decompose(word):
     for ch in word:
         acc = _compose(acc, _GEN_DECOMP[ch])
     return acc
+
+
+def is_identity(word: str) -> bool:
+    """Whether the word acts trivially on the whole tree.
+
+    The root swap, the parity of the a letters, which reduction keeps, says no before any section is keyed.
+    """
+    return not wreath_decompose(word)[0] and group._element_key(word) == ""
 
 
 def reference_is_identity(word):
@@ -297,6 +306,11 @@ def suite_ball_monotone():
     return f"{checked} radius pairs across {len(cases)} center/generator cases"
 
 
+def in_omega(p: tuple[float, float]) -> bool:
+    alpha, beta = p
+    return abs(abs(alpha) - abs(beta)) <= 2.0 and abs(alpha) + abs(beta) >= 2.0
+
+
 def suite_omega_invariance():
     """Membership in the invariant region is preserved both ways by the map.
 
@@ -310,6 +324,41 @@ def suite_omega_invariance():
         assert in_omega(p) == in_omega(image), p
     assert len(pts) >= 10**5
     return f"{len(pts)} quasi-random points"
+
+
+def spectral_shift_check(M, alphas, R: float, tol: float) -> tuple[list[bool], list[bool]]:
+    """Whether each probe alpha is in sigma(M), tested directly and through the shifted operator.
+
+    For symmetric M the shifted operator S = I - (M - alpha I)^2 / R^2 has
+    eigenvalues 1 - (lambda - alpha)^2 / R^2, so membership of alpha in the
+    spectrum maps to membership of 1 in sigma(S).  The direct test accepts
+    |lambda - alpha| <= tol; the shifted test uses the threshold tol / R^2 on
+    |mu - 1|, i.e. it accepts |lambda - alpha| up to sqrt(tol).  Probes should
+    stay clear of the band (tol, sqrt(tol)) where the two tests disagree by
+    construction.  M is solved once and each S once per probe; the verdicts
+    come back as two lists, (direct, shifted), in probe order.  M is a dense
+    array or an OperatorMatrix; the latter is laid out along its line as a
+    scipy matrix, so that it and each of its S, a band twice as wide, are
+    solved in that given order.
+    """
+    if isinstance(M, OperatorMatrix):
+        A, eye = M.csr()[M.line][:, M.line], sparse.identity(M.dim, format="csr")
+    else:
+        A = np.asarray(M, dtype=float)
+        eye = np.eye(A.shape[0])
+    values = sym_eigvals(A)
+    norm = float(np.abs(values).max(initial=0.0))
+    if R < 2.0 * norm:
+        raise ValueError(f"need R >= 2 ||M|| = {2.0 * norm}, got {R}")
+    if R <= 0.0:
+        raise ValueError("need a positive radius")
+    direct, shifted = [], []
+    for alpha in alphas:
+        K = A - alpha * eye
+        S = eye - (K @ K) / (R * R)
+        direct.append(bool(np.abs(values - alpha).min() <= tol))
+        shifted.append(bool(np.abs(sym_eigvals(S) - 1.0).min() <= tol / (R * R)))
+    return direct, shifted
 
 
 def suite_shift_agreement():

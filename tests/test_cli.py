@@ -674,6 +674,21 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_eigenvalue_only_solves_load_no_scipy_sparse(tmp_path):
+    # the operator is solved from its band storage: only csr() and the eigenvector residual reach scipy.sparse
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = """if True:
+        import sys
+        import selfsim.cli as cli
+        for argv in (["spectrum", "--level", "12"], ["orbital", "--point", "(0)", "--radius", "1024"]):
+            assert cli.main(argv + ["--out", sys.argv[1] + "/" + argv[0]]) == 0
+            assert "scipy.sparse" not in sys.modules, argv
+    """
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_public_names_are_used_by_the_cli_or_an_acceptance_claim():
     import selfsim
     import suites
@@ -688,8 +703,9 @@ def test_public_names_are_used_by_the_cli_or_an_acceptance_claim():
 _DELTA_TERMS = [("a", 0.25), ("b", 0.25), ("c", 0.25), ("d", 0.25)]
 
 
-# SHA-256 of graph.csv, of flags.csv and of the bytes of the assembled rows, cols and entries,
-# as the string-edge ball and the per-vertex orbital assembler made them; spectrum.csv is left
+# SHA-256 of graph.csv, of flags.csv and of the bytes of the assembled operator's nonzeros in (row, column)
+# order, as int64 rows, int64 columns and entries, as the string-edge ball and the per-vertex orbital
+# assembler made them; spectrum.csv is left
 # out because its last bits depend on the LAPACK build
 @pytest.mark.parametrize(
     "point, gens, radius, terms, digests",
@@ -728,7 +744,8 @@ def test_orbital_outputs_match_pinned_digests(point, gens, radius, terms, digest
     argv = ["orbital", "--point", point, "--gens", gens, "--radius", str(radius), "--element", str(path)]
     assert cli.main(argv + ["--out", str(out)]) == 0
     M, _ = assemble_orbital(AlgebraElement.from_terms(terms), BoundaryPoint.parse(point), tuple(gens), radius)
-    triplets = M.rows.tobytes() + M.cols.tobytes() + M.entries.tobytes()
+    coo = M.csr().tocoo()  # the nonzeros in (row, column) order
+    triplets = coo.row.astype(np.int64).tobytes() + coo.col.astype(np.int64).tobytes() + coo.data.tobytes()
     found = tuple(hashlib.sha256(data).hexdigest()
                   for data in ((out / "graph.csv").read_bytes(), (out / "flags.csv").read_bytes(), triplets))
     assert found == digests

@@ -11,12 +11,11 @@ from selfsim.group import (
     BoundaryPoint,
     _element_key,
     boundary_image,
-    is_identity,
     reduce_word,
     rigidity_depth,
     wreath_decompose,
 )
-from suites import fold_decompose, reference_is_identity, word_perm
+from suites import fold_decompose, is_identity, reference_is_identity, word_perm
 
 words = st.text(alphabet="abcd", max_size=12)
 bits = st.text(alphabet="01", max_size=10)

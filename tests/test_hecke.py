@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfsim import group, hecke
-from selfsim.group import BoundaryPoint, boundary_image, is_identity
+from selfsim.group import BoundaryPoint, boundary_image
 from selfsim.hecke import (
     AlgebraElement,
     _pencil,
@@ -20,7 +20,7 @@ from selfsim.hecke import (
 )
 from selfsim.schreier import _line_tables, orbital_ball
 from selfsim.spectra import _band, sym_eigvals
-from suites import _act_via_decomposition, tree_count, word_perm
+from suites import _act_via_decomposition, is_identity, tree_count, word_perm
 
 ABCD = ("a", "b", "c", "d")
 NON_DYADIC = AlgebraElement.from_terms(
@@ -376,7 +376,7 @@ def test_assembled_operators_are_bands_along_their_line(name):
         if name in ("delta", "sum"):
             assert width == min(n, 1)
         if name in LINE_WIDTHS and n in (11, 13):
-            assert width == LINE_WIDTHS[name] == _band(M)[1].shape[0] - 1
+            assert width == LINE_WIDTHS[name] == _band(M).shape[0] - 1
         if n <= 11:
             # flipping the last coordinate commutes with the level action, and along the line it is reversal
             assert (P != P[::-1][:, ::-1]).nnz == 0, n
@@ -450,12 +450,31 @@ def test_nesting_other_element():
         prev = eigs
 
 
-def _assert_canonical(M):
-    # strictly increasing (row, col): sorted, no duplicate positions
-    assert np.all(np.diff(M.rows * M.dim + M.cols) > 0)
-    assert np.all(M.entries != 0.0)
+def _assert_canonical(M, expected):
+    """M is the band storage of the dense array expected along its line, cut to its measured width."""
+    w = _bandwidth(_along_line(M))
+    assert M.entries.shape == (2 * w + 1, M.dim)
+    # cell (w + k, p) holds the entry at row place p + k and column place p; outside the matrix it holds 0
+    places = np.arange(M.dim) + np.arange(-w, w + 1)[:, None]
+    inside = (places >= 0) & (places < M.dim)
+    assert np.all(M.entries[~inside] == 0.0)
+    cols = np.broadcast_to(np.arange(M.dim), places.shape)
+    assert np.array_equal(M.entries[inside], expected[M.line[places[inside]], M.line[cols[inside]]])
+    # the index-order view: sorted, no duplicate positions, no zeros, and bit for bit the dense reference
+    S = M.csr()
+    assert S.has_canonical_format and np.all(S.data != 0.0)
+    assert np.array_equal(S.toarray(), expected)
     # the dense array laid out along the line is the band the solver reads
-    assert np.array_equal(sym_eigvals(M), sym_eigvals(_dense(M)[np.ix_(M.line, M.line)]))
+    assert np.array_equal(sym_eigvals(M), sym_eigvals(expected[np.ix_(M.line, M.line)]))
+
+
+def _level_reference(element, n):
+    """The level-n matrix accumulated with += term by term: duplicates add up left to right in term order."""
+    dim = 1 << n
+    expected = np.zeros((dim, dim))
+    for word, coef in element.terms:
+        expected[word_perm(word, n), np.arange(dim)] += coef
+    return expected
 
 
 @pytest.mark.parametrize(
@@ -464,16 +483,12 @@ def _assert_canonical(M):
     ids=["delta", "sum", "non-dyadic", "b-minus-c"],
 )
 def test_level_triplets_are_canonical(element):
-    # b - c cancels to no triplets at all at level 1, where b and c fix both vertices
+    # the entries of band storage, checked against the dense reference; b - c cancels to no entry at all at
+    # level 1, where b and c fix both vertices, and its band is then one zero row
     for n in range(1, 11):
-        M = assemble_level(element, n)
-        _assert_canonical(M)
-        # duplicates add up left to right in term order, as a dense += would
-        dim = 1 << n
-        expected = np.zeros((dim, dim))
-        for word, coef in element.terms:
-            expected[word_perm(word, n), np.arange(dim)] += coef
-        assert np.array_equal(_dense(M), expected)
+        _assert_canonical(assemble_level(element, n), _level_reference(element, n))
+    if element is B_MINUS_C:
+        assert np.array_equal(assemble_level(element, 1).entries, np.zeros((1, 2)))
 
 
 def test_orbital_and_block_triplets_are_canonical():
@@ -481,6 +496,8 @@ def test_orbital_and_block_triplets_are_canonical():
     for element in (delta_element(), NON_DYADIC):
         M, _ = assemble_orbital(element, BoundaryPoint.parse("(1)"), ABCD, 64)
         assert M.dim == len(ball.vertices)
-        _assert_canonical(M)
+        _assert_canonical(M, _orbital_reference(element, ball)[0])
     for element in (delta_element(), NON_DYADIC, B_MINUS_C):
-        _assert_canonical(groupoid_block(element, 6))
+        level = _level_reference(element, 6)
+        zero = np.zeros_like(level)
+        _assert_canonical(groupoid_block(element, 6), np.block([[level, zero], [zero, level]]))

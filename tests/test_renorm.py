@@ -15,13 +15,13 @@ from selfsim.renorm import (
     _hundredths,
     curve_invariance_check,
     curve_residuals,
-    in_omega,
     lambda_slice,
     omega_svg,
     renorm_map,
     slice_spectrum_samples,
 )
 from selfsim.spectra import hausdorff_to_set, sym_eigvals
+from suites import in_omega
 
 
 def test_renorm_map_fixed_points():

@@ -13,17 +13,18 @@ from selfsim.group import GENERATORS, BoundaryPoint
 from selfsim.hecke import AlgebraElement, assemble_level, assemble_orbital, delta_element, generator_sum_element
 from selfsim.renorm import IntervalUnion, lambda_slice, slice_spectrum_samples
 from selfsim.spectra import (
+    _as_operator,
     _band,
     _prescale,
     _solve_band,
     _split_solve,
     _sterf_eigvals,
     hausdorff_to_set,
-    spectral_shift_check,
     sym_eigs,
     sym_eigvals,
 )
-from suites import reference_hausdorff_to_set
+import suites
+from suites import reference_hausdorff_to_set, spectral_shift_check
 
 
 def test_sym_eigvals_examples():
@@ -38,6 +39,9 @@ def test_sym_eigvals_examples():
 def test_sym_eigvals_rejects_asymmetric():
     with pytest.raises(ValueError, match="asymmetry"):
         sym_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # ab is not its own inverse, so its band along the line differs from its transpose
+    with pytest.raises(ValueError, match=r"asymmetry 1\.000e\+00"):
+        sym_eigvals(assemble_level(AlgebraElement.from_terms([("ab", 1.0)]), 4))
 
 
 def test_prescale_is_exactly_equivariant():
@@ -77,8 +81,8 @@ def test_sym_eigs_residual_invariant():
 
 def test_blocked_residual_matches_one_shot_formula():
     M = assemble_level(delta_element(), 11)
-    P, band = _band(M)
-    values, V, _, _ = _solve_band(band, vectors=True)
+    P = M.csr()[M.line][:, M.line]
+    values, V, _, _ = _solve_band(_band(M), vectors=True)
     gap = P @ V - V * values
     one_shot = float(np.sqrt((gap * gap).sum(axis=0)).max()) / float(np.abs(values).max())
     assert sym_eigs(M).residual_bound == one_shot
@@ -148,7 +152,7 @@ def test_shift_check_tolerance_scaling():
 
 def test_shift_check_solves_each_matrix_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(spectra, "sym_eigvals", lambda A: calls.append(A.shape) or sym_eigvals(A))
+    monkeypatch.setattr(suites, "sym_eigvals", lambda A: calls.append(A.shape) or sym_eigvals(A))
     spectral_shift_check(np.eye(3), [0.0, 1.0, 2.0, 3.0], 2.0, 1e-8)
     assert calls == [(3, 3)] * 5  # M once, then one shifted operator per probe
 
@@ -230,7 +234,8 @@ def _tridiagonal(d, e):
 
 def _documented_blocks(M):
     """The blocks (diagonal, off-diagonal) that Cantoni-Butler halving leaves, in the order the split makes them."""
-    band = _prescale(_band(M)[1])[0]  # the split sees the prescaled band, where tiny entries may have lost bits
+    # the split sees the prescaled band, where tiny entries may have lost bits
+    band = _prescale(_band(_as_operator(M)))[0]
     band[np.abs(band) < np.finfo(float).eps / (2 * band.shape[1])] = 0.0  # and the graded-input flush
     d = band[0]
     e = band[1, :-1] if band.shape[0] == 2 else np.zeros(d.size - 1)  # a band of width 0 has no off-diagonal row
@@ -250,7 +255,7 @@ def _documented_driver(M):
 
 
 def _eigvals_and_halvings(M, driver="sterf"):
-    values, _, ran, halvings = _solve_band(_band(M)[1], vectors=False)
+    values, _, ran, halvings = _solve_band(_band(_as_operator(M)), vectors=False)
     assert ran == driver
     return values, halvings
 
@@ -287,7 +292,7 @@ def test_unsplit_bands_match_eig_banded_bitwise():
     rng = np.random.default_rng(13)
     for dim in (3, 9, 255, 256, 1025):
         d, e = rng.standard_normal(dim), rng.standard_normal(dim - 1)
-        band = _band(_tridiagonal(d, e))[1]
+        band = _band(_as_operator(_tridiagonal(d, e)))
         values, halvings = _eigvals_and_halvings(_tridiagonal(d, e))
         assert halvings == 0
         scaled, p = _prescale(band)
@@ -451,8 +456,15 @@ def test_hausdorff_matches_reference_on_spectra(delta_levels):
         (slice_spectrum_samples(-0.5, 14), lambda_slice(-0.5)),
         (delta_levels[0][12], IntervalUnion.from_pairs([(-0.5, 0.0), (0.5, 1.0)])),
         (delta_levels[0][12], IntervalUnion.from_pairs([(-0.4, -0.1), (0.3, 0.5), (0.9, 0.95)])),
+        # sorted input is read in place, any other through a sorted copy: an unsorted list, and a NaN in the middle
+        # of an ascending array, which fails the sortedness test and sorts last
+        ([0.75, -0.5, 1.5, 0.0, -0.25, 0.75], IntervalUnion.from_pairs([(-0.5, 0.0), (0.5, 1.0)])),
+        (np.insert(delta_levels[0][10], 512, np.nan), IntervalUnion.from_pairs([(-0.5, 0.0), (0.5, 1.0)])),
     ):
+        before = np.array(values, copy=True)
         assert repr(hausdorff_to_set(values, union)) == repr(reference_hausdorff_to_set(values, union))
+        # the caller's points are never sorted in place
+        assert np.array_equal(values, before, equal_nan=True)
 
 
 @given(
@@ -534,7 +546,7 @@ def _count_thread_starts(monkeypatch):
 
 
 def _level_tridiagonal(element, n):
-    band = _prescale(_band(assemble_level(element, n))[1])[0]
+    band = _prescale(_band(assemble_level(element, n)))[0]
     return band[0].copy(), band[1, :-1].copy()
 
 
