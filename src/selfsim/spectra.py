@@ -7,8 +7,8 @@ one conversion in its given order.  Its symmetry is checked on the band itself,
 diagonal k against diagonal -k, and its lower half goes to LAPACK.  Level
 Schreier graphs and orbital balls are stretches of the orbit line, so along it
 an operator is a band as wide as its longest word.  At bandwidth above 1
-LAPACK ?sbevd solves the band.  Eigenpairs of a band of width at most 1 come
-from LAPACK ?stemr, and its eigenvalues alone from LAPACK ?sterf after a
+LAPACK ?sbevd solves the band.  The eigenvalues of a band of width at most 1
+come from LAPACK ?sterf, at every size and with no eigenvectors, after a
 persymmetric split (Cantoni-Butler 1976): while the dimension 2m
 is even and the diagonal d and off-diagonal e equal their own reversals exactly
 (no tolerance), the matrix is orthogonally similar to the direct sum of two
@@ -27,12 +27,13 @@ through the ctypes pointers of scipy's Cython LAPACK capsules, which release
 the GIL, so the blocks of a split run on at most two threads: the main thread
 solves the first (largest) block and one helper thread the rest, or one thread
 solves them all where one CPU is usable or OMP_NUM_THREADS is 1.  Graded input
-(entries near 1e-160 beside entries near 1/4) can cost ?sterf its accuracy and
-stop ?stemr short of convergence, so every entry of the prescaled band below
-eps / (2 dim) is set to 0 before any LAPACK call: its top entry is at least 1/2
-and a row holds fewer than 2 dim entries, so this moves the matrix by less than
-2 eps ||M||, inside the dim * eps bound.  The solver contract adds two
-guarantees on top of LAPACK:
+(entries near 1e-160 beside entries near 1/4) can cost ?sterf its accuracy, so
+every entry of the prescaled band below eps / (2 dim) is set to 0 before any
+LAPACK call: its top entry is at least 1/2 and a row holds fewer than 2 dim
+entries, so this moves the matrix by less than 2 eps ||M||, inside the
+dim * eps bound.  sym_eigs checks a width-1 spectrum up to dimension 2048 by
+Sturm counts of the flushed tridiagonal, before the split.  The solver
+contract adds two guarantees on top of LAPACK:
 
 * determinism: identical input bytes give identical output bytes, on one
   thread or two;
@@ -56,7 +57,7 @@ import numpy as np
 from .hecke import OperatorMatrix, _along_line
 from .renorm import IntervalUnion
 
-_VECTOR_MAX_DIM = 2048  # above this residuals use the a priori backward bound
+_VECTOR_MAX_DIM = 2048  # above this, no residual of a wider band and no count check of a width-1 one
 _RESIDUAL_COLUMNS = 128  # eigenvectors per block of the residual product
 _HAUSDORFF_BLOCK = 1 << 15  # consecutive point pairs whose midpoints hausdorff_to_set measures at once
 
@@ -242,24 +243,59 @@ def _split_solve(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, str, int]:
     return np.sort(np.concatenate([values for values, _ in parts])), driver, len(blocks) - 1
 
 
-def _solve_band(band: np.ndarray, vectors: bool):
-    """Eigenvalues (ascending), eigenvectors if asked, the LAPACK driver and the halvings of a lower band."""
-    from scipy.linalg import eig_banded, eigh_tridiagonal
+def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues below each shift of a matrix a few ulps from the tridiagonal (d, e) (Kahan 1966).
+
+    They are the negative pivots of LDL^T, a pivot smaller than pivmin taken as
+    -pivmin as in ?stebz.  Each row's step runs on all shifts at once, so no
+    array is larger than the shifts.
+    """
+    e2 = e * e
+    pivmin = float(np.finfo(float).tiny) * max(1.0, float(e2.max(initial=0.0)))
+    pivot, count = d[0] - shifts, np.zeros(shifts.size, dtype=np.intp)
+    for i in range(d.size):
+        if i:
+            pivot = d[i] - shifts - e2[i - 1] / pivot
+        pivot[np.abs(pivot) < pivmin] = -pivmin
+        count += pivot < 0
+    return count
+
+
+def _count_check(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> int:
+    """Number of shifts at which the Sturm count of the prescaled tridiagonal (d, e) is the number of w below.
+
+    Ascending values w closer than tol = 2 dim eps form a cluster, and the
+    shifts are w[0] - tol, the midpoint of each gap between clusters and
+    w[-1] + tol.  A mismatch raises.
+    """
+    tol = 2 * d.size * float(np.finfo(float).eps)
+    ends = np.flatnonzero(np.diff(w) >= tol)  # the last index of every cluster but the last
+    shifts = np.concatenate([[w[0] - tol], (w[ends] + w[ends + 1]) / 2, [w[-1] + tol]])
+    count, below = _sturm_counts(d, e, shifts), np.concatenate([[0], ends + 1, [d.size]])
+    if not np.array_equal(count, below):
+        k = int(np.flatnonzero(count != below)[0])
+        raise RuntimeError(f"Sturm count {count[k]} at shift {float(shifts[k])!r} differs from {below[k]} values below")
+    return shifts.size
+
+
+def _solve_band(band: np.ndarray, check: bool):
+    """Eigenvalues (ascending), eigenvectors, the LAPACK driver, the halvings and the count shifts of a lower band.
+
+    check asks for the eigenvectors of a band wider than 1 and the count check of a narrower one.
+    """
+    from scipy.linalg import eig_banded
 
     scaled, p = _prescale(band)
     scaled[np.abs(scaled) < np.finfo(float).eps / (2 * band.shape[1])] = 0.0
     if scaled.shape[0] > 2:
-        if vectors:
+        if check:
             w, V = eig_banded(scaled, lower=True)
-            return p * w, V, "sbevd", 0
-        return p * eig_banded(scaled, lower=True, eigvals_only=True), None, "sbevd", 0
+            return p * w, V, "sbevd", 0, 0
+        return p * eig_banded(scaled, lower=True, eigvals_only=True), None, "sbevd", 0, 0
     d = scaled[0]
     e = scaled[1, :-1] if scaled.shape[0] == 2 else np.zeros_like(d[1:])
-    if vectors:
-        w, V = eigh_tridiagonal(d, e, lapack_driver="stemr")
-        return p * w, V, "stemr", 0
     w, driver, halvings = _split_solve(d, e)
-    return p * w, None, driver, halvings
+    return p * w, None, driver, halvings, _count_check(d, e, w) if check else 0
 
 
 def sym_eigvals(M) -> np.ndarray:
@@ -268,7 +304,7 @@ def sym_eigvals(M) -> np.ndarray:
     An OperatorMatrix is solved along its line, any other input in its given
     order (see sym_eigs).
     """
-    return _solve_band(_band(_as_operator(M)), vectors=False)[0]
+    return _solve_band(_band(_as_operator(M)), check=False)[0]
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value, so reports compare by identity
@@ -278,6 +314,7 @@ class EigReport:
     bandwidth: int
     lapack_driver: str
     halvings: int
+    count_shifts: int  # shifts at which _count_check matched, 0 where it did not run
     ordering: str  # "line", or "given" for a dense array or scipy matrix
 
     @property
@@ -291,6 +328,7 @@ class EigReport:
             "lapack_driver": self.lapack_driver,
             "bandwidth": self.bandwidth,
             "halvings": self.halvings,
+            "count_shifts": self.count_shifts,
         }
 
     def to_csv(self) -> str:
@@ -302,25 +340,25 @@ class EigReport:
 def sym_eigs(M) -> EigReport:
     """Eigenvalue report with a residual bound on max ||Mv - lambda v|| / ||M||.
 
-    Up to the vector cutoff the bound is measured from computed eigenpairs
-    against csr() laid out along the line, each row summed in index order;
-    beyond it, forming the full eigenvector matrix is not worth the memory and
-    time, and the report falls back on the backward-stability bound dim * eps
-    of the underlying solver.
+    Up to the vector cutoff, the bound of a band wider than 1 is measured from
+    computed eigenpairs against csr() laid out along the line, each row summed
+    in index order, and the eigenvalues of a narrower one are certified by
+    Sturm counts (_count_check; a mismatch raises RuntimeError).  Otherwise
+    the report gives the backward-stability bound dim * eps of the solver.
 
     An OperatorMatrix is solved along its line, where an assembled operator
     is a band no wider than its longest word.  A dense array or scipy matrix
     is converted once to band storage in its given order (ordering "given"),
     with no reordering, so pass the operator itself: the level-10 delta
     operator's csr() is a width-512 ?sbevd band and takes about 1.3 s, against
-    about 0.1 s (?stemr, width 1) as the OperatorMatrix, on one thread of a
-    2-vCPU VM.
+    about 0.02 s (?sterf and the count check, width 1) as the OperatorMatrix,
+    on one thread of a 2-vCPU VM.
     """
     ordering = "line" if isinstance(M, OperatorMatrix) else "given"
     M = _as_operator(M)
     band = _band(M)
     dim = M.dim
-    values, V, driver, halvings = _solve_band(band, vectors=dim <= _VECTOR_MAX_DIM)
+    values, V, driver, halvings, shifts = _solve_band(band, check=dim <= _VECTOR_MAX_DIM)
     norm = float(np.abs(values).max(initial=0.0))
     if V is None:
         residual = dim * float(np.finfo(float).eps)
@@ -334,7 +372,7 @@ def sym_eigs(M) -> EigReport:
             gap = P @ block - block * values[j : j + _RESIDUAL_COLUMNS]
             worst = max(worst, float(np.sqrt((gap * gap).sum(axis=0)).max()))
         residual = worst / norm
-    return EigReport(values, residual, band.shape[0] - 1, driver, halvings, ordering)
+    return EigReport(values, residual, band.shape[0] - 1, driver, halvings, shifts, ordering)
 
 
 def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:

@@ -172,13 +172,14 @@ def test_c10_large_ball_spectrum_concentrates():
 def test_c10_two_ended_ball_spectrum_is_closed_form(tmp_path):
     # along its line, delta on a two-ended radius-r ball is 1/4 on the diagonal of a path on 2r + 1 vertices whose
     # edges weigh 1/4 and 1/2 in turn, so its spectrum is 1/4 and 1/4 +- sqrt(5/16 + cos(pi k / (r + 1)) / 4),
-    # k = 1..r; radii 5 and 64 are solved with vectors by ?stemr, radius 1024 by ?lasq1
+    # k = 1..r; each radius is solved by ?lasq1, and the Sturm count check certifies radii 5 and 64
     worst = 0.0
     for point in ("(0)", "(01)", "001011(100)", "110010(011)"):
-        for radius, driver in ((5, "stemr"), (64, "stemr"), (1024, "lasq1")):
+        for radius, shifts in ((5, 12), (64, 130), (1024, 0)):
             out = tmp_path / f"{point}-{radius}"
             assert cli.main(["orbital", "--point", point, "--radius", str(radius), "--out", str(out)]) == 0
-            assert json.loads((out / "manifest.json").read_text())["solver"]["lapack_driver"] == driver
+            solver = json.loads((out / "manifest.json").read_text())["solver"]
+            assert (solver["lapack_driver"], solver["count_shifts"]) == ("lasq1", shifts)
             values = np.array([float(v) for v in (out / "spectrum.csv").read_text().splitlines()[2:]])
             k = np.arange(1, radius + 1)
             root = np.sqrt(5.0 / 16.0 + np.cos(np.pi * k / (radius + 1)) / 4.0)

@@ -201,7 +201,8 @@ def test_slice_rows_are_copied_only_from_equal_values(tmp_path, monkeypatch):
     assert os.listdir(out) == ["lambda.json"]
 
 
-# the counts binning without rounding gave, where ?stemr and ?sterf put 1/4 a few ulp above the edge
+# the counts binning without rounding gave, where ?sterf (and ?stemr, which solved balls up to dim 2048 before) put
+# 1/4 a few ulp above the edge
 @pytest.mark.parametrize(
     ("point", "radius", "counts"),
     [
@@ -215,7 +216,7 @@ def test_orbital_histogram_ignores_last_bits(point, radius, counts, tmp_path):
     hist = _read_json(out / "report.json")["histogram"]
     assert hist == {"lo": -0.6, "hi": 1.1, "counts": counts, "underflow": 0, "overflow": 0}
     values = np.array([float(v) for v in (out / "spectrum.csv").read_text().splitlines()[2:]])
-    # the in-gap eigenvalue 1/4 sits on the edge 0.2500000000000001: exact from ?lasq1 at (0), a few ulp off from ?stemr
+    # the in-gap eigenvalue 1/4 sits on the edge 0.2500000000000001: exact from ?lasq1, a few ulp off from ?sterf
     assert np.abs(values - 0.25).min() <= 1e-15
     for direction in (-np.inf, np.inf):
         moved = values
@@ -606,34 +607,34 @@ _SOLVER = {"ordering": "line", "bandwidth": 1}
         pytest.param(
             ["spectrum", "--element", "sum", "--level", "6"],
             None,
-            dict(_SOLVER, lapack_driver="stemr", halvings=0),
+            dict(_SOLVER, lapack_driver="sterf", halvings=6, count_shifts=65),
             id="spectrum",
         ),
         pytest.param(
             ["orbital", "--point", "(1)", "--gens", "abcd", "--radius", "16"],
             None,
-            dict(_SOLVER, lapack_driver="stemr", halvings=0),
+            dict(_SOLVER, lapack_driver="sterf", halvings=0, count_shifts=18),
             id="orbital",
         ),
-        # a two-ended ball above the vector cutoff has diagonal 1/4 throughout: its eigenvalues come from ?lasq1
+        # a two-ended ball has diagonal 1/4 throughout: its eigenvalues come from ?lasq1, unchecked above the cutoff
         pytest.param(
             ["orbital", "--point", "(0)", "--radius", "1024"],
             None,
-            dict(_SOLVER, lapack_driver="lasq1", halvings=0),
+            dict(_SOLVER, lapack_driver="lasq1", halvings=0, count_shifts=0),
             id="orbital-bipartite",
         ),
-        # above the vector cutoff only eigenvalues are solved, and the level-12 operator halves 12 times
+        # above the cutoff no count check runs, and the level-12 operator halves 12 times
         pytest.param(
             ["spectrum", "--element", "delta", "--level", "12"],
             None,
-            dict(_SOLVER, lapack_driver="sterf", halvings=12),
+            dict(_SOLVER, lapack_driver="sterf", halvings=12, count_shifts=0),
             id="spectrum-eigenvalues-only",
         ),
         # a + b + ab + ba links the path's vertices two steps apart: eigenpairs of a wider band come from ?sbevd
         pytest.param(
             ["spectrum", "--level", "5"],
             [("a", 1.0), ("b", 1.0), ("ab", 1.0), ("ba", 1.0)],
-            dict(_SOLVER, lapack_driver="sbevd", halvings=0, bandwidth=2),
+            dict(_SOLVER, lapack_driver="sbevd", halvings=0, bandwidth=2, count_shifts=0),
             id="spectrum-bandwidth-2",
         ),
     ],
@@ -675,14 +676,17 @@ def test_import_loads_no_scipy():
 
 
 def test_eigenvalue_only_solves_load_no_scipy_sparse(tmp_path):
-    # the operator is solved from its band storage: only csr() and the eigenvector residual reach scipy.sparse
+    # the operator is solved from its band storage: only csr() and the eigenvector residual of a band wider than 1
+    # reach scipy.sparse, and a width-1 band is certified by Sturm counts up to dimension 2048
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = """if True:
         import sys
         import selfsim.cli as cli
-        for argv in (["spectrum", "--level", "12"], ["orbital", "--point", "(0)", "--radius", "1024"]):
-            assert cli.main(argv + ["--out", sys.argv[1] + "/" + argv[0]]) == 0
+        for k, argv in enumerate((["spectrum", "--level", "12"], ["spectrum", "--level", "11"],
+                                  ["orbital", "--point", "(0)", "--radius", "1024"],
+                                  ["orbital", "--point", "(1)", "--radius", "1024"])):
+            assert cli.main(argv + ["--out", f"{sys.argv[1]}/{k}"]) == 0
             assert "scipy.sparse" not in sys.modules, argv
     """
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)

@@ -8,23 +8,25 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
-from selfsim import spectra
+from selfsim import cli, spectra
 from selfsim.group import GENERATORS, BoundaryPoint
 from selfsim.hecke import AlgebraElement, assemble_level, assemble_orbital, delta_element, generator_sum_element
 from selfsim.renorm import IntervalUnion, lambda_slice, slice_spectrum_samples
 from selfsim.spectra import (
     _as_operator,
     _band,
+    _count_check,
     _prescale,
     _solve_band,
     _split_solve,
     _sterf_eigvals,
+    _sturm_counts,
     hausdorff_to_set,
     sym_eigs,
     sym_eigvals,
 )
 import suites
-from suites import reference_hausdorff_to_set, spectral_shift_check
+from suites import reference_hausdorff_to_set, spectral_shift_check, tree_count
 
 
 def test_sym_eigvals_examples():
@@ -80,9 +82,11 @@ def test_sym_eigs_residual_invariant():
 
 
 def test_blocked_residual_matches_one_shot_formula():
-    M = assemble_level(delta_element(), 11)
+    # only a band wider than 1 is solved with eigenvectors: the five-term element is 3 wide along the line
+    M = assemble_level(AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0), ("aca", 0.5), ("c", -0.3), ("", 0.2)]), 10)
     P = M.csr()[M.line][:, M.line]
-    values, V, _, _ = _solve_band(_band(M), vectors=True)
+    values, V, driver, _, shifts = _solve_band(_band(M), check=True)
+    assert (M.dim, driver, shifts) == (1024, "sbevd", 0) and sym_eigs(M).bandwidth == 3
     gap = P @ V - V * values
     one_shot = float(np.sqrt((gap * gap).sum(axis=0)).max()) / float(np.abs(values).max())
     assert sym_eigs(M).residual_bound == one_shot
@@ -232,13 +236,19 @@ def _tridiagonal(d, e):
     return sparse.diags([e, d, e], [-1, 0, 1], format="csr")
 
 
-def _documented_blocks(M):
-    """The blocks (diagonal, off-diagonal) that Cantoni-Butler halving leaves, in the order the split makes them."""
-    # the split sees the prescaled band, where tiny entries may have lost bits
-    band = _prescale(_band(_as_operator(M)))[0]
+def _scaled_tridiagonal(M):
+    """The diagonal and off-diagonal that the split and the count check see, and the prescale factor."""
+    # the prescaled band, where tiny entries may have lost bits
+    band, p = _prescale(_band(_as_operator(M)))
     band[np.abs(band) < np.finfo(float).eps / (2 * band.shape[1])] = 0.0  # and the graded-input flush
     d = band[0]
     e = band[1, :-1] if band.shape[0] == 2 else np.zeros(d.size - 1)  # a band of width 0 has no off-diagonal row
+    return d, e, p
+
+
+def _documented_blocks(M):
+    """The blocks (diagonal, off-diagonal) that Cantoni-Butler halving leaves, in the order the split makes them."""
+    d, e, _ = _scaled_tridiagonal(M)
     blocks = []
     while d.size % 2 == 0 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
         m = d.size // 2
@@ -255,7 +265,7 @@ def _documented_driver(M):
 
 
 def _eigvals_and_halvings(M, driver="sterf"):
-    values, _, ran, halvings = _solve_band(_band(_as_operator(M)), vectors=False)
+    values, _, ran, halvings, _ = _solve_band(_band(_as_operator(M)), check=False)
     assert ran == driver
     return values, halvings
 
@@ -336,6 +346,8 @@ _GRADED = ("0", "t", "2t", "1/8", "1/4")
 )
 @example((["t", "t", "2t", "0"], ["t", "1/4", "2t"]), 1e-160)
 @example((["1/8", "2t", "2t"], ["0", "t"]), 1e-170)
+# the zero matrix: count shifts scaled by the largest value would fall below pivmin here
+@example((["0", "0", "0"], ["0", "0"]), 1e-160)
 def test_graded_tridiagonals_match_bisection(names, t):
     # entries near t sit beside entries near 1/4; unflushed, ?sterf missed by up to 1e-6 on such draws.  The
     # reference is LAPACK bisection (?stebz): ?stemr fails to converge on a few draws with t below 1e-154
@@ -343,7 +355,8 @@ def test_graded_tridiagonals_match_bisection(names, t):
     d, e = (np.array([value[name] for name in row]) for row in names)
     reference = eigvalsh_tridiagonal(d, e, lapack_driver="stebz")
     assert np.abs(sym_eigvals(_tridiagonal(d, e)) - reference).max() <= 1e-12
-    assert np.abs(np.array(sym_eigs(_tridiagonal(d, e)).eigenvalues) - reference).max() <= 1e-12
+    report = sym_eigs(_tridiagonal(d, e))  # the count check passes
+    assert np.abs(np.array(report.eigenvalues) - reference).max() <= 1e-12 and report.count_shifts >= 2
 
 
 def test_graded_band_is_flushed():
@@ -370,12 +383,87 @@ def test_ordering_ignores_the_diagonal():
     # diagonal entries do not widen the band of a path given in order, nor of a level operator along its line
     M = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 1.0]])
     report = sym_eigs(M)
-    assert report.bandwidth == 1 and report.lapack_driver == "stemr"
+    assert report.bandwidth == 1 and report.lapack_driver == "sterf"
     assert np.abs(np.array(report.eigenvalues) - np.linalg.eigvalsh(M)).max() <= 1e-12
     for terms in ([("a", 1.0), ("b", 1.0)], [("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0), ("", -1.0)]):
         M = assemble_level(AlgebraElement.from_terms(terms), 8)
         assert sym_eigs(M).bandwidth == 1
         assert np.abs(sym_eigvals(M) - np.linalg.eigvalsh(M.csr().toarray())).max() <= 1e-12
+
+
+def _documented_shifts(w, dim):
+    """The count check's shifts: below, between and above the clusters of values w closer than 2 dim eps."""
+    tol = 2 * dim * np.finfo(float).eps
+    mids = [(lo + hi) / 2 for lo, hi in zip(w[:-1].tolist(), w[1:].tolist()) if hi - lo >= tol]
+    return np.array([w[0] - tol, *mids, w[-1] + tol])
+
+
+def test_count_check_matches_tree_count():
+    # the Sturm counts at the check's shifts are the counts of the tree recursion, for delta, sum and random weights
+    rng = np.random.default_rng(32)
+    weight_sets = [(0.25,) * 4, (1.0,) * 4] + [tuple(rng.uniform(-2.0, 2.0, 4).tolist()) for _ in range(3)]
+    for weights in weight_sets:
+        element = AlgebraElement.from_terms(zip("abcd", weights))
+        for n in range(12):
+            d, e, p = _scaled_tridiagonal(assemble_level(element, n))
+            w = _split_solve(d, e)[0]
+            shifts = _documented_shifts(w, d.size)
+            counts = _sturm_counts(d, e, shifts).tolist()
+            assert counts == [tree_count(weights, p * s, n) for s in shifts.tolist()], (weights, n)
+            assert counts == np.searchsorted(w, shifts).tolist() and _count_check(d, e, w) == shifts.size
+
+
+@pytest.mark.parametrize("point", ["(1)", "(0)", "(01)", "001011(100)"])
+def test_count_check_matches_sym_eigvals_on_balls(point):
+    for radius in (0, 5, 64, 1023, 1024, 2047):
+        M = assemble_orbital(delta_element(), BoundaryPoint.parse(point), GENERATORS, radius)[0]
+        report = sym_eigs(M)
+        if M.dim > 2048:
+            assert report.count_shifts == 0  # no check above the cutoff
+            continue
+        d, e, p = _scaled_tridiagonal(M)
+        shifts = _documented_shifts(_split_solve(d, e)[0], d.size)
+        values = sym_eigvals(M)
+        assert _sturm_counts(d, e, shifts).tolist() == np.searchsorted(values, p * shifts).tolist()
+        assert report.count_shifts == shifts.size and np.array_equal(report.eigenvalues, values)
+
+
+def test_count_check_passes_exact_clusters():
+    # the zero matrix and the identity element are one cluster each, counted below and above
+    assert sym_eigs(np.zeros((4, 4))).count_shifts == 2
+    identity = AlgebraElement.from_terms([("", 1.0)])
+    for n in (0, 5, 11):
+        assert sym_eigs(assemble_level(identity, n)).count_shifts == 2
+    # two equal tridiagonals joined by a zero off-diagonal have every eigenvalue twice: two clusters
+    report = sym_eigs(_tridiagonal(np.array([1.0, 2.0, 1.0, 2.0]), np.array([0.5, 0.0, 0.5])))
+    assert report.lapack_driver == "sterf" and report.count_shifts == 3
+    assert np.abs(report.eigenvalues - np.repeat(1.5 + np.array([-0.5, 0.5]) * 2**0.5, 2)).max() <= 1e-15
+
+
+def test_corrupted_solve_fails_the_count_check(monkeypatch, tmp_path):
+    split_solve = spectra._split_solve
+
+    def corrupted(d, e):
+        w, driver, halvings = split_solve(d, e)
+        w = w.copy()
+        w[0] = (w[1] + w[2]) / 2  # the lowest value moves past its neighbour
+        return np.sort(w), driver, halvings
+
+    monkeypatch.setattr(spectra, "_split_solve", corrupted)
+    M = assemble_level(delta_element(), 5)
+    assert sym_eigvals(M).size == 32  # unchecked
+    with pytest.raises(RuntimeError, match=r"Sturm count 1 at shift [-0-9.e]+ differs from 0 values below"):
+        sym_eigs(M)
+    assert cli.main(["spectrum", "--level", "5", "--out", str(tmp_path / "spectrum")]) == 3
+
+
+def test_sum_is_four_times_delta_bitwise():
+    # every level up to the cutoff now takes the split too; the prescale makes the two solves see the same bits
+    for n in range(12):
+        delta = sym_eigs(assemble_level(delta_element(), n))
+        total = sym_eigs(assemble_level(generator_sum_element(), n))
+        assert np.array_equal(total.eigenvalues, 4.0 * delta.eigenvalues), n
+        assert total.solver == delta.solver and total.residual_bound == delta.residual_bound
 
 
 def test_split_small_dimensions_and_diagonal_band():
