@@ -35,7 +35,6 @@ from .renorm import (
 from .spectra import (
     hausdorff_to_set,
     sym_eigs,
-    sym_eigvals,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "lambda_slice",
     "slice_spectrum_samples",
     "omega_svg",
-    "sym_eigvals",
     "sym_eigs",
     "hausdorff_to_set",
 ]

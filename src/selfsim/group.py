@@ -17,8 +17,8 @@ the level permutations that act on vertices (hecke), the orbital lines
 (schreier) and the rigidity depths all read it.
 
 Provides:
-    - wreath_decompose: the one-pass level-1 decomposition of an arbitrary
-      word into (root swap, section at 0, section at 1),
+    - reduce_word: the canonical form of a word under the involution and
+      Klein-four relations,
     - BoundaryPoint: eventually periodic boundary sequences with an exact
       group action (boundary_image: one walk over one bit prefix),
     - rigidity_depth: first level at which a generator's section dies, along

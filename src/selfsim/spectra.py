@@ -1,9 +1,8 @@
 """Symmetric eigensolver plumbing and spectral set comparisons.
 
 All operators in scope are real symmetric, so spectra are eigenvalue multisets.
-Every input is solved as the band storage of an OperatorMatrix (hecke): an
-assembled operator along its line, a dense array or scipy sparse matrix after
-one conversion in its given order.  Its symmetry is checked on the band itself,
+sym_eigs takes only an OperatorMatrix (hecke), an assembled operator as band
+storage along its line.  Its symmetry is checked on the band itself,
 diagonal k against diagonal -k, and its lower half goes to LAPACK.  Level
 Schreier graphs and orbital balls are stretches of the orbit line, so along it
 an operator is a band as wide as its longest word.  At bandwidth above 1
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hecke import OperatorMatrix, _along_line
+from .hecke import OperatorMatrix
 from .renorm import IntervalUnion
 
 _VECTOR_MAX_DIM = 2048  # above this, no residual of a wider band and no count check of a width-1 one
@@ -62,18 +61,6 @@ _RESIDUAL_COLUMNS = 128  # eigenvectors per block of the residual product
 _HAUSDORFF_BLOCK = 1 << 15  # consecutive point pairs whose midpoints hausdorff_to_set measures at once
 
 _ASYM_REL_TOL = 1e-12
-
-
-def _as_operator(M) -> OperatorMatrix:
-    """M itself if it is an OperatorMatrix, else a dense array or scipy matrix as band storage in its given order."""
-    if isinstance(M, OperatorMatrix):
-        return M
-    from scipy import sparse
-
-    S = sparse.coo_matrix(M, dtype=float)
-    if S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    return _along_line(S.row, S.col, S.data, np.arange(S.shape[0]))
 
 
 def _band(M: OperatorMatrix) -> np.ndarray:
@@ -278,35 +265,6 @@ def _count_check(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> int:
     return shifts.size
 
 
-def _solve_band(band: np.ndarray, check: bool):
-    """Eigenvalues (ascending), eigenvectors, the LAPACK driver, the halvings and the count shifts of a lower band.
-
-    check asks for the eigenvectors of a band wider than 1 and the count check of a narrower one.
-    """
-    from scipy.linalg import eig_banded
-
-    scaled, p = _prescale(band)
-    scaled[np.abs(scaled) < np.finfo(float).eps / (2 * band.shape[1])] = 0.0
-    if scaled.shape[0] > 2:
-        if check:
-            w, V = eig_banded(scaled, lower=True)
-            return p * w, V, "sbevd", 0, 0
-        return p * eig_banded(scaled, lower=True, eigvals_only=True), None, "sbevd", 0, 0
-    d = scaled[0]
-    e = scaled[1, :-1] if scaled.shape[0] == 2 else np.zeros_like(d[1:])
-    w, driver, halvings = _split_solve(d, e)
-    return p * w, None, driver, halvings, _count_check(d, e, w) if check else 0
-
-
-def sym_eigvals(M) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, deterministic.
-
-    An OperatorMatrix is solved along its line, any other input in its given
-    order (see sym_eigs).
-    """
-    return _solve_band(_band(_as_operator(M)), check=False)[0]
-
-
 @dataclass(frozen=True, eq=False)  # arrays have no truth value, so reports compare by identity
 class EigReport:
     eigenvalues: np.ndarray  # float64, ascending
@@ -315,7 +273,6 @@ class EigReport:
     lapack_driver: str
     halvings: int
     count_shifts: int  # shifts at which _count_check matched, 0 where it did not run
-    ordering: str  # "line", or "given" for a dense array or scipy matrix
 
     @property
     def dim(self) -> int:
@@ -324,7 +281,7 @@ class EigReport:
     @property
     def solver(self) -> dict:
         return {
-            "ordering": self.ordering,
+            "ordering": "line",  # every operator is solved along its line
             "lapack_driver": self.lapack_driver,
             "bandwidth": self.bandwidth,
             "halvings": self.halvings,
@@ -337,42 +294,51 @@ class EigReport:
         return "\n".join([*lines, ""])
 
 
-def sym_eigs(M) -> EigReport:
-    """Eigenvalue report with a residual bound on max ||Mv - lambda v|| / ||M||.
+def sym_eigs(M: OperatorMatrix) -> EigReport:
+    """Eigenvalue report of an OperatorMatrix, with a residual bound on max ||Mv - lambda v|| / ||M||.
 
-    Up to the vector cutoff, the bound of a band wider than 1 is measured from
-    computed eigenpairs against csr() laid out along the line, each row summed
-    in index order, and the eigenvalues of a narrower one are certified by
-    Sturm counts (_count_check; a mismatch raises RuntimeError).  Otherwise
-    the report gives the backward-stability bound dim * eps of the solver.
-
-    An OperatorMatrix is solved along its line, where an assembled operator
-    is a band no wider than its longest word.  A dense array or scipy matrix
-    is converted once to band storage in its given order (ordering "given"),
-    with no reordering, so pass the operator itself: the level-10 delta
-    operator's csr() is a width-512 ?sbevd band and takes about 1.3 s, against
-    about 0.02 s (?sterf and the count check, width 1) as the OperatorMatrix,
-    on one thread of a 2-vCPU VM.
+    M is solved along its line, where an assembled operator is a band no
+    wider than its longest word; any other input raises TypeError.  A band of
+    width at most 1 goes to the persymmetric split, and up to the vector
+    cutoff its eigenvalues are certified by Sturm counts of the flushed
+    tridiagonal (_count_check; a mismatch raises RuntimeError).  A wider band
+    goes to ?sbevd, and up to the cutoff its bound is measured from computed
+    eigenpairs against csr() laid out along the line, each row summed in index
+    order.  Otherwise the report gives the backward-stability bound dim * eps
+    of the solver.
     """
-    ordering = "line" if isinstance(M, OperatorMatrix) else "given"
-    M = _as_operator(M)
+    if not isinstance(M, OperatorMatrix):
+        raise TypeError(f"sym_eigs takes an OperatorMatrix, got {type(M).__name__}")
     band = _band(M)
     dim = M.dim
-    values, V, driver, halvings, shifts = _solve_band(band, check=dim <= _VECTOR_MAX_DIM)
-    norm = float(np.abs(values).max(initial=0.0))
-    if V is None:
-        residual = dim * float(np.finfo(float).eps)
-    elif norm == 0.0:
-        residual = 0.0
+    scaled, p = _prescale(band)
+    scaled[np.abs(scaled) < np.finfo(float).eps / (2 * dim)] = 0.0
+    residual, halvings, shifts = dim * float(np.finfo(float).eps), 0, 0
+    if scaled.shape[0] > 2:
+        from scipy.linalg import eig_banded
+
+        driver = "sbevd"
+        if dim > _VECTOR_MAX_DIM:
+            values = p * eig_banded(scaled, lower=True, eigvals_only=True)
+        else:
+            w, V = eig_banded(scaled, lower=True)
+            values = p * w
+            norm = float(np.abs(values).max(initial=0.0))
+            P = M.csr()[M.line][:, M.line]  # each row summed in index order
+            worst = 0.0
+            for j in range(0, dim, _RESIDUAL_COLUMNS):
+                block = V[:, j : j + _RESIDUAL_COLUMNS]
+                gap = P @ block - block * values[j : j + _RESIDUAL_COLUMNS]
+                worst = max(worst, float(np.sqrt((gap * gap).sum(axis=0)).max()))
+            residual = worst / norm if norm else 0.0
     else:
-        P = M.csr()[M.line][:, M.line]  # each row summed in index order
-        worst = 0.0
-        for j in range(0, dim, _RESIDUAL_COLUMNS):
-            block = V[:, j : j + _RESIDUAL_COLUMNS]
-            gap = P @ block - block * values[j : j + _RESIDUAL_COLUMNS]
-            worst = max(worst, float(np.sqrt((gap * gap).sum(axis=0)).max()))
-        residual = worst / norm
-    return EigReport(values, residual, band.shape[0] - 1, driver, halvings, shifts, ordering)
+        d = scaled[0]
+        e = scaled[1, :-1] if scaled.shape[0] == 2 else np.zeros_like(d[1:])
+        w, driver, halvings = _split_solve(d, e)
+        values = p * w
+        if dim <= _VECTOR_MAX_DIM:
+            shifts = _count_check(d, e, w)
+    return EigReport(values, residual, band.shape[0] - 1, driver, halvings, shifts)
 
 
 def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from selfsim.hecke import assemble_level, delta_element, generator_sum_element
-from selfsim.spectra import sym_eigvals
+from selfsim.spectra import sym_eigs
 
 settings.register_profile(
     "suite",
@@ -28,7 +28,7 @@ def delta_levels():
     for n in range(1, 14):
         matrix = assemble_level(delta_element(), n)
         start = time.perf_counter()
-        eigs[n] = sym_eigvals(matrix)
+        eigs[n] = sym_eigs(matrix).eigenvalues
         elapsed = time.perf_counter() - start
         if n == 13:
             t13 = elapsed
@@ -38,4 +38,4 @@ def delta_levels():
 @pytest.fixture(scope="session")
 def sum13_eigs():
     matrix = assemble_level(generator_sum_element(), 13)
-    return sym_eigvals(matrix)
+    return sym_eigs(matrix).eigenvalues

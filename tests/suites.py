@@ -18,12 +18,20 @@ from selfsim.group import (
     reduce_word,
     wreath_decompose,
 )
-from selfsim.hecke import OperatorMatrix, _level_perms, _word_map
+from selfsim.hecke import OperatorMatrix, _along_line, _level_perms, _word_map
 from selfsim.renorm import renorm_map
 from selfsim.schreier import MarkedGraph, orbital_ball
-from selfsim.spectra import sym_eigvals
+from selfsim.spectra import sym_eigs
 
 LETTERS = "abcd"
+
+
+def given_order(A) -> OperatorMatrix:
+    """A dense array or scipy matrix as band storage in its given order: along the line 0, 1, ..., n - 1."""
+    S = sparse.coo_matrix(A, dtype=float)
+    if S.shape[0] != S.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {S.shape}")
+    return _along_line(S.row, S.col, S.data, np.arange(S.shape[0]))
 
 
 def word_perm(word, n):
@@ -339,14 +347,14 @@ def spectral_shift_check(M, alphas, R: float, tol: float) -> tuple[list[bool], l
     come back as two lists, (direct, shifted), in probe order.  M is a dense
     array or an OperatorMatrix; the latter is laid out along its line as a
     scipy matrix, so that it and each of its S, a band twice as wide, are
-    solved in that given order.
+    solved in that order (given_order).
     """
     if isinstance(M, OperatorMatrix):
         A, eye = M.csr()[M.line][:, M.line], sparse.identity(M.dim, format="csr")
     else:
         A = np.asarray(M, dtype=float)
         eye = np.eye(A.shape[0])
-    values = sym_eigvals(A)
+    values = sym_eigs(given_order(A)).eigenvalues
     norm = float(np.abs(values).max(initial=0.0))
     if R < 2.0 * norm:
         raise ValueError(f"need R >= 2 ||M|| = {2.0 * norm}, got {R}")
@@ -357,7 +365,7 @@ def spectral_shift_check(M, alphas, R: float, tol: float) -> tuple[list[bool], l
         K = A - alpha * eye
         S = eye - (K @ K) / (R * R)
         direct.append(bool(np.abs(values - alpha).min() <= tol))
-        shifted.append(bool(np.abs(sym_eigvals(S) - 1.0).min() <= tol / (R * R)))
+        shifted.append(bool(np.abs(sym_eigs(given_order(S)).eigenvalues - 1.0).min() <= tol / (R * R)))
     return direct, shifted
 
 
@@ -373,7 +381,7 @@ def suite_shift_agreement():
         dim = int(rng.integers(2, 17))
         raw = rng.uniform(-1.0, 1.0, (dim, dim))
         M = (raw + raw.T) / 2.0
-        values = sym_eigvals(M)
+        values = sym_eigs(given_order(M)).eigenvalues
         norm = float(np.abs(values).max())
         R = 2.0 * norm if norm else 1.0
         probes = list(rng.choice(values, 10))

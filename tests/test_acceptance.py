@@ -22,7 +22,7 @@ from selfsim.hecke import (
     schur_step_check,
 )
 from selfsim.renorm import IntervalUnion, curve_invariance_check, lambda_slice, slice_spectrum_samples
-from selfsim.spectra import hausdorff_to_set, sym_eigvals
+from selfsim.spectra import hausdorff_to_set, sym_eigs
 
 from suites import (
     suite_ball_monotone,
@@ -122,8 +122,8 @@ def test_c07_block_extension_doubles_spectrum():
     worst = 0.0
     for label, element in elements.items():
         for n in range(1, 9):
-            level = np.sort(sym_eigvals(assemble_level(element, n)))
-            block = np.sort(sym_eigvals(groupoid_block(element, n)))
+            level = np.sort(sym_eigs(assemble_level(element, n)).eigenvalues)
+            block = np.sort(sym_eigs(groupoid_block(element, n)).eigenvalues)
             gap = float(np.abs(block - np.sort(np.repeat(level, 2))).max())
             assert gap <= 1e-9, (label, n, gap)
             worst = max(worst, gap)
@@ -161,7 +161,7 @@ def test_c09_generic_boundary_points_are_rigid():
 
 def test_c10_large_ball_spectrum_concentrates():
     matrix, _ = assemble_orbital(delta_element(), BoundaryPoint.parse("(1)"), GENERATORS, 256)
-    values = sym_eigvals(matrix)
+    values = sym_eigs(matrix).eigenvalues
     assert values.min() >= -0.6 and values.max() <= 1.1
     near = sum(1 for v in values if hausdorff_to_set([v], DELTA_TARGET)[0] <= 0.05)
     fraction = near / len(values)

@@ -19,8 +19,8 @@ from selfsim.hecke import (
     schur_step_check,
 )
 from selfsim.schreier import _line_tables, orbital_ball
-from selfsim.spectra import _band, sym_eigvals
-from suites import _act_via_decomposition, is_identity, tree_count, word_perm
+from selfsim.spectra import _band, sym_eigs
+from suites import _act_via_decomposition, given_order, is_identity, tree_count, word_perm
 
 ABCD = ("a", "b", "c", "d")
 NON_DYADIC = AlgebraElement.from_terms(
@@ -87,7 +87,7 @@ def test_level_counts_match_the_tree_recursion():
     for weights in weight_sets:
         element = AlgebraElement.from_terms(zip("abcd", weights))
         for n in range(12):
-            eigs = np.sort(sym_eigvals(assemble_level(element, n)))
+            eigs = np.sort(sym_eigs(assemble_level(element, n)).eigenvalues)
             lams = rng.uniform(eigs[0] - 0.5, eigs[-1] + 0.5, 16)
             for lam in lams[np.abs(lams[:, None] - eigs).min(axis=1) > 1e-9].tolist():
                 assert tree_count(weights, lam, n) == int(np.searchsorted(eigs, lam)), (weights, n, lam)
@@ -103,7 +103,7 @@ def test_tree_count_on_poles():
     for weights, lam in cases:
         element = AlgebraElement.from_terms(zip("abcd", weights))
         for n in range(1, 12):
-            eigs = sym_eigvals(assemble_level(element, n))
+            eigs = sym_eigs(assemble_level(element, n)).eigenvalues
             gaps = np.abs(eigs - lam)
             # an eigenvalue is lam itself to solver accuracy or clearly apart, so the count below lam is unambiguous
             assert np.all((gaps < 1e-12) | (gaps > 1e-7)), (weights, lam, n)
@@ -154,9 +154,9 @@ def test_algebra_element_roundtrip(terms):
 
 
 def test_delta_spectra_small_levels():
-    ev1 = sym_eigvals(assemble_level(delta_element(), 1))
+    ev1 = sym_eigs(assemble_level(delta_element(), 1)).eigenvalues
     assert np.allclose(sorted(ev1), [0.5, 1.0], atol=1e-14)
-    ev2 = sym_eigvals(assemble_level(delta_element(), 2))
+    ev2 = sym_eigs(assemble_level(delta_element(), 2)).eigenvalues
     golden = sorted([(1 - 5**0.5) / 4, 0.5, (1 + 5**0.5) / 4, 1.0])
     assert np.allclose(sorted(ev2), golden, atol=1e-14)
 
@@ -170,7 +170,7 @@ def test_sum_is_exactly_four_delta():
 
 def test_q_param_examples():
     q1 = assemble_level(_pencil(-1.0, 0.0), 1)
-    assert np.allclose(sorted(sym_eigvals(q1)), [1.0, 3.0], atol=1e-14)
+    assert np.allclose(sorted(sym_eigs(q1).eigenvalues), [1.0, 3.0], atol=1e-14)
     q0 = assemble_level(_pencil(0.0, -1.0), 0)
     assert np.array_equal(_dense(q0), [[3.0]])
     q2 = assemble_level(_pencil(-1.0, -1.0), 2)
@@ -224,8 +224,8 @@ def test_schur_step_pole():
 def test_groupoid_block_doubles_spectrum():
     for n in (1, 3):
         element = delta_element()
-        level_eigs = np.sort(sym_eigvals(assemble_level(element, n)))
-        block_eigs = np.sort(sym_eigvals(groupoid_block(element, n)))
+        level_eigs = np.sort(sym_eigs(assemble_level(element, n)).eigenvalues)
+        block_eigs = np.sort(sym_eigs(groupoid_block(element, n)).eigenvalues)
         assert np.allclose(block_eigs, np.sort(np.repeat(level_eigs, 2)), atol=1e-12)
 
 
@@ -435,7 +435,7 @@ def test_assemble_orbital_matches_boundary_action_sweep():
 
 def test_assemble_orbital_soft_spectrum():
     M, _ = assemble_orbital(delta_element(), BoundaryPoint.parse("(1)"), ABCD, 64)
-    ev = sym_eigvals(M)
+    ev = sym_eigs(M).eigenvalues
     assert ev.min() >= -0.6 and ev.max() <= 1.1
 
 
@@ -443,7 +443,7 @@ def test_nesting_other_element():
     element = AlgebraElement.from_terms([("a", 1.0), ("b", -1.0), ("c", 2.0)])
     prev = None
     for n in range(1, 7):
-        eigs = np.sort(sym_eigvals(assemble_level(element, n)))
+        eigs = np.sort(sym_eigs(assemble_level(element, n)).eigenvalues)
         if prev is not None:
             gaps = np.abs(prev[:, None] - eigs[None, :]).min(axis=1)
             assert gaps.max() <= 1e-9
@@ -465,7 +465,7 @@ def _assert_canonical(M, expected):
     assert S.has_canonical_format and np.all(S.data != 0.0)
     assert np.array_equal(S.toarray(), expected)
     # the dense array laid out along the line is the band the solver reads
-    assert np.array_equal(sym_eigvals(M), sym_eigvals(expected[np.ix_(M.line, M.line)]))
+    assert np.array_equal(sym_eigs(M).eigenvalues, sym_eigs(given_order(expected[np.ix_(M.line, M.line)])).eigenvalues)
 
 
 def _level_reference(element, n):
