@@ -62,7 +62,7 @@ _DRAW_BLOCK = 1 << 16  # uniform draws rigidity holds as float64 at once (512 KB
 RADIUS_GUARD = 4096
 # (2 radius + 1) x len(--point) characters: a ball holds at most 2 radius + 1 points about as long as --point
 POINT_CELL_GUARD = 1 << 24
-# bounds every operator entry and eigenvalue, so the power-of-two prescale and squared residuals stay finite;
+# bounds every operator entry and eigenvalue, so they and the power-of-two prescale stay finite;
 # --t, the coefficient of a in -t a + b + c + d, is held to it as well, so t * t stays finite
 COEF_SUM_GUARD = 2.0**500
 

@@ -40,7 +40,7 @@ LEVEL_GUARD = 20
 ASSEMBLY_GUARD = 13  # level operators stay within seconds of solve time
 # element files, checked before any word is reduced: every term is keyed, and letters lengthen the line
 TERM_GUARD = 256
-LETTER_GUARD = 4096  # letters of all the words together
+WORD_GUARD = 16  # letters of one word, and so the widest band along the line
 
 
 def _check_level(n: int, guard: int) -> None:
@@ -114,9 +114,9 @@ class AlgebraElement:
                 raise ValueError(f'element term {t!r} needs a string "word" and a finite number "coef"')
         if len(terms) > TERM_GUARD:
             raise ValueError(f"element has {len(terms)} terms, more than the guard {TERM_GUARD}")
-        letters = sum(len(t["word"]) for t in terms)
-        if letters > LETTER_GUARD:
-            raise ValueError(f"element words have {letters} letters in all, more than the guard {LETTER_GUARD}")
+        letters = max((len(t["word"]) for t in terms), default=0)
+        if letters > WORD_GUARD:
+            raise ValueError(f"element word has {letters} letters, more than the guard {WORD_GUARD}")
         return AlgebraElement.from_terms((t["word"], t["coef"]) for t in terms)
 
     def support_letters(self) -> set[str]:

@@ -2,24 +2,24 @@
 
 All operators in scope are real symmetric, so spectra are eigenvalue multisets.
 sym_eigs takes only an OperatorMatrix (hecke), an assembled operator as band
-storage along its line.  Its symmetry is checked on the band itself,
-diagonal k against diagonal -k, and its lower half goes to LAPACK.  Level
-Schreier graphs and orbital balls are stretches of the orbit line, so along it
-an operator is a band as wide as its longest word.  At bandwidth above 1
-LAPACK ?sbevd solves the band.  The eigenvalues of a band of width at most 1
-come from LAPACK ?sterf, at every size and with no eigenvectors, after a
-persymmetric split (Cantoni-Butler 1976): while the dimension 2m
-is even and the diagonal d and off-diagonal e equal their own reversals exactly
-(no tolerance), the matrix is orthogonally similar to the direct sum of two
-m x m tridiagonals with diagonal d[:m], last entry d[m-1] -/+ e[m-1], and
-off-diagonal e[:m-1], and the split goes on with the + block.  In line order
-the flip of the last tree coordinate is reversal, so every level operator is
-persymmetric, and for delta and sum the + block is the level-(n-1) operator
-again, so a level-n spectrum halves n times.  Each halving rounds one entry
-once, so the backward-stability bound dim * eps still holds.  A block left by
-the halvings whose diagonal is one value c exactly (the orbital balls that miss
-1^inf, where delta is 1/4 plus a zero-diagonal Jacobi matrix) is bipartite
-about c: its eigenvalues are c -/+ the singular values of a half-size
+storage along its line.  Its symmetry is checked on the band itself, diagonal k
+against diagonal -k, and its lower half goes to LAPACK.  Level Schreier graphs
+and orbital balls are stretches of the orbit line, so along it an operator is a
+band as wide as its longest word.  A band wider than 1 is first reduced to a
+tridiagonal by LAPACK ?sbtrd without Q (backward stable), as ?sbevd does when
+no vectors are asked for; no route computes an eigenvector.  Every tridiagonal
+goes to LAPACK ?sterf after a persymmetric split (Cantoni-Butler 1976): while
+the dimension 2m is even and the diagonal d and off-diagonal e equal their own
+reversals exactly (no tolerance), the matrix is orthogonally similar to the
+direct sum of two m x m tridiagonals with diagonal d[:m], last entry d[m-1] -/+
+e[m-1], and off-diagonal e[:m-1], and the split goes on with the + block.  In
+line order the flip of the last tree coordinate is reversal, so every level
+operator is persymmetric, and for delta and sum the + block is the level-(n-1)
+operator again, so a level-n spectrum halves n times.  Each halving rounds one
+entry once, so the backward-stability bound dim * eps still holds.  A block
+left by the halvings whose diagonal is one value c exactly (the orbital balls
+that miss 1^inf, where delta is 1/4 plus a zero-diagonal Jacobi matrix) is
+bipartite about c: its eigenvalues are c -/+ the singular values of a half-size
 bidiagonal, which LAPACK ?lasq1 (dqds, Fernando-Parlett 1994) computes to high
 relative accuracy, so that bound holds there too.  ?sterf and ?lasq1 are called
 through the ctypes pointers of scipy's Cython LAPACK capsules, which release
@@ -30,9 +30,10 @@ solves them all where one CPU is usable or OMP_NUM_THREADS is 1.  Graded input
 every entry of the prescaled band below eps / (2 dim) is set to 0 before any
 LAPACK call: its top entry is at least 1/2 and a row holds fewer than 2 dim
 entries, so this moves the matrix by less than 2 eps ||M||, inside the
-dim * eps bound.  sym_eigs checks a width-1 spectrum up to dimension 2048 by
-Sturm counts of the flushed tridiagonal, before the split.  The solver
-contract adds two guarantees on top of LAPACK:
+dim * eps bound.  Up to dimension 2048 sym_eigs checks every spectrum by Sturm
+counts of the tridiagonal before the split, exact for a matrix a few ulps away
+(Kahan 1966); the ?sbtrd reduction of a wider band is trusted, not checked.
+The solver contract adds two guarantees on top of LAPACK:
 
 * determinism: identical input bytes give identical output bytes, on one
   thread or two;
@@ -45,6 +46,7 @@ contract adds two guarantees on top of LAPACK:
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
@@ -56,15 +58,14 @@ import numpy as np
 from .hecke import OperatorMatrix
 from .renorm import IntervalUnion
 
-_VECTOR_MAX_DIM = 2048  # above this, no residual of a wider band and no count check of a width-1 one
-_RESIDUAL_COLUMNS = 128  # eigenvectors per block of the residual product
+_COUNT_MAX_DIM = 2048  # above this, sym_eigs runs no count check
 _HAUSDORFF_BLOCK = 1 << 15  # consecutive point pairs whose midpoints hausdorff_to_set measures at once
 
 _ASYM_REL_TOL = 1e-12
 
 
 def _band(M: OperatorMatrix) -> np.ndarray:
-    """The lower half of M's band storage for eig_banded, cut to its outermost nonzero diagonal.
+    """The lower half of M's band storage for LAPACK, cut to its outermost nonzero diagonal.
 
     M is checked for symmetry first: diagonal k against diagonal -k.
     """
@@ -93,26 +94,25 @@ def _prescale(M: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # the C signature of each LAPACK routine taken from scipy's Cython capsules, and the least size of each of its
-# double array arguments at dimension n
+# double array arguments, given its int arguments
 _CAPSULE_ROUTINES = {
     "dsterf": ("void (int *, d *, d *, int *)", lambda n: (n, n - 1)),
     "dlasq1": ("void (int *, d *, d *, d *, int *)", lambda n: (n, n, 4 * n)),
+    "dsbtrd": ("void (char *, char *, int *, int *, d *, int *, d *, d *, d *, int *, d *, int *)",
+               lambda n, kd, ldab, ldq: (ldab * n, n, n - 1, ldq, n)),
 }
 
 
 @functools.cache
-def _lapack(name: str):
-    """LAPACK routine name from scipy's Cython LAPACK capsules (loaded once, on first use), as routine(*arrays).
+def _routine(name: str):
+    """LAPACK routine name from scipy's Cython LAPACK capsules as a ctypes function (loaded once, on first use).
 
-    The arrays are the routine's double arguments in order, and its n is the
-    size of the first; a nonzero info raises.  ctypes releases the GIL for the
-    call, which scipy's own wrappers hold, so two threads can run two calls at once.
+    ctypes releases the GIL for the call, which scipy's own wrappers hold, so
+    two threads can run two calls at once.
     """
-    import ctypes
-
     from scipy.linalg import cython_lapack
 
-    expected, sizes = _CAPSULE_ROUTINES[name]
+    expected = _CAPSULE_ROUTINES[name][0]
     capsule = cython_lapack.__pyx_capi__[name]
     capsule_name = ctypes.pythonapi.PyCapsule_GetName
     capsule_name.argtypes, capsule_name.restype = [ctypes.py_object], ctypes.c_char_p
@@ -123,25 +123,44 @@ def _lapack(name: str):
     signature = re.sub(r"__pyx_t_\w*?cython_lapack_", "", capsule_label.decode())
     if signature != expected:
         raise RuntimeError(f"{name} has signature {signature!r}, expected {expected!r}")
-    int_p = ctypes.POINTER(ctypes.c_int)
-    routine = ctypes.CFUNCTYPE(None, int_p, *[ctypes.c_void_p] * len(sizes(0)), int_p)(
-        capsule_pointer(capsule, capsule_label)
-    )
+    types = {"char *": ctypes.c_char_p, "int *": ctypes.POINTER(ctypes.c_int), "d *": ctypes.c_void_p}
+    arguments = signature.removeprefix("void (").removesuffix(")").split(", ")
+    return ctypes.CFUNCTYPE(None, *(types[a] for a in arguments))(capsule_pointer(capsule, capsule_label))
 
-    def call(*arrays: np.ndarray) -> None:
-        n = arrays[0].size
-        least = sizes(n)
-        fits = len(arrays) == len(least) and all(
-            a.dtype == np.float64 and a.flags.c_contiguous and a.size >= k for a, k in zip(arrays, least)
-        )
-        if not fits:
-            raise ValueError(f"{name} needs {len(least)} contiguous float64 arrays of sizes at least {least}")
-        info = ctypes.c_int(0)
-        routine(ctypes.byref(ctypes.c_int(n)), *(a.ctypes.data for a in arrays), ctypes.byref(info))
-        if info.value != 0:
-            raise RuntimeError(f"{name} failed with info={info.value}")
 
-    return call
+def _lapack(name: str, *args) -> None:
+    """LAPACK routine name on args, its arguments before info; arrays it would read past the end of are refused.
+
+    ints go by reference and arrays by address, and a nonzero info raises.
+    """
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    least = _CAPSULE_ROUTINES[name][1](*(a for a in args if isinstance(a, int)))
+    fits = len(arrays) == len(least) and all(a.dtype == np.float64 and a.flags.c_contiguous and a.size >= k
+                                             for a, k in zip(arrays, least))
+    if not fits:
+        raise ValueError(f"{name} needs {len(least)} contiguous float64 arrays of sizes at least {least}")
+    info = ctypes.c_int(0)
+    _routine(name)(*(ctypes.byref(ctypes.c_int(a)) if isinstance(a, int) else a.ctypes.data if isinstance(a, np.ndarray)
+                     else a for a in args), ctypes.byref(info))
+    if info.value != 0:
+        raise RuntimeError(f"{name} failed with info={info.value}")
+
+
+def _to_tridiagonal(lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a tridiagonal orthogonally similar to the band whose lower half is lower.
+
+    A band of width at most 1 is its own.  A wider one is reduced by LAPACK
+    dsbtrd without Q, which ?sbevd runs before ?sterf when no vectors are
+    asked for: ?sterf on its output gives the bytes of values-only eig_banded
+    on a band whose largest entry is near 1, which ?sbevd leaves unscaled.
+    """
+    kd, n = lower.shape[0] - 1, lower.shape[1]
+    if kd <= 1:
+        return lower[0], lower[1, :-1] if kd else np.zeros(n - 1)
+    d, e = np.empty(n), np.empty(n)
+    # the Fortran array AB(kd + 1, n) is lower.T in C order, and dsbtrd overwrites it
+    _lapack("dsbtrd", b"N", b"L", n, kd, np.ascontiguousarray(lower.T), kd + 1, d, e, np.empty(1), 1, np.empty(n))
+    return d, e[: n - 1]
 
 
 def _sterf_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -151,7 +170,7 @@ def _sterf_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     without holding the GIL.  It works on copies, as dsterf overwrites both arrays.
     """
     w = np.array(d, dtype=np.float64)
-    _lapack("dsterf")(w, np.array(e, dtype=np.float64))
+    _lapack("dsterf", w.size, w, np.array(e, dtype=np.float64))
     return w
 
 
@@ -170,7 +189,7 @@ def _bipartite_eigvals(c: float, e: np.ndarray) -> np.ndarray:
     n = sigma.size
     sup = np.zeros(n)  # dlasq1 reads n - 1 entries and uses all n as workspace
     sup[: n - 1] = e[1::2]
-    _lapack("dlasq1")(sigma, sup, np.empty(4 * n))
+    _lapack("dlasq1", n, sigma, sup, np.empty(4 * n))
     if odd and sigma[-1] != 0.0:
         raise RuntimeError(f"dlasq1 returned {sigma[-1]!r} for the exact zero singular value")
     return np.concatenate([c + sigma, c - sigma[: n - odd]])
@@ -268,7 +287,6 @@ def _count_check(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> int:
 @dataclass(frozen=True, eq=False)  # arrays have no truth value, so reports compare by identity
 class EigReport:
     eigenvalues: np.ndarray  # float64, ascending
-    residual_bound: float
     bandwidth: int
     lapack_driver: str
     halvings: int
@@ -277,6 +295,11 @@ class EigReport:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def residual_bound(self) -> float:
+        """The backward-stability bound dim * eps of the solver, relative to ||M||."""
+        return self.dim * float(np.finfo(float).eps)
 
     @property
     def solver(self) -> dict:
@@ -295,17 +318,14 @@ class EigReport:
 
 
 def sym_eigs(M: OperatorMatrix) -> EigReport:
-    """Eigenvalue report of an OperatorMatrix, with a residual bound on max ||Mv - lambda v|| / ||M||.
+    """Eigenvalue report of an OperatorMatrix, with the backward-stability bound dim * eps of the solver.
 
     M is solved along its line, where an assembled operator is a band no
-    wider than its longest word; any other input raises TypeError.  A band of
-    width at most 1 goes to the persymmetric split, and up to the vector
-    cutoff its eigenvalues are certified by Sturm counts of the flushed
-    tridiagonal (_count_check; a mismatch raises RuntimeError).  A wider band
-    goes to ?sbevd, and up to the cutoff its bound is measured from computed
-    eigenpairs against csr() laid out along the line, each row summed in index
-    order.  Otherwise the report gives the backward-stability bound dim * eps
-    of the solver.
+    wider than its longest word; any other input raises TypeError.  A band
+    wider than 1 is first reduced to a tridiagonal by ?sbtrd, and every
+    tridiagonal goes to the persymmetric split, for eigenvalues only.  Up to
+    dimension 2048 they are certified by Sturm counts of the tridiagonal that
+    was split (_count_check; a mismatch raises RuntimeError).
     """
     if not isinstance(M, OperatorMatrix):
         raise TypeError(f"sym_eigs takes an OperatorMatrix, got {type(M).__name__}")
@@ -313,32 +333,11 @@ def sym_eigs(M: OperatorMatrix) -> EigReport:
     dim = M.dim
     scaled, p = _prescale(band)
     scaled[np.abs(scaled) < np.finfo(float).eps / (2 * dim)] = 0.0
-    residual, halvings, shifts = dim * float(np.finfo(float).eps), 0, 0
-    if scaled.shape[0] > 2:
-        from scipy.linalg import eig_banded
-
-        driver = "sbevd"
-        if dim > _VECTOR_MAX_DIM:
-            values = p * eig_banded(scaled, lower=True, eigvals_only=True)
-        else:
-            w, V = eig_banded(scaled, lower=True)
-            values = p * w
-            norm = float(np.abs(values).max(initial=0.0))
-            P = M.csr()[M.line][:, M.line]  # each row summed in index order
-            worst = 0.0
-            for j in range(0, dim, _RESIDUAL_COLUMNS):
-                block = V[:, j : j + _RESIDUAL_COLUMNS]
-                gap = P @ block - block * values[j : j + _RESIDUAL_COLUMNS]
-                worst = max(worst, float(np.sqrt((gap * gap).sum(axis=0)).max()))
-            residual = worst / norm if norm else 0.0
-    else:
-        d = scaled[0]
-        e = scaled[1, :-1] if scaled.shape[0] == 2 else np.zeros_like(d[1:])
-        w, driver, halvings = _split_solve(d, e)
-        values = p * w
-        if dim <= _VECTOR_MAX_DIM:
-            shifts = _count_check(d, e, w)
-    return EigReport(values, residual, band.shape[0] - 1, driver, halvings, shifts)
+    d, e = _to_tridiagonal(scaled)
+    w, driver, halvings = _split_solve(d, e)
+    shifts = _count_check(d, e, w) if dim <= _COUNT_MAX_DIM else 0
+    reduced = "sbtrd+" if scaled.shape[0] > 2 else ""
+    return EigReport(p * w, band.shape[0] - 1, reduced + driver, halvings, shifts)
 
 
 def hausdorff_to_set(points, target: IntervalUnion) -> tuple[float, float]:

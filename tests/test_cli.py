@@ -347,12 +347,12 @@ def _assert_reruns_identical(argv, tmp_path):
 
 
 def test_banded_eigenpairs_rerun_byte_identically(tmp_path):
-    # multi-letter terms widen the band, and below the vector cutoff its eigenpairs come from the threaded ?sbevd
+    # multi-letter terms widen the band, which ?sbtrd reduces to a tridiagonal before the split; no eigenvector
     terms = [("ab", 1), ("ba", 1), ("aca", 0.5), ("c", -0.3), ("", 0.2)]
     path = tmp_path / "five.json"
     path.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in terms]}))
     out = _assert_reruns_identical(["spectrum", "--element", str(path), "--level", "8"], tmp_path)
-    assert _read_json(out / "manifest.json")["solver"]["lapack_driver"] == "sbevd"
+    assert _read_json(out / "manifest.json")["solver"]["lapack_driver"] == "sbtrd+sterf"
 
 
 @pytest.mark.parametrize(
@@ -469,7 +469,7 @@ def test_element_usage_errors_exit_two(argv, terms, message, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "terms, message",
-    [([{"word": "a", "coef": 1.0}] * 257, "257 terms"), ([{"word": "a" * 4097, "coef": 1.0}], "4097 letters")],
+    [([{"word": "a", "coef": 1.0}] * 257, "257 terms"), ([{"word": "ab" * 8 + "a", "coef": 1.0}], "17 letters")],
     ids=["terms", "letters"],
 )
 def test_element_size_guards_exit_two(terms, message, tmp_path, monkeypatch, capsys):
@@ -488,13 +488,17 @@ def test_element_size_guards_exit_two(terms, message, tmp_path, monkeypatch, cap
 
 
 def test_element_at_the_size_guards_is_accepted(tmp_path):
-    # 256 terms of 16 letters: 4096 letters in all; (ab)^8 is an involution, so the merged element is self-adjoint
+    # 256 terms of 16 letters, 4096 letters in all: a word and its reversal (its inverse), 128 times each, whose
+    # operator along the line is a band 16 wide, the widest a word at the guard can give
+    word = "abacabadabacabad"
+    assert (hecke.TERM_GUARD, hecke.WORD_GUARD) == (256, 16) and len(word) == hecke.WORD_GUARD
     path = tmp_path / "elem.json"
-    path.write_text(json.dumps({"terms": [{"word": "ab" * 8, "coef": 1.0}] * hecke.TERM_GUARD}))
-    assert hecke.TERM_GUARD * 16 == hecke.LETTER_GUARD
+    path.write_text(json.dumps({"terms": [{"word": w, "coef": 1.0} for w in (word, word[::-1])] * 128}))
     out = tmp_path / "s"
-    assert cli.main(["spectrum", "--element", str(path), "--level", "3", "--out", str(out)]) == 0
-    assert _read_json(out / "report.json")["dim"] == 8
+    assert cli.main(["spectrum", "--element", str(path), "--level", "6", "--out", str(out)]) == 0
+    assert _read_json(out / "report.json")["dim"] == 64
+    solver = _read_json(out / "manifest.json")["solver"]
+    assert solver["bandwidth"] == 16 and solver["lapack_driver"].startswith("sbtrd+") and solver["count_shifts"] >= 2
 
 
 def test_self_adjoint_element_needs_the_word_problem(tmp_path):
@@ -630,11 +634,12 @@ _SOLVER = {"ordering": "line", "bandwidth": 1}
             dict(_SOLVER, lapack_driver="sterf", halvings=12, count_shifts=0),
             id="spectrum-eigenvalues-only",
         ),
-        # a + b + ab + ba links the path's vertices two steps apart: eigenpairs of a wider band come from ?sbevd
+        # a + b + ab + ba links the path's vertices two steps apart: ?sbtrd reduces the wider band to a tridiagonal,
+        # whose eigenvalues ?sterf gives and Sturm counts check
         pytest.param(
             ["spectrum", "--level", "5"],
             [("a", 1.0), ("b", 1.0), ("ab", 1.0), ("ba", 1.0)],
-            dict(_SOLVER, lapack_driver="sbevd", halvings=0, bandwidth=2, count_shifts=0),
+            dict(_SOLVER, lapack_driver="sbtrd+sterf", halvings=0, bandwidth=2, count_shifts=17),
             id="spectrum-bandwidth-2",
         ),
     ],
@@ -676,20 +681,27 @@ def test_import_loads_no_scipy():
 
 
 def test_eigenvalue_only_solves_load_no_scipy_sparse(tmp_path):
-    # the operator is solved from its band storage: only csr() and the eigenvector residual of a band wider than 1
-    # reach scipy.sparse, and a width-1 band is certified by Sturm counts up to dimension 2048
+    # the operator is solved from its band storage and no solve computes an eigenvector: only csr() reaches
+    # scipy.sparse, and up to dimension 2048 Sturm counts check every band, the five-term one 3 wide
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    five = tmp_path / "five.json"
+    five.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in
+                                          [("ab", 1), ("ba", 1), ("aca", 0.5), ("c", -0.3), ("", 0.2)]]}))
     code = """if True:
         import sys
         import selfsim.cli as cli
+        five = ["--element", sys.argv[2]]
         for k, argv in enumerate((["spectrum", "--level", "12"], ["spectrum", "--level", "11"],
                                   ["orbital", "--point", "(0)", "--radius", "1024"],
-                                  ["orbital", "--point", "(1)", "--radius", "1024"])):
+                                  ["orbital", "--point", "(1)", "--radius", "1024"],
+                                  ["spectrum", "--level", "11", *five],
+                                  ["orbital", "--point", "110010(011)", "--radius", "512", *five])):
             assert cli.main(argv + ["--out", f"{sys.argv[1]}/{k}"]) == 0
             assert "scipy.sparse" not in sys.modules, argv
     """
-    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), str(five)], env=env, capture_output=True,
+                         text=True)
     assert run.returncode == 0, run.stderr
 
 

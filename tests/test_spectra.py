@@ -1,3 +1,4 @@
+import json
 import threading
 from unittest import mock
 
@@ -19,11 +20,18 @@ from selfsim.spectra import (
     _split_solve,
     _sterf_eigvals,
     _sturm_counts,
+    _to_tridiagonal,
     hausdorff_to_set,
     sym_eigs,
 )
 import suites
 from suites import given_order, reference_hausdorff_to_set, spectral_shift_check, tree_count
+
+FIVE_TERMS = AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0), ("aca", 0.5), ("c", -0.3), ("", 0.2)])
+# CI's merge.json: adadada is d and adadadad the identity, since (ad)^4 = 1
+MERGE = AlgebraElement.from_terms([("adadada", 1.0), ("d", 1.0), ("adadadad", 2.0), ("", -1.0), ("ab", 1.0),
+                                   ("badadadada", 1.0)])
+GUARD_WORD = "abacabadabacabad"  # 16 letters, which move some point 16 steps along the line
 
 
 def test_sym_eigs_examples():
@@ -85,19 +93,16 @@ def test_sym_eigs_residual_invariant():
         assert report.residual_bound <= 1e-10 * (1.0 + norm)
 
 
-def test_blocked_residual_matches_one_shot_formula():
-    # only a band wider than 1 is solved with eigenvectors: the five-term element is 3 wide along the line
-    M = assemble_level(AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0), ("aca", 0.5), ("c", -0.3), ("", 0.2)]), 10)
-    P = M.csr()[M.line][:, M.line]
+def test_wide_band_is_reduced_and_counted():
+    # a band wider than 1 is reduced by ?sbtrd and its eigenvalues come from ?sterf, as in values-only ?sbevd; no
+    # eigenvector is computed, and Sturm counts of the reduced tridiagonal check the values
+    M = assemble_level(FIVE_TERMS, 10)
     scaled, p = _flushed_band(M)
-    w, V = eig_banded(scaled, lower=True)
-    values = p * w
     report = sym_eigs(M)
-    assert (M.dim, report.lapack_driver, report.count_shifts, report.bandwidth) == (1024, "sbevd", 0, 3)
-    assert np.array_equal(report.eigenvalues, values)
-    gap = P @ V - V * values
-    one_shot = float(np.sqrt((gap * gap).sum(axis=0)).max()) / float(np.abs(values).max())
-    assert report.residual_bound == one_shot
+    assert (M.dim, report.lapack_driver, report.bandwidth, report.halvings) == (1024, "sbtrd+sterf", 3, 0)
+    assert np.array_equal(report.eigenvalues, p * eig_banded(scaled, lower=True, eigvals_only=True))
+    assert report.count_shifts == _documented_shifts(report.eigenvalues / p, M.dim).size == 999
+    assert report.residual_bound == 1024 * np.finfo(float).eps
 
 
 def test_spectral_shift_check_takes_an_operator_matrix():
@@ -255,9 +260,7 @@ def _flushed_band(M):
 def _scaled_tridiagonal(M):
     """The diagonal and off-diagonal that the split and the count check see, and the prescale factor."""
     band, p = _flushed_band(M)
-    d = band[0]
-    e = band[1, :-1] if band.shape[0] == 2 else np.zeros(d.size - 1)  # a band of width 0 has no off-diagonal row
-    return d, e, p
+    return (*_to_tridiagonal(band), p)
 
 
 def _documented_blocks(M):
@@ -443,6 +446,55 @@ def test_count_check_matches_sym_eigvals_on_balls(point):
         assert report.count_shifts == shifts.size and np.array_equal(report.eigenvalues, p * w)
 
 
+def _random_self_adjoint(rng):
+    """One to four random reduced words of at most 4 letters, each beside its reversal (its inverse) at one weight."""
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        length, start = int(rng.integers(1, 5)), int(rng.integers(2))  # a and one of b, c, d alternate
+        word = "".join("a" if i % 2 == start else str(rng.choice(list("bcd"))) for i in range(length))
+        coef = float(rng.uniform(-2.0, 2.0))
+        terms += [(word, coef), (word[::-1], coef)]
+    return AlgebraElement.from_terms(terms)
+
+
+def _wide_operators():
+    x = BoundaryPoint.parse("110010(011)")
+    for element in (FIVE_TERMS, MERGE):
+        yield from (assemble_level(element, n) for n in range(6, 12))
+        yield from (assemble_orbital(element, x, GENERATORS, radius)[0] for radius in (0, 1, 64, 511, 512, 1024))
+    yield assemble_orbital(AlgebraElement.from_terms(zip("dab", (1.0, 1.0, 1.0))), x, "dab", 512)[0]
+    rng = np.random.default_rng(36)
+    for _ in range(8):
+        element = _random_self_adjoint(rng)
+        yield assemble_level(element, 9)
+        yield assemble_orbital(element, x, GENERATORS, 300)[0]
+    # an unpivoted LDL^T of the band itself miscounts these: ab + ba has an exactly singular leading block at -1/2,
+    # the midpoint of its eigenvalues -1 and 0 at level 2, and the pivots of the last one grow past gaps of 1e-11
+    for terms, n in (([("ab", 1.0), ("ba", 1.0)], 2), ([("abad", 1.0), ("daba", 1.0)], 3),
+                     ([("a", 1.0), ("b", 0.5), ("dad", 2.0)], 10)):
+        yield assemble_level(AlgebraElement.from_terms(terms), n)
+    yield assemble_level(AlgebraElement.from_terms([(GUARD_WORD, 1.0), (GUARD_WORD[::-1], 1.0)]), 11)
+
+
+def test_count_check_matches_eig_banded_at_every_width():
+    # the Sturm counts of the tridiagonal that is split, at the check's shifts, are the counts of the values-only
+    # ?sbevd eigenvalues of the band; the eigenvalues are its bytes wherever the split takes ?sterf whole
+    widths = set()
+    for M in _wide_operators():
+        report = sym_eigs(M)
+        widths.add(report.bandwidth)
+        scaled, p = _flushed_band(M)
+        reference = eig_banded(scaled, lower=True, eigvals_only=True)
+        d, e, _ = _scaled_tridiagonal(M)
+        shifts = _documented_shifts(_split_solve(d, e)[0], M.dim)
+        assert _sturm_counts(d, e, shifts).tolist() == np.searchsorted(reference, shifts).tolist()
+        assert report.count_shifts == (shifts.size if M.dim <= 2048 else 0)
+        if report.halvings == 0 and report.lapack_driver in ("sterf", "sbtrd+sterf"):
+            assert np.array_equal(report.eigenvalues, p * reference)
+        assert np.abs(report.eigenvalues - p * reference).max() <= M.dim * np.finfo(float).eps * p
+    assert widths >= {1, 2, 3, 4, 16} and max(widths) == 16
+
+
 def test_count_check_passes_exact_clusters():
     # the zero matrix and the identity element are one cluster each, counted below and above
     assert sym_eigs(given_order(np.zeros((4, 4)))).count_shifts == 2
@@ -469,6 +521,13 @@ def test_corrupted_solve_fails_the_count_check(monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match=r"Sturm count 1 at shift [-0-9.e]+ differs from 0 values below"):
         sym_eigs(M)
     assert cli.main(["spectrum", "--level", "5", "--out", str(tmp_path / "spectrum")]) == 3
+    # a band wider than 1 takes the same split after ?sbtrd, and the same check
+    with pytest.raises(RuntimeError, match=r"Sturm count 1 at shift [-0-9.e]+ differs from 0 values below"):
+        sym_eigs(assemble_level(FIVE_TERMS, 11))
+    element = tmp_path / "five.json"
+    element.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in FIVE_TERMS.terms]}))
+    argv = ["spectrum", "--element", str(element), "--level", "11", "--out", str(tmp_path / "five")]
+    assert cli.main(argv) == 3
 
 
 def test_sum_is_four_times_delta_bitwise():
@@ -626,11 +685,17 @@ def test_non_finite_input_raises():
         sym_eigs(given_order(np.array([[1.0, np.nan], [np.nan, 1.0]])))
     with pytest.raises(ValueError, match="infs or NaNs"):
         sym_eigs(_tridiagonal(np.array([1.0, np.inf, np.inf, 1.0]), np.array([0.5, 0.25, 0.5])))
+    # a band wider than 1 is reduced first, and the split refuses what ?sbtrd makes of a NaN
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sym_eigs(given_order(np.array([[1.0, 0.5, np.nan], [0.5, 2.0, 0.5], [np.nan, 0.5, 3.0]])))
     # arrays LAPACK would read past the end of are refused before the call
     with pytest.raises(ValueError, match="dsterf needs 2 contiguous float64 arrays"):
-        spectra._lapack("dsterf")(np.zeros(4), np.zeros(2))
+        spectra._lapack("dsterf", 4, np.zeros(4), np.zeros(2))
     with pytest.raises(ValueError, match="dlasq1 needs 3 contiguous float64 arrays"):
-        spectra._lapack("dlasq1")(np.zeros(4), np.zeros(4), np.zeros(15))
+        spectra._lapack("dlasq1", 4, np.zeros(4), np.zeros(4), np.zeros(15))
+    with pytest.raises(ValueError, match="dsbtrd needs 5 contiguous float64 arrays"):
+        spectra._lapack("dsbtrd", b"N", b"L", 4, 2, np.zeros(11), 3, np.zeros(4), np.zeros(3), np.zeros(1), 1,
+                        np.zeros(4))
 
 
 def _two_cpus(monkeypatch):
