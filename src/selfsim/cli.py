@@ -28,7 +28,6 @@ from .hecke import (
     LEVEL_GUARD,
     AlgebraElement,
     _level_perms,
-    _orbital_tables,
     _word_map,
     assemble_level,
     assemble_orbital,
@@ -337,11 +336,9 @@ def cmd_orbital(args: argparse.Namespace) -> int:
     letters = tuple(dict.fromkeys(args.gens))
     radius, outdir = args.radius, args.out
     _, name, element = args.element
-    tables = _orbital_tables(element, x, letters, radius)  # the line of x, read once for the ball and the operator
-    ball = orbital_ball(x, letters, radius, tables)
+    ball = orbital_ball(x, letters, radius)
     outputs = [_write(outdir, "graph.csv", ball.to_csv())]
-    matrix, flags = assemble_orbital(element, x, letters, radius, tables)
-    del tables  # not held through the solve
+    matrix, flags = assemble_orbital(element, x, letters, radius)
     rep = sym_eigs(matrix)
     outputs.append(_write(outdir, "spectrum.csv", [rep.to_csv()]))
     outputs.append(_write(outdir, "flags.csv", _flag_rows(ball.vertices, flags)))

@@ -211,29 +211,22 @@ def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
     return _operator(m, [_word_map(perms, word, 1 << n) for word, _ in m.terms], _level_line(n))
 
 
-def _orbital_tables(m: AlgebraElement, x, gens, radius: int):
-    """_line_tables of the ball around x L - 1 steps larger than radius, L the longest word of m."""
+def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorMatrix, np.ndarray]:
+    """Compression of the orbit representation of m to orbital_ball(x, gens, radius), with row flags.
+
+    Each term composes the image tables it reads of the ball L - 1 steps
+    larger, L the longest word of m, and is cut at its prefix, the radius
+    ball numbered alike.  A letter moves a point at most one step, so the
+    word's intermediate images stay in the larger ball and its map is exact.
+    Row i is flagged when the operator there depends on points outside the
+    ball: some term's inverse, its reversal, maps vertex i outside.  A term's
+    map is one-to-one, so that is when no vertex maps to i under the term.
+    """
     missing = m.support_letters() - set(gens)
     if missing:
         raise ValueError(f"letters {sorted(missing)} not covered by the ball labels")
     longest = max((len(word) for word, _ in m.terms), default=0)
-    return _line_tables(x, gens, radius, max(longest - 1, 0))
-
-
-def assemble_orbital(m: AlgebraElement, x, gens, radius: int, tables=None) -> tuple[OperatorMatrix, np.ndarray]:
-    """Compression of the orbit representation of m to orbital_ball(x, gens, radius), with row flags.
-
-    Each term composes the image tables of the ball L - 1 steps larger, L
-    the longest word of m, and is cut at the radius ball, a prefix of it.  A
-    letter moves a point at most one step, so the word's intermediate images
-    stay in the larger ball and its map is exact.  Row i is flagged when the
-    operator there depends on points outside the ball: some term's inverse,
-    its reversal, maps vertex i outside.  A term's map is one-to-one, so that
-    is when no vertex maps to i under the term.  tables, where given, is
-    _orbital_tables(m, x, gens, radius), which cmd_orbital also cuts the ball
-    it writes from.
-    """
-    images, offsets, _ = _orbital_tables(m, x, gens, radius) if tables is None else tables
+    images, offsets, _ = _line_tables(x, gens, radius, max(longest - 1, 0))
     dim = int(np.count_nonzero(np.abs(offsets) <= radius))
     maps = np.array([_word_map(images, word, dim) for word, _ in m.terms], dtype=np.int64).reshape(-1, dim)
     maps[maps >= dim] = -1  # only the last letter can leave the larger ball (-1)

@@ -30,9 +30,8 @@ of the whole group; edges between two included vertices are always included.
 A generating set that leaves out every letter of some step cuts the line
 there.  A ball is a prefix of every larger ball around the same point, so
 hecke reads the image of a word of length L on the radius-r ball off the
-tables of the radius r + L - 1 ball: no letter moves a point more than one
-step.  The orbital command cuts the ball it writes from those same tables,
-so it reads the line of its point once.
+tables of the radius r + L - 1 ball, which it reads itself: no letter moves
+a point more than one step.
 """
 
 from __future__ import annotations
@@ -217,7 +216,7 @@ def _line_tables(x: BoundaryPoint, gens, radius: int, beyond: int = 0):
     return images, k, (low, lo, carry_flip, borrow_flip)
 
 
-def orbital_ball(x: BoundaryPoint, gens, radius: int, tables=None) -> MarkedGraph:
+def orbital_ball(x: BoundaryPoint, gens, radius: int) -> MarkedGraph:
     """Word-metric ball of the orbital graph around x, with internal edges.
 
     gens is a sequence of distinct generator letters.  The ball is the
@@ -225,12 +224,7 @@ def orbital_ball(x: BoundaryPoint, gens, radius: int, tables=None) -> MarkedGrap
     first step that no letter of gens takes and at the one-ended orbit's end.
     Its vertices are numbered as a breadth-first search from x would find
     them: the root, then the two sides interleaved, the side reached by the
-    earlier letter of gens first.  tables, where given, is _line_tables(x,
-    gens, radius, beyond) for some beyond >= 0, and the ball is cut from
-    that larger one, of which it is a prefix; so a caller that needs both
-    reads the line of x once.
+    earlier letter of gens first: a prefix of every larger ball around x.
     """
-    images, offsets, coordinate = _line_tables(x, gens, radius) if tables is None else tables
-    dim = int(np.count_nonzero(np.abs(offsets) <= radius))
-    cut = {g: np.where(image[:dim] < dim, image[:dim], -1) for g, image in images.items()}
-    return MarkedGraph(tuple(_names(x, offsets[:dim], *coordinate)), tuple(gens), cut)
+    images, offsets, coordinate = _line_tables(x, gens, radius)
+    return MarkedGraph(tuple(_names(x, offsets, *coordinate)), tuple(gens), images)

@@ -30,9 +30,9 @@ solves them all where one CPU is usable or OMP_NUM_THREADS is 1.  Graded input
 every entry of the prescaled band below eps / (2 dim) is set to 0 before any
 LAPACK call: its top entry is at least 1/2 and a row holds fewer than 2 dim
 entries, so this moves the matrix by less than 2 eps ||M||, inside the
-dim * eps bound.  Up to dimension 2048 sym_eigs checks every spectrum by Sturm
-counts of the tridiagonal before the split, exact for a matrix a few ulps away
-(Kahan 1966); the ?sbtrd reduction of a wider band is trusted, not checked.
+dim * eps bound.  sym_eigs checks every spectrum against two moments of the band,
+its trace and squared Frobenius norm, and up to dimension 2048 by Sturm counts of
+the tridiagonal before the split, exact for a matrix a few ulps away (Kahan 1966).
 The solver contract adds two guarantees on top of LAPACK:
 
 * determinism: identical input bytes give identical output bytes, on one
@@ -284,6 +284,20 @@ def _count_check(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> int:
     return shifts.size
 
 
+def _moment_check(scaled: np.ndarray, w: np.ndarray) -> None:
+    """Raise unless the values w match the trace and squared Frobenius norm of the band B with lower half scaled.
+
+    Each value is within dim eps ||B|| of its own, so sum(w) is within dim^2 eps ||B||_F of the trace and
+    sum(w^2) within 2 dim^2 eps ||B||_F^2 of ||B||_F^2: the diagonal squared plus twice each other one squared.
+    """
+    frob2 = float(np.square(scaled[0]).sum() + 2.0 * np.square(scaled[1:]).sum())
+    tol = w.size * w.size * float(np.finfo(float).eps) * math.sqrt(frob2)
+    for name, got, want, bound in (("sum", w.sum(), scaled[0].sum(), tol),
+                                   ("sum of squares", np.square(w).sum(), frob2, 2.0 * tol * math.sqrt(frob2))):
+        if abs(got - want) > bound:
+            raise RuntimeError(f"eigenvalue {name} {float(got)!r} differs from {float(want)!r} by over {bound:.3e}")
+
+
 @dataclass(frozen=True, eq=False)  # arrays have no truth value, so reports compare by identity
 class EigReport:
     eigenvalues: np.ndarray  # float64, ascending
@@ -323,9 +337,9 @@ def sym_eigs(M: OperatorMatrix) -> EigReport:
     M is solved along its line, where an assembled operator is a band no
     wider than its longest word; any other input raises TypeError.  A band
     wider than 1 is first reduced to a tridiagonal by ?sbtrd, and every
-    tridiagonal goes to the persymmetric split, for eigenvalues only.  Up to
-    dimension 2048 they are certified by Sturm counts of the tridiagonal that
-    was split (_count_check; a mismatch raises RuntimeError).
+    tridiagonal goes to the persymmetric split, for eigenvalues only, checked
+    by two moments of the band (_moment_check) and up to dimension 2048 by Sturm
+    counts of the tridiagonal that was split (_count_check): a miss raises RuntimeError.
     """
     if not isinstance(M, OperatorMatrix):
         raise TypeError(f"sym_eigs takes an OperatorMatrix, got {type(M).__name__}")
@@ -336,6 +350,7 @@ def sym_eigs(M: OperatorMatrix) -> EigReport:
     d, e = _to_tridiagonal(scaled)
     w, driver, halvings = _split_solve(d, e)
     shifts = _count_check(d, e, w) if dim <= _COUNT_MAX_DIM else 0
+    _moment_check(scaled, w)
     reduced = "sbtrd+" if scaled.shape[0] > 2 else ""
     return EigReport(p * w, band.shape[0] - 1, reduced + driver, halvings, shifts)
 

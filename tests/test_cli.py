@@ -778,13 +778,16 @@ def test_orbital_outputs_match_pinned_digests(point, gens, radius, terms, digest
     ],
     ids=["ones-r0", "ones-r64", "five-term", "gens-ad", "long-preperiod"],
 )
-def test_orbital_reads_the_line_of_the_point_once(point, gens, radius, terms, tmp_path, monkeypatch):
-    # the ball written and the operator solved are cut from one set of line tables
+def test_orbital_ball_and_operator_each_read_the_line_once(point, gens, radius, terms, tmp_path, monkeypatch):
+    # the ball written reads the line of the point out to radius, and the operator solved L - 1 steps further,
+    # L the longest word: the ball is a prefix of the operator's, numbered alike
     calls = []
-    line_coordinate = schreier._line_coordinate
-    monkeypatch.setattr(schreier, "_line_coordinate", lambda *args: calls.append(args) or line_coordinate(*args))
+    line_tables = schreier._line_tables
+    for module in (schreier, hecke):
+        monkeypatch.setattr(module, "_line_tables", lambda *args: calls.append(args) or line_tables(*args))
     path = tmp_path / "elem.json"
     path.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in terms]}))
     argv = ["orbital", "--point", point, "--gens", gens, "--radius", str(radius), "--element", str(path)]
     assert cli.main(argv + ["--out", str(tmp_path / "orb")]) == 0
-    assert len(calls) == 1
+    root, beyond = str(BoundaryPoint.parse(point)), max(len(w) for w, _ in terms) - 1
+    assert [(str(x), *rest) for x, *rest in calls] == [(root, tuple(gens), radius), (root, tuple(gens), radius, beyond)]

@@ -296,6 +296,8 @@ ORBITAL_ELEMENTS = {
     # on 1^inf at radius 6 its map has 6 entries inside the ball, and the
     # ball's own tables composed give 4: two paths leave the ball and come back
     "abacaba": lambda letters: AlgebraElement.from_terms([("abacaba", 1.0)]),
+    # a word at the 16-letter guard and its reversal: the operator reads the line 15 steps past the ball
+    "guard16": lambda letters: AlgebraElement.from_terms([("abacabadabacabad", 1.0), ("dabacabadabacaba", 1.0)]),
 }
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfsim.group import BoundaryPoint, boundary_image
-from selfsim.schreier import _line_tables, orbital_ball
+from selfsim.schreier import _line_tables, _names, orbital_ball
 from suites import bfs_orbital_ball
 
 ABCD = ("a", "b", "c", "d")
@@ -111,15 +111,20 @@ def test_orbital_ball_matches_breadth_first_search_property(pre, per, gens, radi
 
 @pytest.mark.parametrize("point", ["(1)", "0(1)", "(0)", "110010(011)", "100000000000(00101)"])
 def test_orbital_ball_cut_from_a_larger_ball(point):
-    # the ball is a prefix of every larger ball around the point: cut from its tables, it is the same ball
+    # the ball is a prefix of every larger ball around the point, numbered alike, which assemble_orbital reads:
+    # the larger ball's first vertices are those within radius, and its tables cut there are the ball's
     x = BoundaryPoint.parse(point)
     for gens in _GENS_ORDERS:
         for radius in (0, 1, 2, 5, 17):
             want = orbital_ball(x, gens, radius)
+            dim = len(want.vertices)
             for beyond in (0, 1, 2, 6, 40):
-                got = orbital_ball(x, gens, radius, _line_tables(x, gens, radius, beyond))
-                assert got.vertices == want.vertices and got.labels == want.labels, (gens, radius, beyond)
-                assert all(np.array_equal(got.images[g], want.images[g]) for g in gens), (gens, radius, beyond)
+                images, offsets, coordinate = _line_tables(x, gens, radius, beyond)
+                assert np.all(np.abs(offsets[:dim]) <= radius) and np.all(np.abs(offsets[dim:]) > radius)
+                assert tuple(_names(x, offsets[:dim], *coordinate)) == want.vertices, (gens, radius, beyond)
+                for g in gens:
+                    cut = np.where(images[g][:dim] < dim, images[g][:dim], -1)
+                    assert np.array_equal(cut, want.images[g]), (gens, radius, beyond, g)
 
 
 def test_orbital_ball_without_labels_is_its_root():

@@ -530,6 +530,40 @@ def test_corrupted_solve_fails_the_count_check(monkeypatch, tmp_path):
     assert cli.main(argv) == 3
 
 
+def test_faulty_band_reduction_fails_the_moment_check(monkeypatch, tmp_path):
+    # the Sturm counts check the tridiagonal that ?sbtrd gives, so they pass a fault there; the sum of squares
+    # of the values, the band's squared Frobenius norm, does not
+    to_tridiagonal = spectra._to_tridiagonal
+
+    def faulty(lower):
+        d, e = to_tridiagonal(lower)
+        return (d, 1.01 * e) if lower.shape[0] > 2 else (d, e)
+
+    monkeypatch.setattr(spectra, "_to_tridiagonal", faulty)
+    for n in (10, 13):
+        with pytest.raises(RuntimeError, match=r"eigenvalue sum of squares [-0-9.e]+ differs from"):
+            sym_eigs(assemble_level(FIVE_TERMS, n))
+    element = tmp_path / "five.json"
+    element.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in FIVE_TERMS.terms]}))
+    assert cli.main(["spectrum", "--element", str(element), "--level", "12", "--out", str(tmp_path / "five")]) == 3
+
+
+def test_corrupted_solve_above_the_count_cutoff_fails_the_moment_check(monkeypatch, tmp_path):
+    # above dimension 2048 no Sturm count runs: the sum of the values, the band's trace, sees one value moved
+    split_solve = spectra._split_solve
+
+    def corrupted(d, e):
+        w, driver, halvings = split_solve(d, e)
+        w = w.copy()
+        w[w.size // 2] += 1e-3
+        return np.sort(w), driver, halvings
+
+    monkeypatch.setattr(spectra, "_split_solve", corrupted)
+    with pytest.raises(RuntimeError, match=r"eigenvalue sum [-0-9.e]+ differs from"):
+        sym_eigs(assemble_level(delta_element(), 12))
+    assert cli.main(["spectrum", "--level", "12", "--out", str(tmp_path / "spectrum")]) == 3
+
+
 def test_sum_is_four_times_delta_bitwise():
     # every level up to the cutoff now takes the split too; the prescale makes the two solves see the same bits
     for n in range(12):
