@@ -147,18 +147,22 @@ def _relator_ok(word: str, perms: dict[str, np.ndarray]) -> bool:
 
 
 def _bcd_square_ok(perms: dict[str, np.ndarray]) -> bool:
-    """(B + C + D - I)^2 == 4 I in exact integer arithmetic, on the level whose permutations are perms."""
-    import scipy.sparse as sparse
-    dim = perms["a"].size
-    cols = np.arange(dim)
-    acc = sparse.csr_matrix((dim, dim), dtype=np.int64)
-    for letter in ("b", "c", "d"):
-        rows = perms[letter]
-        acc += sparse.csr_matrix((np.ones(dim, dtype=np.int64), (rows, cols)), shape=(dim, dim))
-    acc -= sparse.identity(dim, dtype=np.int64, format="csr")
-    gap = (acc @ acc) - 4 * sparse.identity(dim, dtype=np.int64, format="csr")
-    gap.eliminate_zeros()
-    return gap.nnz == 0
+    """(B + C + D - I)^2 == 4 I in exact integer arithmetic, on the level whose permutations are perms.
+
+    That is (B + C + D)^2 == 3 I + 2 (B + C + D): the nine rows y[x[j]] of
+    column j, x and y in b, c, d, are as a multiset j three times and b[j],
+    c[j], d[j] twice each.  Each of those four candidates must be hit by as
+    many rows as that multiset holds of its value; as the multiplicities of
+    the distinct candidates sum to nine, no row is then left over.
+    """
+    letters = [perms[g] for g in ("b", "c", "d")]
+    candidates = np.stack([np.arange(letters[0].size), *letters])
+    gap = np.int8(-3) * (candidates == candidates[0])  # rows hitting each candidate, less its multiplicity
+    for x in letters:
+        gap -= np.int8(2) * (candidates == x)
+        for y in letters:
+            gap += candidates == y[x]
+    return not gap.any()
 
 
 def _verify_checks(level: int):

@@ -22,6 +22,8 @@ array.  An orbital term's map composes the per-letter image tables of a
 stretch of the orbit line (schreier), the same way a level term composes the
 generator permutations, in the one loop _word_map, once per term; no point is
 parsed or acted on, and the orbital row flags are read off the same maps.
+schur_step_check multiplies such sums of terms by composing their maps, so
+band storage and index maps are the only operator forms here.
 """
 
 from __future__ import annotations
@@ -71,10 +73,11 @@ def _word_map(tables, word: str, size: int) -> np.ndarray:
     """Index map of the word on size indices, composed from per-letter tables, rightmost letter first."""
     image = np.arange(size, dtype=np.int64)
     for ch in reversed(word):
-        try:
-            image = tables[ch][image]
-        except KeyError:
-            raise ValueError(f"bad generator letter {ch!r} in word {word!r}") from None
+        if ch not in tables:
+            raise ValueError(f"bad generator letter {ch!r} in word {word!r}")
+        outside = image < 0  # -1, outside the tables, stays -1: a read there would give the last entry
+        image = np.take(tables[ch], image)
+        image[outside] = -1
     return image
 
 
@@ -142,7 +145,6 @@ class OperatorMatrix:
     word.  entries has 2w + 1 rows, w the width of the outermost nonzero
     diagonal, and entries[w + k, p] is the entry at row place p + k and
     column place p; the corner cells that fall outside the matrix hold 0.
-    csr() is the index-order view.
     """
 
     entries: np.ndarray
@@ -151,18 +153,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.line.size
-
-    def csr(self):
-        """The operator as a scipy CSR matrix in index order, its zeros dropped."""
-        from scipy import sparse
-
-        w = self.entries.shape[0] // 2
-        cols = np.broadcast_to(np.arange(self.dim), self.entries.shape)
-        rows = cols + np.arange(-w, w + 1)[:, None]
-        keep = self.entries != 0.0  # nonzero cells lie inside the matrix
-        return sparse.csr_matrix(
-            (self.entries[keep], (self.line[rows[keep]], self.line[cols[keep]])), shape=(self.dim, self.dim)
-        )
 
 
 def _along_line(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, line: np.ndarray) -> OperatorMatrix:
@@ -250,29 +240,31 @@ def schur_step_check(alpha: float, beta: float, n: int) -> float:
 
     Multiplying the level-n matrix by the unitriangular corrector must produce
     a lower block triangle with diagonal blocks 2A - beta I (level n-1) and
-    the level-(n-1) operator at the renormalized parameters; the four blocks
-    of the product minus that triangle are measured.
+    the level-(n-1) operator at the renormalized parameters.  Each matrix is
+    coefficients times partial index maps on the level permutations, as
+    _operator takes them; the product composes the maps term by term, and
+    the terms of the product less the triangle are summed cell by cell.
     """
     if beta == 2.0 or beta == -2.0:
         raise ValueError("corrector undefined at beta = +-2")
     if n < 1:
         raise ValueError("need n >= 1 to step down one level")
-    from scipy import sparse
+    _check_level(n, ASSEMBLY_GUARD)
+    dim, half, k = 1 << n, 1 << (n - 1), alpha / (4.0 - beta * beta)
+    perms, low, eye = _level_perms(n), _level_perms(n - 1), np.arange(half)
 
-    half = 1 << (n - 1)
-    q_n = assemble_level(_pencil(alpha, beta), n).csr()
-    a_prev = assemble_level(AlgebraElement.from_terms([("a", 1.0)]), n - 1).csr()
-    eye = sparse.identity(half, format="csr")
-    corrector = sparse.bmat(
-        [[eye, alpha * (2.0 * a_prev + beta * eye) / (4.0 - beta * beta)], [None, eye]], format="csr"
-    )
-    product = q_n @ corrector
-    expected_tl = 2.0 * a_prev - beta * eye
-    expected_br = assemble_level(_pencil(*renorm_map((alpha, beta))), n - 1).csr()
-    blocks = (
-        product[:half, :half] - expected_tl,
-        product[:half, half:],
-        product[half:, :half] + alpha * eye,
-        product[half:, half:] - expected_br,
-    )
-    return max(float(abs(block).max()) for block in blocks)
+    def block(image, top, left):  # a level-(n-1) map as the block at row top and column left, -1 elsewhere
+        full = np.full(dim, -1)
+        full[left : left + half] = image + top
+        return full
+
+    pencil = [(c, _word_map(perms, word, dim)) for word, c in _pencil(alpha, beta).terms]
+    corrector = [(1.0, np.arange(dim)), (2.0 * k, block(low["a"], 0, half)), (beta * k, block(eye, 0, half))]
+    terms = [(p * q, np.where(right >= 0, left[right], -1)) for p, left in pencil for q, right in corrector]
+    terms += [(-2.0, block(low["a"], 0, 0)), (beta, block(eye, 0, 0)), (alpha, block(eye, half, 0))]
+    terms += [(-c, block(_word_map(low, word, half), half, half))
+              for word, c in _pencil(*renorm_map((alpha, beta))).terms]
+    maps, coefs = np.array([image for _, image in terms]), np.array([c for c, _ in terms])
+    keep = maps >= 0
+    _, cell = np.unique((maps * dim + np.arange(dim))[keep], return_inverse=True)  # row * dim + column
+    return float(np.abs(np.bincount(cell, weights=np.broadcast_to(coefs[:, None], maps.shape)[keep])).max(initial=0.0))

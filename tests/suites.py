@@ -34,6 +34,28 @@ def given_order(A) -> OperatorMatrix:
     return _along_line(S.row, S.col, S.data, np.arange(S.shape[0]))
 
 
+def index_order(M: OperatorMatrix) -> sparse.csr_matrix:
+    """The operator as a scipy CSR matrix in index order, its zeros dropped."""
+    w = M.entries.shape[0] // 2
+    cols = np.broadcast_to(np.arange(M.dim), M.entries.shape)
+    rows = cols + np.arange(-w, w + 1)[:, None]
+    keep = M.entries != 0.0  # nonzero cells lie inside the matrix
+    return sparse.csr_matrix((M.entries[keep], (M.line[rows[keep]], M.line[cols[keep]])), shape=(M.dim, M.dim))
+
+
+def bcd_square_reference(perms) -> bool:
+    """(B + C + D - I)^2 == 4 I as exact int64 sparse matrices, on the level whose permutations are perms."""
+    dim = perms["a"].size
+    cols = np.arange(dim)
+    acc = sparse.csr_matrix((dim, dim), dtype=np.int64)
+    for letter in ("b", "c", "d"):
+        acc += sparse.csr_matrix((np.ones(dim, dtype=np.int64), (perms[letter], cols)), shape=(dim, dim))
+    acc -= sparse.identity(dim, dtype=np.int64, format="csr")
+    gap = (acc @ acc) - 4 * sparse.identity(dim, dtype=np.int64, format="csr")
+    gap.eliminate_zeros()
+    return gap.nnz == 0
+
+
 def word_perm(word, n):
     """Permutation array of a word at level n, rightmost letter first; builds the level's table on every call."""
     return _word_map(_level_perms(n), word, 1 << n)
@@ -346,11 +368,11 @@ def spectral_shift_check(M, alphas, R: float, tol: float) -> tuple[list[bool], l
     construction.  M is solved once and each S once per probe; the verdicts
     come back as two lists, (direct, shifted), in probe order.  M is a dense
     array or an OperatorMatrix; the latter is laid out along its line as a
-    scipy matrix, so that it and each of its S, a band twice as wide, are
-    solved in that order (given_order).
+    scipy matrix (index_order), so that it and each of its S, a band twice as
+    wide, are solved in that order (given_order).
     """
     if isinstance(M, OperatorMatrix):
-        A, eye = M.csr()[M.line][:, M.line], sparse.identity(M.dim, format="csr")
+        A, eye = index_order(M)[M.line][:, M.line], sparse.identity(M.dim, format="csr")
     else:
         A = np.asarray(M, dtype=float)
         eye = np.eye(A.shape[0])

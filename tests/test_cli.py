@@ -16,6 +16,7 @@ import selfsim.schreier as schreier
 from selfsim.group import BoundaryPoint
 from selfsim.hecke import AlgebraElement, assemble_orbital
 from selfsim.renorm import curve_residuals, slice_spectrum_samples
+from suites import bcd_square_reference, index_order
 
 
 def _read_json(path):
@@ -47,8 +48,28 @@ def test_verify_fault_injection(tmp_path, monkeypatch, capsys):
     assert "FAIL (B+C+D-I)^2=4I at n=0" in capsys.readouterr().err
 
 
+def test_bcd_square_matches_the_sparse_reference_on_every_level():
+    for n in range(13):
+        perms = hecke._level_perms(n)
+        assert (cli._bcd_square_ok(perms), bcd_square_reference(perms)) == (True, True), n
+
+
+def test_bcd_square_matches_the_sparse_reference_on_transposed_permutations():
+    rng = np.random.default_rng(39)
+    verdicts = []
+    for _ in range(600):
+        perms = {g: p.copy() for g, p in hecke._level_perms(int(rng.integers(1, 7))).items()}
+        for _ in range(int(rng.integers(0, 3))):  # no transposition leaves the true level
+            p = perms[str(rng.choice(["b", "c", "d"]))]
+            i, j = rng.integers(0, p.size, 2)
+            p[[i, j]] = p[[j, i]]
+        verdicts.append(cli._bcd_square_ok(perms))
+        assert verdicts[-1] == bcd_square_reference(perms), perms
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_verify_builds_one_table_per_level_and_keeps_none(monkeypatch):
-    list(cli._verify_checks(1))  # scipy is imported before tracing starts
+    list(cli._verify_checks(1))  # numpy's first-call setup happens before tracing starts
     tracemalloc.start()
     try:
         checks = list(cli._verify_checks(17))
@@ -680,9 +701,9 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_eigenvalue_only_solves_load_no_scipy_sparse(tmp_path):
-    # the operator is solved from its band storage and no solve computes an eigenvector: only csr() reaches
-    # scipy.sparse, and up to dimension 2048 Sturm counts check every band, the five-term one 3 wide
+def test_commands_and_the_schur_step_load_no_scipy_sparse(tmp_path):
+    # every operator is band storage or index maps: the solves read the band, and up to dimension 2048 Sturm
+    # counts check every band, the five-term one 3 wide; verify and schur_step_check compose permutations
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     five = tmp_path / "five.json"
@@ -696,9 +717,14 @@ def test_eigenvalue_only_solves_load_no_scipy_sparse(tmp_path):
                                   ["orbital", "--point", "(0)", "--radius", "1024"],
                                   ["orbital", "--point", "(1)", "--radius", "1024"],
                                   ["spectrum", "--level", "11", *five],
-                                  ["orbital", "--point", "110010(011)", "--radius", "512", *five])):
+                                  ["orbital", "--point", "110010(011)", "--radius", "512", *five],
+                                  ["verify", "--level", "12"], ["slice", "--t", "-0.5", "--level", "12"],
+                                  ["omega", "--level", "6", "--t", "-0.5"], ["rigidity", "--samples", "1000"])):
             assert cli.main(argv + ["--out", f"{sys.argv[1]}/{k}"]) == 0
             assert "scipy.sparse" not in sys.modules, argv
+        from selfsim.hecke import schur_step_check
+        assert schur_step_check(0.3, 0.7, 13) <= 1e-12
+        assert "scipy.sparse" not in sys.modules
     """
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), str(five)], env=env, capture_output=True,
                          text=True)
@@ -760,7 +786,7 @@ def test_orbital_outputs_match_pinned_digests(point, gens, radius, terms, digest
     argv = ["orbital", "--point", point, "--gens", gens, "--radius", str(radius), "--element", str(path)]
     assert cli.main(argv + ["--out", str(out)]) == 0
     M, _ = assemble_orbital(AlgebraElement.from_terms(terms), BoundaryPoint.parse(point), tuple(gens), radius)
-    coo = M.csr().tocoo()  # the nonzeros in (row, column) order
+    coo = index_order(M).tocoo()  # the nonzeros in (row, column) order
     triplets = coo.row.astype(np.int64).tobytes() + coo.col.astype(np.int64).tobytes() + coo.data.tobytes()
     found = tuple(hashlib.sha256(data).hexdigest()
                   for data in ((out / "graph.csv").read_bytes(), (out / "flags.csv").read_bytes(), triplets))

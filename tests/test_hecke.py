@@ -18,9 +18,10 @@ from selfsim.hecke import (
     groupoid_block,
     schur_step_check,
 )
+from selfsim.renorm import renorm_map
 from selfsim.schreier import _line_tables, orbital_ball
 from selfsim.spectra import _band, sym_eigs
-from suites import _act_via_decomposition, given_order, is_identity, tree_count, word_perm
+from suites import _act_via_decomposition, given_order, index_order, is_identity, tree_count, word_perm
 
 ABCD = ("a", "b", "c", "d")
 NON_DYADIC = AlgebraElement.from_terms(
@@ -30,7 +31,7 @@ B_MINUS_C = AlgebraElement.from_terms([("b", 1.0), ("c", -1.0)])
 
 
 def _dense(M):
-    return M.csr().toarray()
+    return index_order(M).toarray()
 
 
 def _generator(letter, n):
@@ -204,7 +205,7 @@ def test_schur_step_identity():
 
 
 def test_schur_step_is_sparse_at_the_assembly_guard():
-    schur_step_check(0.3, 0.7, 2)  # imports scipy outside the measurement
+    schur_step_check(0.3, 0.7, 2)  # numpy's first-call setup happens outside the measurement
     tracemalloc.start()
     try:
         residual = schur_step_check(0.3, 0.7, 13)
@@ -219,6 +220,30 @@ def test_schur_step_is_sparse_at_the_assembly_guard():
 def test_schur_step_pole():
     with pytest.raises(ValueError, match="corrector undefined"):
         schur_step_check(1.0, 2.0, 2)
+
+
+def test_schur_step_guards_its_level():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        schur_step_check(0.3, 0.7, 0)
+    with pytest.raises(ValueError, match="level 14 exceeds the guard 13"):
+        schur_step_check(0.3, 0.7, 14)
+
+
+def test_schur_step_sees_a_faulty_renormalization(monkeypatch):
+    def faulty(point):
+        alpha, beta = renorm_map(point)
+        return 1.001 * alpha, beta
+
+    monkeypatch.setattr(hecke, "renorm_map", faulty)
+    for n in (1, 2, 3, 4, 13):
+        residual = schur_step_check(0.3, 0.7, n)
+        assert residual > 1e-6, (n, residual)
+
+
+def test_word_map_keeps_outside_images_outside():
+    # a takes index 1 outside the tables (-1), and b must not read its last entry there
+    tables = {"a": np.array([1, -1]), "b": np.array([0, 1])}
+    assert hecke._word_map(tables, "ba", 2).tolist() == [1, -1]
 
 
 def test_groupoid_block_doubles_spectrum():
@@ -358,7 +383,7 @@ LINE_WIDTHS = {"five": 3, "merge": 2}  # band widths along the line at levels 11
 def _along_line(M):
     """M's CSR laid out along its line, which must list every index once."""
     assert np.array_equal(np.sort(M.line), np.arange(M.dim))
-    return M.csr()[M.line][:, M.line]
+    return index_order(M)[M.line][:, M.line]
 
 
 def _bandwidth(P):
@@ -463,7 +488,7 @@ def _assert_canonical(M, expected):
     cols = np.broadcast_to(np.arange(M.dim), places.shape)
     assert np.array_equal(M.entries[inside], expected[M.line[places[inside]], M.line[cols[inside]]])
     # the index-order view: sorted, no duplicate positions, no zeros, and bit for bit the dense reference
-    S = M.csr()
+    S = index_order(M)
     assert S.has_canonical_format and np.all(S.data != 0.0)
     assert np.array_equal(S.toarray(), expected)
     # the dense array laid out along the line is the band the solver reads

@@ -25,7 +25,7 @@ from selfsim.spectra import (
     sym_eigs,
 )
 import suites
-from suites import given_order, reference_hausdorff_to_set, spectral_shift_check, tree_count
+from suites import given_order, index_order, reference_hausdorff_to_set, spectral_shift_check, tree_count
 
 FIVE_TERMS = AlgebraElement.from_terms([("ab", 1.0), ("ba", 1.0), ("aca", 0.5), ("c", -0.3), ("", 0.2)])
 # CI's merge.json: adadada is d and adadadad the identity, since (ad)^4 = 1
@@ -52,8 +52,8 @@ def test_sym_eigs_rejects_asymmetric():
 
 
 def test_sym_eigs_takes_only_an_operator_matrix():
-    # an array or scipy matrix has no line: the level-10 delta operator's csr() in index order is a width-512 band
-    for A in (np.eye(3), sparse.csr_matrix(np.eye(3)), assemble_level(delta_element(), 10).csr()):
+    # an array or scipy matrix has no line: the level-10 delta operator in index order is a width-512 band
+    for A in (np.eye(3), sparse.csr_matrix(np.eye(3)), index_order(assemble_level(delta_element(), 10))):
         with pytest.raises(TypeError, match=f"takes an OperatorMatrix, got {type(A).__name__}$"):
             sym_eigs(A)
 
@@ -108,7 +108,7 @@ def test_wide_band_is_reduced_and_counted():
 def test_spectral_shift_check_takes_an_operator_matrix():
     # the assembled level-3 delta, solved along its line, gives the verdicts of its dense array
     M = assemble_level(delta_element(), 3)
-    dense = M.csr().toarray()
+    dense = index_order(M).toarray()
     values = sym_eigs(given_order(dense)).eigenvalues.tolist()
     # members, non-members, and one probe on each side of sqrt(tol) = 1e-4, where the two tests disagree
     probes = [*values, 0.1, -0.3, 0.6, 2.0, 0.25 + 1e-3, values[0] - 5e-5, values[-1] + 2e-4]
@@ -157,7 +157,7 @@ def test_hausdorff_slice_level_eight():
 
 def test_shift_check_examples():
     assert spectral_shift_check(np.eye(2), [1.0], 2.0, 1e-8) == ([True], [True])
-    level1 = assemble_level(delta_element(), 1).csr().toarray()
+    level1 = index_order(assemble_level(delta_element(), 1)).toarray()
     assert spectral_shift_check(level1, [0.5, 0.0], 2.0, 1e-8) == ([True, False], [True, False])
     assert spectral_shift_check(level1, [], 2.0, 1e-8) == ([], [])
 
@@ -390,7 +390,7 @@ def test_graded_band_is_flushed():
 
 def test_bipartite_solve_is_exactly_equivariant():
     ball = assemble_orbital(delta_element(), BoundaryPoint.parse("(0)"), GENERATORS, 1024)[0]
-    M = ball.csr()[ball.line][:, ball.line]  # a scipy matrix is solved in its given order
+    M = index_order(ball)[ball.line][:, ball.line]  # a scipy matrix is solved in its given order
     values, halvings = _eigvals_and_halvings(given_order(M), "lasq1")
     assert halvings == 0 and values.size == 2049 and 0.25 in values
     assert np.array_equal(sym_eigs(given_order(4.0 * M)).eigenvalues, 4.0 * values)
@@ -406,7 +406,7 @@ def test_ordering_ignores_the_diagonal():
         M = assemble_level(AlgebraElement.from_terms(terms), 8)
         report = sym_eigs(M)
         assert report.bandwidth == 1
-        assert np.abs(report.eigenvalues - np.linalg.eigvalsh(M.csr().toarray())).max() <= 1e-12
+        assert np.abs(report.eigenvalues - np.linalg.eigvalsh(index_order(M).toarray())).max() <= 1e-12
 
 
 def _documented_shifts(w, dim):
@@ -581,7 +581,7 @@ def test_split_small_dimensions_and_diagonal_band():
     M = _tridiagonal(np.array([1.0, 2.0, 2.0, 1.0]), np.array([0.5, 1.0, 0.5]))
     assert _documented_driver(M) == "sterf+lasq1"
     values, halvings = _eigvals_and_halvings(M, "sterf+lasq1")
-    assert halvings == 1 and np.abs(values - np.linalg.eigvalsh(M.csr().toarray())).max() <= 1e-15
+    assert halvings == 1 and np.abs(values - np.linalg.eigvalsh(index_order(M).toarray())).max() <= 1e-15
     identity = AlgebraElement.from_terms([("", 1.0)])
     # the - blocks of a diagonal band of size 2 and more have a constant diagonal; the last + block has size 1
     for n, driver in ((0, "sterf"), (1, "sterf"), (5, "sterf+lasq1")):
