@@ -25,6 +25,7 @@ from . import __version__
 from .group import GENERATORS, BoundaryPoint, rigidity_depth
 from .hecke import (
     ASSEMBLY_GUARD,
+    BYTE_GUARD,
     LEVEL_GUARD,
     AlgebraElement,
     _level_perms,
@@ -119,8 +120,11 @@ def _element(spec: str) -> tuple[str, str, AlgebraElement]:
     if spec == "e":
         return spec, spec, AlgebraElement.from_terms([("", 1.0)])
     try:
-        with open(spec, encoding="utf-8") as fh:
-            element = AlgebraElement.from_json(fh.read())
+        with open(spec, "rb") as fh:
+            data = fh.read(BYTE_GUARD + 1)  # a device such as /dev/zero never ends
+        if len(data) > BYTE_GUARD:
+            raise ValueError(f"element file has more than the guard {BYTE_GUARD} bytes")
+        element = AlgebraElement.from_json(data.decode("utf-8"))
     except (OSError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"cannot read {spec!r}: {exc}") from None
     # merged duplicate words may sum to inf, which fails the comparison too
@@ -490,10 +494,9 @@ def main(argv=None) -> int:
             missing = args.element[2].support_letters() - set(args.gens)
             if missing:
                 parser.error(f"--element uses letters {sorted(missing)} that --gens {args.gens!r} leaves out")
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.run(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

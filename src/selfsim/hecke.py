@@ -4,13 +4,14 @@ The level-n action of the generators is the block recursion
 
     A = [[0, I], [I, 0]],  B = diag(A, C),  C = diag(A, D),  D = diag(I, B)
 
-read off the generators' wreath recursions and unfolded to the flip rule of
-group._moves, one whole-array XOR of the level indices per generator.  These
-matrices are the Koopman representation at the uniform Bernoulli measure
-(q = 1/2) compressed to the level-n cylinder functions; at any other q a
-Radon-Nikodym factor enters and they no longer describe it.
-Each call that reads the level action builds the generator permutations
-(exact integer index arrays) once, composes every word on them, keeps none.
+read off the wreath recursions (blocks by the first coordinate) and unfolded
+to group._moves, one whole-array step per generator with the level vertices
+numbered by place on the orbit line (schreier).  These matrices are the
+Koopman representation at the uniform Bernoulli measure (q = 1/2) compressed
+to the level-n cylinder functions; at any other q a Radon-Nikodym factor
+enters and they no longer describe it.  Each call that reads the level action
+builds the generator permutations (exact integer index arrays) once, composes
+every word on them, keeps none.
 
 Operator assembly U(m) = sum of m(w) times the word permutation composes the
 permutations exactly and converts to floating point at the final accumulation.
@@ -36,13 +37,14 @@ import numpy as np
 
 from .group import GENERATORS, _element_key, _moves, reduce_word
 from .renorm import renorm_map
-from .schreier import _bit_length, _line_tables
+from .schreier import _line_tables
 
 LEVEL_GUARD = 20
 ASSEMBLY_GUARD = 13  # level operators stay within seconds of solve time
 # element files, checked before any word is reduced: every term is keyed, and letters lengthen the line
 TERM_GUARD = 256
 WORD_GUARD = 16  # letters of one word, and so the widest band along the line
+BYTE_GUARD = 1 << 20  # bytes of an element file, read no further: JSON numbers and whitespace have no length limit
 
 
 def _check_level(n: int, guard: int) -> None:
@@ -53,20 +55,17 @@ def _check_level(n: int, guard: int) -> None:
 
 
 def _level_perms(n: int) -> dict[str, np.ndarray]:
-    """Permutation index arrays of a, b, c, d on the 2^n level vertices.
+    """Permutation index arrays of a, b, c, d on the 2^n level vertices, numbered by place on the orbit line.
 
-    Index j encodes the vertex whose bit string is j written MSB-first, so the
-    first tree coordinate is the high-order bit and block structure matches
-    the operator recursion.  perm[j] is the image index.  The first 0 of
-    vertex j is the top set bit of NOT j, so the flip position of b, c and d
-    is f = n + 1 - bit_length(NOT j), held in bit n - 1 - f.
+    Place p holds vertex NOT gray(2^n - 1 - p) (schreier).  Step s joins
+    places s - 1 and s and flips coordinate f = v2(s); with moves = _moves(g,
+    f), none at s = 0 or 2^n, perm[p] = p + moves[p + 1] - moves[p].
     """
     _check_level(n, LEVEL_GUARD)
-    j = np.arange(1 << n, dtype=np.int64)
-    length = _bit_length(j ^ ((1 << n) - 1))
-    f = (n + 1 - length).astype(np.int8)  # one byte each keeps the % in _moves cheap at 2^20 vertices
-    bit = (1 << length) >> 2  # 0 where f >= n: no 0, or the first 0 in the last coordinate
-    return {"a": j ^ (1 << n >> 1), **{g: j ^ bit * _moves(g, f) for g in GENERATORS[1:]}}
+    f = np.full((1 << n) + 1, -1, dtype=np.int8)  # -1 at s = 0 and 2^n: no letter moves at -1
+    for k in range(n):
+        f[1 << k :: 2 << k] = k
+    return {g: np.arange(1 << n, dtype=np.int64) + np.diff(_moves(g, f).view(np.int8)) for g in GENERATORS}
 
 
 def _word_map(tables, word: str, size: int) -> np.ndarray:
@@ -106,7 +105,10 @@ class AlgebraElement:
     @staticmethod
     def from_json(text: str) -> "AlgebraElement":
         """Parse {"terms": [{"word": str, "coef": number}, ...]}; ValueError if malformed or past a size guard."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+            raise ValueError("element JSON is nested too deeply") from None
         terms = data.get("terms") if isinstance(data, dict) else None
         if not isinstance(terms, list):
             raise ValueError('element JSON needs a "terms" list')
@@ -139,10 +141,10 @@ def generator_sum_element() -> AlgebraElement:
 class OperatorMatrix:
     """Real dim x dim operator as band storage along its line.
 
-    line lists the indices (tree or breadth-first numbers) by descending line
-    coordinate (schreier), so place p holds index line[p] and dim is its
-    size; along it an assembled operator is a band as wide as its longest
-    word.  entries has 2w + 1 rows, w the width of the outermost nonzero
+    line lists the indices (level places or breadth-first numbers) by
+    descending line coordinate (schreier), so place p holds index line[p] and
+    dim is its size; along it an assembled operator is a band as wide as its
+    longest word.  entries has 2w + 1 rows, w the width of the outermost nonzero
     diagonal, and entries[w + k, p] is the entry at row place p + k and
     column place p; the corner cells that fall outside the matrix hold 0.
     """
@@ -187,18 +189,11 @@ def _operator(m: AlgebraElement, maps, line: np.ndarray) -> OperatorMatrix:
     return _along_line(place[rows[keep]], cols, values, line)
 
 
-def _level_line(n: int) -> np.ndarray:
-    """Level indices along the orbit line: place p holds NOT gray(m), m = 2^n - 1 - p, coordinate i in bit n - 1 - i."""
-    p = np.arange(1 << n, dtype=np.int64)
-    y = p ^ p >> 1 ^ (1 << n >> 1) - 1  # NOT gray(m), coordinate i as bit i
-    return sum(((y >> i & 1) << n - 1 - i for i in range(n)), np.zeros_like(p))
-
-
 def assemble_level(m: AlgebraElement, n: int) -> OperatorMatrix:
     """Level-n matrix of U(m): coefficients against exact word permutations."""
     _check_level(n, ASSEMBLY_GUARD)
     perms = _level_perms(n)
-    return _operator(m, [_word_map(perms, word, 1 << n) for word, _ in m.terms], _level_line(n))
+    return _operator(m, [_word_map(perms, word, 1 << n) for word, _ in m.terms], np.arange(1 << n))
 
 
 def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorMatrix, np.ndarray]:
@@ -215,8 +210,9 @@ def assemble_orbital(m: AlgebraElement, x, gens, radius: int) -> tuple[OperatorM
     missing = m.support_letters() - set(gens)
     if missing:
         raise ValueError(f"letters {sorted(missing)} not covered by the ball labels")
-    longest = max((len(word) for word, _ in m.terms), default=0)
-    images, offsets, _ = _line_tables(x, gens, radius, max(longest - 1, 0))
+    if radius < 0:  # checked before the ball is extended
+        raise ValueError("radius must be >= 0")
+    images, offsets, _ = _line_tables(x, gens, radius + max([0] + [len(word) - 1 for word, _ in m.terms]))
     dim = int(np.count_nonzero(np.abs(offsets) <= radius))
     maps = np.array([_word_map(images, word, dim) for word, _ in m.terms], dtype=np.int64).reshape(-1, dim)
     maps[maps >= dim] = -1  # only the last letter can leave the larger ball (-1)
@@ -252,17 +248,18 @@ def schur_step_check(alpha: float, beta: float, n: int) -> float:
     _check_level(n, ASSEMBLY_GUARD)
     dim, half, k = 1 << n, 1 << (n - 1), alpha / (4.0 - beta * beta)
     perms, low, eye = _level_perms(n), _level_perms(n - 1), np.arange(half)
+    side = (2 * eye + 1 - (eye & 1), 2 * eye + (eye & 1))  # over place q, first coordinate 0 (bits 0, 1 differ), 1
 
-    def block(image, top, left):  # a level-(n-1) map as the block at row top and column left, -1 elsewhere
+    def block(image, top, left):  # a level-(n-1) map as the block at first coordinates top and left, -1 elsewhere
         full = np.full(dim, -1)
-        full[left : left + half] = image + top
+        full[side[left]] = side[top][image]
         return full
 
     pencil = [(c, _word_map(perms, word, dim)) for word, c in _pencil(alpha, beta).terms]
-    corrector = [(1.0, np.arange(dim)), (2.0 * k, block(low["a"], 0, half)), (beta * k, block(eye, 0, half))]
+    corrector = [(1.0, np.arange(dim)), (2.0 * k, block(low["a"], 0, 1)), (beta * k, block(eye, 0, 1))]
     terms = [(p * q, np.where(right >= 0, left[right], -1)) for p, left in pencil for q, right in corrector]
-    terms += [(-2.0, block(low["a"], 0, 0)), (beta, block(eye, 0, 0)), (alpha, block(eye, half, 0))]
-    terms += [(-c, block(_word_map(low, word, half), half, half))
+    terms += [(-2.0, block(low["a"], 0, 0)), (beta, block(eye, 0, 0)), (alpha, block(eye, 1, 0))]
+    terms += [(-c, block(_word_map(low, word, half), 1, 1))
               for word, c in _pencil(*renorm_map((alpha, beta))).terms]
     maps, coefs = np.array([image for _, image in terms]), np.array([c for c, _ in terms])
     keep = maps >= 0

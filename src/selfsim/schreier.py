@@ -168,13 +168,13 @@ def _names(x: BoundaryPoint, offsets: np.ndarray, low: int, lo: int, carry_flip:
     return [row.decode("ascii") for row in cells.view(f"S{width}").ravel()]
 
 
-def _line_tables(x: BoundaryPoint, gens, radius: int, beyond: int = 0):
-    """(image tables, offsets, line coordinate) of the ball of radius + beyond around x.
+def _line_tables(x: BoundaryPoint, gens, radius: int):
+    """(image tables, offsets, line coordinate) of the ball of radius around x.
 
-    The ball is the one orbital_ball(x, gens, radius + beyond) describes,
-    and radius must be >= 0.  offsets[i] is the number of steps along the
-    line from x to vertex i, and the coordinate is (low, *_line_coordinate(x,
-    low)), which _names reads.  A radius-r ball is the first vertices of any
+    The ball is the one orbital_ball(x, gens, radius) describes, and radius
+    must be >= 0.  offsets[i] is the number of steps along the line from x
+    to vertex i, and the coordinate is (low, *_line_coordinate(x, low)),
+    which _names reads.  A radius-r ball is the first vertices of any
     larger ball around x, those with |offset| <= r, numbered alike, and its
     image tables are the larger ball's cut there.
     """
@@ -186,7 +186,6 @@ def _line_tables(x: BoundaryPoint, gens, radius: int, beyond: int = 0):
             raise ValueError(f"label {g!r} is not a generator letter")
     if len(set(gens)) != len(gens):
         raise ValueError("duplicate labels")
-    radius += beyond
     low = radius.bit_length() + 1  # m + k carries or borrows at most once past bit low for |k| <= radius + 1
     lo, carry_flip, borrow_flip = _line_coordinate(x, low)
     # flip[j] is the coordinate that step j, from m + j - 1 to m + j, flips: v2(m + j)

@@ -57,8 +57,33 @@ def bcd_square_reference(perms) -> bool:
 
 
 def word_perm(word, n):
-    """Permutation array of a word at level n, rightmost letter first; builds the level's table on every call."""
+    """Permutation array of a word on the level-n line places, rightmost letter first; builds the table every call."""
     return _word_map(_level_perms(n), word, 1 << n)
+
+
+def tree_index(n):
+    """Reference Gray map: the tree index of each level-n line place.
+
+    Vertex v, first coordinate highest, has tree index int(v, 2), so blocks
+    by the first coordinate are index halves.  Place p holds NOT gray(m),
+    m = 2^n - 1 - p, coordinate i in bit n - 1 - i.
+    """
+    p = np.arange(1 << n, dtype=np.int64)
+    y = p ^ p >> 1 ^ (1 << n >> 1) - 1  # NOT gray(m), coordinate i as bit i
+    return sum(((y >> i & 1) << n - 1 - i for i in range(n)), np.zeros_like(p))
+
+
+def in_tree_order(perm):
+    """A permutation of the level line places as the same action on tree indices."""
+    tree = tree_index(perm.size.bit_length() - 1)
+    out = np.empty_like(perm)
+    out[tree] = tree[perm]
+    return out
+
+
+def tree_perm(word, n):
+    """word_perm on tree indices."""
+    return in_tree_order(word_perm(word, n))
 
 
 def _all_words_with_perms(n):
@@ -159,7 +184,7 @@ def suite_decomposition():
 
     Exhaustively at level 6 through permutation arrays, and, on a fixed word
     sample, vertex by vertex on every level <= 6 against the rows of the
-    level-6 permutation that the generator permutations compose: vertex v of length l
+    level-6 permutation that the generator permutations compose, in tree order: vertex v of length l
     is row int(v, 2) << (6 - l), and its image is that row's value >> (6 - l).
     """
     cache = {}
@@ -167,6 +192,7 @@ def suite_decomposition():
     sampled = 0
     vertices = [(lvl, i) for lvl in range(7) for i in range(1 << lvl)]
     for word, perm in _all_words_with_perms(6):
+        perm = in_tree_order(perm)
         rebuilt = _perm_from_decomposition(word, 6, cache)
         assert np.array_equal(perm, rebuilt), f"decomposition mismatch for {word!r}"
         if count % 441 == 0 or len(word) <= 2:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -522,6 +523,57 @@ def test_element_at_the_size_guards_is_accepted(tmp_path):
     assert solver["bandwidth"] == 16 and solver["lapack_driver"].startswith("sbtrd+") and solver["count_shifts"] >= 2
 
 
+def _padded_element_file(path, size):
+    """The one-letter element a, padded with spaces to size bytes."""
+    text = json.dumps({"terms": [{"word": "a", "coef": 1.0}]})
+    path.write_text(text + " " * (size - len(text)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [("dev-zero", "more than the guard 1048576 bytes"), ("oversize", "more than the guard 1048576 bytes"),
+     ("nested", "nested too deeply")],
+)
+def test_unbounded_element_files_exit_two(kind, message, tmp_path):
+    # the file is read at most BYTE_GUARD + 1 bytes and refused while the arguments are parsed, with no traceback;
+    # the run's address space is capped, so a read of /dev/zero that did not stop fails there, not in the test
+    assert hecke.BYTE_GUARD == 2**20
+    path = "/dev/zero"
+    if kind == "oversize":
+        path = _padded_element_file(tmp_path / "elem.json", hecke.BYTE_GUARD + 1)
+    if kind == "nested":
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), OPENBLAS_NUM_THREADS="1")
+    code = "import sys; from selfsim import cli; sys.exit(cli.main(sys.argv[1:]))"
+    out = tmp_path / "o"
+    run = subprocess.run([sys.executable, "-c", code, "spectrum", "--element", str(path), "--level", "2", "--out",
+                          str(out)], env=env, capture_output=True, text=True, timeout=60,
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    assert run.returncode == 2, run.stderr
+    assert message in run.stderr and "Traceback" not in run.stderr, run.stderr
+    assert not out.exists()
+
+
+def test_element_file_at_the_byte_guard_is_accepted(tmp_path):
+    path = _padded_element_file(tmp_path / "elem.json", hecke.BYTE_GUARD)
+    assert path.stat().st_size == hecke.BYTE_GUARD
+    assert cli.main(["spectrum", "--element", str(path), "--level", "2", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_argument_faults_do_not_escape_main(tmp_path, monkeypatch, capsys):
+    # an unexpected error while the arguments are parsed is an internal fault, not an uncaught exit 1
+    def broken(spec):
+        raise MemoryError("injected fault")
+
+    monkeypatch.setattr(hecke.AlgebraElement, "from_json", staticmethod(broken))
+    path = _padded_element_file(tmp_path / "elem.json", 100)
+    assert cli.main(["spectrum", "--element", str(path), "--level", "2", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "error: internal fault: MemoryError: injected fault"
+
+
 def test_self_adjoint_element_needs_the_word_problem(tmp_path):
     # (ad)^4 = 1 makes adad its own inverse, although its reversal dada is another reduced word,
     # and badadadada the inverse ba of ab, although it is not the reversal of ab
@@ -815,5 +867,6 @@ def test_orbital_ball_and_operator_each_read_the_line_once(point, gens, radius, 
     path.write_text(json.dumps({"terms": [{"word": w, "coef": c} for w, c in terms]}))
     argv = ["orbital", "--point", point, "--gens", gens, "--radius", str(radius), "--element", str(path)]
     assert cli.main(argv + ["--out", str(tmp_path / "orb")]) == 0
-    root, beyond = str(BoundaryPoint.parse(point)), max(len(w) for w, _ in terms) - 1
-    assert [(str(x), *rest) for x, *rest in calls] == [(root, tuple(gens), radius), (root, tuple(gens), radius, beyond)]
+    root, longest = str(BoundaryPoint.parse(point)), max(len(w) for w, _ in terms)
+    assert [(str(x), *rest) for x, *rest in calls] == [(root, tuple(gens), radius),
+                                                       (root, tuple(gens), radius + longest - 1)]

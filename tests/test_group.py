@@ -15,7 +15,7 @@ from selfsim.group import (
     rigidity_depth,
     wreath_decompose,
 )
-from suites import fold_decompose, is_identity, reference_is_identity, word_perm
+from suites import fold_decompose, is_identity, reference_is_identity, tree_perm, word_perm
 
 words = st.text(alphabet="abcd", max_size=12)
 bits = st.text(alphabet="01", max_size=10)
@@ -103,10 +103,10 @@ def test_is_identity_reads_the_root_swap_first(monkeypatch):
 
 
 def test_act_vertex_examples():
-    # vertex v of level n is row int(v, 2) of the level-n permutation, its first bit the highest
-    assert word_perm("a", 2)[0b01] == 0b11
-    assert word_perm("", 5)[0b01101] == 0b01101
-    assert word_perm("d", 3)[0b101] == 0b100
+    # vertex v of level n is row int(v, 2) of the level-n permutation in tree order, its first bit the highest
+    assert tree_perm("a", 2)[0b01] == 0b11
+    assert tree_perm("", 5)[0b01101] == 0b01101
+    assert tree_perm("d", 3)[0b101] == 0b100
 
 
 def test_act_vertex_level_preserved_and_bijective():
@@ -117,17 +117,17 @@ def test_act_vertex_level_preserved_and_bijective():
 
 def test_act_boundary_prefix_examples():
     # the level-n prefixes of (0) and (1) are rows 0 and 2^n - 1
-    assert word_perm("a", 3)[0b000] == 0b100
-    assert word_perm("", 5)[0b11111] == 0b11111
+    assert tree_perm("a", 3)[0b000] == 0b100
+    assert tree_perm("", 5)[0b11111] == 0b11111
     # b fixes 1^inf: its sections along 1s cycle through c and d without a swap
-    assert word_perm("b", 3)[0b111] == 0b111
+    assert tree_perm("b", 3)[0b111] == 0b111
 
 
 def test_act_boundary_prefix_truncation_consistent():
     # the image of a level-(n + 1) vertex, cut to its first n bits, is the image of its cut
     for word in ("a", "db", "cad"):
         for n in range(6):
-            perm, parent = word_perm(word, n + 1), word_perm(word, n)
+            perm, parent = tree_perm(word, n + 1), tree_perm(word, n)
             for j in range(1 << (n + 1)):
                 assert perm[j] >> 1 == parent[j >> 1], (word, n, j)
 
@@ -350,7 +350,7 @@ def test_boundary_image_matches_prefix_action():
     for word in ("a", "b", "cd", "abab", "dcba"):
         image = boundary_image(word, x)
         for n in range(1, 12):
-            assert int(image.prefix(n), 2) == word_perm(word, n)[int(x.prefix(n), 2)], (word, n)
+            assert int(image.prefix(n), 2) == tree_perm(word, n)[int(x.prefix(n), 2)], (word, n)
 
 
 @given(

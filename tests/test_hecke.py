@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -18,10 +19,19 @@ from selfsim.hecke import (
     groupoid_block,
     schur_step_check,
 )
-from selfsim.renorm import renorm_map
+from selfsim.renorm import renorm_map, slice_spectrum_samples
 from selfsim.schreier import _line_tables, orbital_ball
 from selfsim.spectra import _band, sym_eigs
-from suites import _act_via_decomposition, given_order, index_order, is_identity, tree_count, word_perm
+from suites import (
+    _act_via_decomposition,
+    given_order,
+    index_order,
+    is_identity,
+    tree_count,
+    tree_index,
+    tree_perm,
+    word_perm,
+)
 
 ABCD = ("a", "b", "c", "d")
 NON_DYADIC = AlgebraElement.from_terms(
@@ -46,9 +56,17 @@ def test_level_zero_and_one_matrices():
         assert np.array_equal(_generator(g, 1), np.eye(2))
 
 
+def _tree_generator(letter, n):
+    """_generator with rows and columns at tree indices instead of line places."""
+    tree = tree_index(n)
+    A = np.empty((1 << n, 1 << n))
+    A[np.ix_(tree, tree)] = _generator(letter, n)
+    return A
+
+
 def test_level_two_block_recursion():
-    A1, B1, C1, D1 = (_generator(g, 1) for g in ABCD)
-    A2, B2, C2, D2 = (_generator(g, 2) for g in ABCD)
+    A1, B1, C1, D1 = (_tree_generator(g, 1) for g in ABCD)
+    A2, B2, C2, D2 = (_tree_generator(g, 2) for g in ABCD)
     Z = np.zeros((2, 2))
     assert np.array_equal(A2, np.block([[Z, np.eye(2)], [np.eye(2), Z]]))
     assert np.array_equal(B2, np.block([[A1, Z], [Z, C1]]))
@@ -62,9 +80,22 @@ def test_perms_match_vertex_action():
         strings = [format(i, f"0{n}b") if n else "" for i in range(1 << n)]
         index = {s: i for i, s in enumerate(strings)}
         for g in ABCD:
-            perm = word_perm(g, n)
+            perm = tree_perm(g, n)
             for i, s in enumerate(strings):
                 assert perm[i] == index[_act_via_decomposition(g, s)]
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_level_and_orbital_readers_of_the_flip_rule_agree(n):
+    # the one-ended ball of 1^inf out to radius 2^n - 1 is the level-n line: ball index m, m steps from the
+    # fold, is place 2^n - 1 - m, and a letter that leaves the ball there fixes the level vertex
+    perms = hecke._level_perms(n)
+    images, offsets, _ = _line_tables(BoundaryPoint("", "1"), ABCD, (1 << n) - 1)
+    assert np.array_equal(offsets, np.arange(1 << n))
+    place = (1 << n) - 1 - offsets
+    for g in ABCD:
+        image = np.where(images[g] >= 0, images[g], offsets)
+        assert np.array_equal(perms[g][place], place[image]), g
 
 
 def test_word_perm_relations():
@@ -152,6 +183,11 @@ def test_from_terms_keys_each_term_once(monkeypatch):
 def test_algebra_element_roundtrip(terms):
     element = AlgebraElement.from_terms(terms)
     assert AlgebraElement.from_json(_to_json(element)) == element
+
+
+def test_from_json_refuses_deep_nesting_as_malformed():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        AlgebraElement.from_json("[" * 100_000 + "]" * 100_000)
 
 
 def test_delta_spectra_small_levels():
@@ -380,6 +416,34 @@ LINE_ELEMENTS = {
 LINE_WIDTHS = {"five": 3, "merge": 2}  # band widths along the line at levels 11 and 13
 
 
+# sha256 of assemble_level(element, n).entries.tobytes(), taken while level vertices were numbered by tree index:
+# how the vertices are numbered must not change a band
+LEVEL_BAND_DIGESTS = {
+    ("delta", 1): "3a3f3d1e148c1ee9f9dcf9df1677fd264e46b674be52625457580ab605a2b6ab",
+    ("delta", 6): "03190069010f14ceaca8e475c4afe26d4bc95403c087ffce6996d453be3fcd3c",
+    ("delta", 11): "c062f7bc92f108924fd0714d5ced1a806b32802fc553375ff22c260d36e4fe77",
+    ("delta", 13): "8024a058cea9a27168d65fb6358630fda2bc53cab21f7b43c8fc26f580cc2614",
+    ("sum", 1): "60704da6dc5b08f6d6018a2c7ad4b1c9bedb8876e6a53d5722e578180124d01a",
+    ("sum", 6): "eb2eeb9b9a819eab93f764708c546d87dae9f4b992b8d6deff35c5ad80c85989",
+    ("sum", 11): "bd782a241144439f503b532372d4966a4fb8a90889d084bd7104b9b50d70a11d",
+    ("sum", 13): "02301b8f677753f1b2b61f101971bb79587d499fc94812cc828e5075c9363672",
+    ("five", 1): "5e9de0cda905a58693792daf54b25463401ec3ebcba7d6437196b35fcc3cdff6",
+    ("five", 6): "2259a2157c33b30eddc4cec8dd97163a18721b83afad25625f6bc9a155b84cea",
+    ("five", 11): "d8c92e6f18a6b5ac466fe287eb978425f8d2ff9967542b36bedc35e32852a01a",
+    ("five", 13): "e02f01e5dd4e4534364578dc4b12ae5be4f66155bd2210db38f0dafac49e0e9d",
+    ("merge", 1): "8793ab358f0dc475c789e5d5a24dabb61a042145eb27c4353e0749a12fdc6f2c",
+    ("merge", 6): "f21e335c94c5a86a43054dec969b57abfb0388999898d42bc40395854ef68736",
+    ("merge", 11): "4c6a44b659e8edf46cec7092108c1510d389223269c546220e23d0f744140e1f",
+    ("merge", 13): "2a3fd18a6e1e961cfe30e69334f5f9773fe70ed12ac68f3a7c43434f80aa3883",
+}
+
+
+@pytest.mark.parametrize("name, n", LEVEL_BAND_DIGESTS)
+def test_level_bands_keep_their_bytes(name, n):
+    entries = assemble_level(LINE_ELEMENTS[name], n).entries
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == LEVEL_BAND_DIGESTS[name, n]
+
+
 def _along_line(M):
     """M's CSR laid out along its line, which must list every index once."""
     assert np.array_equal(np.sort(M.line), np.arange(M.dim))
@@ -407,7 +471,7 @@ def test_assembled_operators_are_bands_along_their_line(name):
         if n <= 11:
             # flipping the last coordinate commutes with the level action, and along the line it is reversal
             assert (P != P[::-1][:, ::-1]).nnz == 0, n
-        # the line coordinate descends to 0 at the vertex 1^n, where the one-ended orbit folds
+        # the line coordinate descends to 0 at the last place, the vertex 1^n, where the one-ended orbit folds
         assert M.line[-1] == (1 << n) - 1
     assert _bandwidth(_along_line(groupoid_block(element, 6))) <= longest
     for point in map(BoundaryPoint.parse, ("(1)", "(0)", "01(10)", "001011(100)", "110010(011)")):
@@ -464,6 +528,44 @@ def test_assemble_orbital_soft_spectrum():
     M, _ = assemble_orbital(delta_element(), BoundaryPoint.parse("(1)"), ABCD, 64)
     ev = sym_eigs(M).eigenvalues
     assert ev.min() >= -0.6 and ev.max() <= 1.1
+
+
+ONE_LETTER = {
+    "delta": delta_element(),
+    "sum": generator_sum_element(),
+    **{f"random-{seed}": AlgebraElement.from_terms(zip(ABCD, np.random.default_rng(seed).normal(size=4)))
+       for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", ONE_LETTER)
+def test_one_ended_ball_is_the_level_band_but_its_far_end(name):
+    # the ball of 1^inf out to radius 2^k - 1 is the level-k line; the step out of its far end flips coordinate k,
+    # which two of b, c, d take, and at level k they loop there: only that diagonal entry differs
+    element = ONE_LETTER[name]
+    for k in range(1, 14):
+        level = assemble_level(element, k).entries
+        ball = assemble_orbital(element, BoundaryPoint.parse("(1)"), ABCD, (1 << k) - 1)[0].entries
+        assert ball.shape == level.shape, k
+        far = np.zeros(level.shape, dtype=bool)
+        far[level.shape[0] // 2, 0] = True
+        assert np.array_equal(ball[~far], level[~far]), k
+        drop = (level[far] - ball[far]).item()
+        leaving = sum(c for g, c in element.terms if group._moves(g, k))
+        if name in ("delta", "sum"):
+            assert drop == {"delta": 0.5, "sum": 2.0}[name], k
+        assert drop == pytest.approx(leaving, abs=1e-15), k
+
+
+def test_one_ended_ball_interlaces_the_level_spectrum():
+    # the ball is the level-k delta less 1/2 in one diagonal entry, a negative rank-one change, so its eigenvalues
+    # interlace the closed-form level spectrum from below
+    for k in range(1, 12):
+        M, _ = assemble_orbital(delta_element(), BoundaryPoint.parse("(1)"), ABCD, (1 << k) - 1)
+        mu = sym_eigs(M).eigenvalues
+        lam = slice_spectrum_samples(-1.0, k) / 4
+        tol = M.dim * np.finfo(float).eps * np.abs(lam).max()
+        assert np.all(mu <= lam + tol) and np.all(mu[1:] >= lam[:-1] - tol), k
 
 
 def test_nesting_other_element():

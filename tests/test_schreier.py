@@ -119,7 +119,7 @@ def test_orbital_ball_cut_from_a_larger_ball(point):
             want = orbital_ball(x, gens, radius)
             dim = len(want.vertices)
             for beyond in (0, 1, 2, 6, 40):
-                images, offsets, coordinate = _line_tables(x, gens, radius, beyond)
+                images, offsets, coordinate = _line_tables(x, gens, radius + beyond)
                 assert np.all(np.abs(offsets[:dim]) <= radius) and np.all(np.abs(offsets[dim:]) > radius)
                 assert tuple(_names(x, offsets[:dim], *coordinate)) == want.vertices, (gens, radius, beyond)
                 for g in gens:
